@@ -1,11 +1,13 @@
 """Thresholding, proximal, and projection operators.
 
 The central primitive is the proximal operator of alpha * ||.||_1^2.  Its
-value at x is a coordinatewise rescaling x_i -> lambda_i x_i / (lambda_i + 2 alpha)
-where the weights lambda_i come from the positive root mu* of the scalar
-function psi below.  psi is continuous and nonincreasing on (0, inf), tends to
-+inf as mu -> 0 for x != 0, and equals -1 once mu is large enough that every
-bracket vanishes, so a sign-change bisection is robust.
+value at x is soft thresholding at tau = 2 alpha ||prox||_1, written as the
+coordinatewise rescaling x_i -> lambda_i x_i / (lambda_i + 2 alpha) with
+weights lambda_i = [2 alpha (|x_i| / tau - 1)]_+ that sum to one.  tau is
+found exactly in O(n log n) by sorting |x|, the same sort-and-threshold step
+as the exact l1-ball projection; both call one private kernel.  psi below is
+the optimality condition in the paper's variable mu = tau^2 / (4 alpha): the
+prox's mu* is its root.
 
 Two l1-ball projections are provided.  The sort-based one is the exact
 O(n log n) method and is used on solver hot paths; the prox-based one obtains
@@ -13,12 +15,10 @@ the projection by tuning alpha until the prox output has the requested l1
 norm, and exists as an independent cross-check of the first.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-PSI_ROOT_MAX_ITERS = 200
-PSI_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,11 @@ def half_threshold(x, lam, step):
 
 
 def psi(mu, x, alpha):
-    """sum_i [sqrt(alpha)|x_i|/sqrt(mu) - 2 alpha]_+ - 1, nonincreasing in mu."""
+    """sum_i [sqrt(alpha)|x_i|/sqrt(mu) - 2 alpha]_+ - 1, nonincreasing in mu.
+
+    This is the optimality condition of the prox of alpha * ||.||_1^2: the
+    mu_star that prox_sq_l1 returns for x != 0 is its root.
+    """
     if not mu > 0:
         raise ValueError("mu must be positive")
     x = np.asarray(x, dtype=float)
@@ -92,70 +96,71 @@ def psi(mu, x, alpha):
     return float(np.sum(np.maximum(brackets, 0.0))) - 1.0
 
 
-def prox_sq_l1(x, alpha, tol=PSI_ROOT_TOL, max_iters=PSI_ROOT_MAX_ITERS):
+def _sort_threshold(absx, offset, ridge):
+    """Threshold of the sort-and-shift step shared by the prox and the projection.
+
+    With u = |x| sorted in descending order and partial sums S_k = u_1 + ... + u_k,
+    the candidates are t_k = (S_k - offset) / (k + ridge), and the threshold is
+    t_rho for the last rho with u_rho > t_rho.  offset = r, ridge = 0 gives the
+    shift of the projection onto the l1 ball of radius r (Condat 2016);
+    offset = 0, ridge = 1 / (2 alpha) gives the soft threshold of the prox of
+    alpha * ||.||_1^2 (Kowalski 2009).  rho = 1 qualifies whenever ||x||_1 > r
+    (projection) or x != 0 (prox), which the callers ensure.
+    """
+    u = np.sort(absx)[::-1]
+    partial = np.cumsum(u)
+    partial -= offset
+    k = np.arange(1.0, absx.size + 1.0)
+    k += ridge
+    above = u * k > partial
+    # Exact for rho = 1, but lost in rounding when offset or ridge * u_1 is
+    # below the precision of u_1.
+    above[0] = True
+    rho = np.nonzero(above)[0][-1]
+    return partial[rho] / k[rho]
+
+
+def prox_sq_l1(x, alpha):
     """Proximal operator of alpha * ||.||_1^2, i.e. argmin 0.5||u - x||^2 + alpha ||u||_1^2.
 
-    For x = 0 the prox is 0.  Otherwise mu* is found by bracketing bisection
-    on psi: the lower end starts at alpha * min_nz^2 / (||x||_1 + 2 alpha n)^2
-    and is shrunk geometrically until psi > 0; the upper end max_i x_i^2 / (4 alpha)
-    makes every bracket vanish so psi = -1 there.  Bisection stops when
-    |psi(mu)| <= tol.
+    For x = 0 the prox is 0 and mu* = 0.  Otherwise the prox is soft
+    thresholding at tau = 2 alpha S_rho / (1 + 2 alpha rho), where S_rho is the
+    sum of the rho largest |x_i| and rho is the last index at which the sorted
+    magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
+    of psi, and lambda_i = [2 alpha (|x_i| / tau - 1)]_+.  Raises ValueError
+    if x has a NaN or infinite entry.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=float)
-    if not np.any(x):
+    absx = np.abs(x)
+    l1 = float(np.sum(absx))
+    if not math.isfinite(l1):
+        raise ValueError("x must be finite")
+    if l1 == 0.0:
         zeros = np.zeros_like(x)
         return ProxResult(zeros, 0.0, zeros.copy())
 
-    absx = np.abs(x)
-    l1 = float(np.sum(absx))
-    n = x.size
-    min_nz = float(np.min(absx[absx > 0]))
-
-    lo = alpha * min_nz**2 / (l1 + 2.0 * alpha * n) ** 2
-    while psi(lo, x, alpha) <= 0.0:
-        lo *= 0.25
-        if lo < 1e-300:
-            raise RuntimeError("failed to bracket the psi root from below")
-    hi = max(float(np.max(absx)) ** 2 / (4.0 * alpha), 2.0 * lo)
-
-    root = None
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        val = psi(mid, x, alpha)
-        if abs(val) <= tol:
-            root = mid
-            break
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * hi:
-            root = 0.5 * (lo + hi)
-            break
-    if root is None:
-        raise RuntimeError("psi bisection did not converge within the iteration cap")
-
-    lam = np.maximum(np.sqrt(alpha) * absx / np.sqrt(root) - 2.0 * alpha, 0.0)
+    tau = _sort_threshold(absx, 0.0, 0.5 / alpha)
+    lam = np.maximum(2.0 * alpha * (absx / tau - 1.0), 0.0)
     value = lam * x / (lam + 2.0 * alpha)
-    return ProxResult(value, root, lam)
+    return ProxResult(value, float(tau * tau / (4.0 * alpha)), lam)
 
 
 def project_l1_ball_sort(x, r):
-    """Euclidean projection onto {u : ||u||_1 <= r.radius_l1} by sort and shift."""
+    """Euclidean projection onto {u : ||u||_1 <= r.radius_l1} by sort and shift.
+
+    Raises ValueError if x has a NaN or infinite entry.
+    """
     x = np.asarray(x, dtype=float)
     radius = r.radius_l1
     absx = np.abs(x)
-    if np.sum(absx) <= radius:
+    l1 = np.sum(absx)
+    if not math.isfinite(l1):
+        raise ValueError("x must be finite")
+    if l1 <= radius:
         return x.copy()
-    u = np.sort(absx)[::-1]
-    cssv = np.cumsum(u)
-    k = np.arange(1, x.size + 1)
-    rho = np.nonzero(u * k > cssv - radius)[0][-1]
-    theta = (cssv[rho] - radius) / (rho + 1.0)
+    theta = _sort_threshold(absx, radius, 0.0)
     return np.sign(x) * np.maximum(absx - theta, 0.0)
 
 

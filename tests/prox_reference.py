@@ -1,0 +1,62 @@
+"""Reference prox of alpha * ||.||_1^2 by bisection on psi, for the tests.
+
+It finds mu* by root-finding and shares no code with the library's
+sort-and-threshold kernel, so tests compare the library's prox against it,
+and the prox-based l1-ball projection run through it is an independent check
+of the sort-based projection.
+"""
+
+import numpy as np
+
+from sparsq.proxops import ProxResult, psi
+
+
+def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
+    """Prox of alpha * ||.||_1^2 from the root mu* of psi, found by bisection.
+
+    For x = 0 the prox is 0.  Otherwise the lower end of the bracket starts at
+    alpha * min_nz^2 / (||x||_1 + 2 alpha n)^2 and is shrunk geometrically until
+    psi > 0; the upper end max_i x_i^2 / (4 alpha) makes every bracket vanish,
+    so psi = -1 there.  Bisection stops when |psi(mu)| <= tol.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    x = np.asarray(x, dtype=float)
+    if not np.any(x):
+        zeros = np.zeros_like(x)
+        return ProxResult(zeros, 0.0, zeros.copy())
+
+    absx = np.abs(x)
+    l1 = float(np.sum(absx))
+    n = x.size
+    min_nz = float(np.min(absx[absx > 0]))
+
+    lo = alpha * min_nz**2 / (l1 + 2.0 * alpha * n) ** 2
+    while psi(lo, x, alpha) <= 0.0:
+        lo *= 0.25
+        if lo < 1e-300:
+            raise RuntimeError("failed to bracket the psi root from below")
+    hi = max(float(np.max(absx)) ** 2 / (4.0 * alpha), 2.0 * lo)
+
+    root = None
+    for _ in range(max_iters):
+        mid = 0.5 * (lo + hi)
+        val = psi(mid, x, alpha)
+        if abs(val) <= tol:
+            root = mid
+            break
+        if val > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17 * hi:
+            root = 0.5 * (lo + hi)
+            break
+    if root is None:
+        raise RuntimeError("psi bisection did not converge within the iteration cap")
+
+    lam = np.maximum(np.sqrt(alpha) * absx / np.sqrt(root) - 2.0 * alpha, 0.0)
+    value = lam * x / (lam + 2.0 * alpha)
+    return ProxResult(value, root, lam)

@@ -12,9 +12,14 @@ from sparsq.proxops import (
     psi,
     soft_threshold,
 )
+from prox_reference import prox_sq_l1_bisect
 
 vectors = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=10
+).map(lambda v: np.array(v))
+# Subnormal entries are left out: there lambda's sum-to-one loses its precision.
+normal_vectors = st.lists(
+    st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False), min_size=1, max_size=10
 ).map(lambda v: np.array(v))
 
 
@@ -194,7 +199,60 @@ def test_prox_rejects_bad_params():
     with pytest.raises(ValueError):
         prox_sq_l1(np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        prox_sq_l1(np.ones(2), 1.0, tol=0.0)
+        prox_sq_l1_bisect(np.ones(2), 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prox_and_projection_reject_nonfinite(bad):
+    x = np.array([1.0, bad, -2.0])
+    with pytest.raises(ValueError, match="x must be finite"):
+        prox_sq_l1(x, 0.5)
+    with pytest.raises(ValueError, match="x must be finite"):
+        project_l1_ball_sort(x, RadiusSpec(1.0))
+
+
+def test_prox_matches_bisection_reference():
+    rng = np.random.default_rng(10)
+    worst_value = 0.0
+    worst_mu = 0.0
+    for case in range(2400):
+        n = 1 if case % 8 == 0 else int(rng.integers(2, 300))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.random(n) < 0.2] = 0.0
+        if case % 3 == 0:  # tied magnitudes
+            x = np.round(x / np.max(np.abs(x), initial=1e-300) * 4.0)
+        alpha = float(10.0 ** rng.uniform(-6, 2))
+        out = prox_sq_l1(x, alpha)
+        ref = prox_sq_l1_bisect(x, alpha)
+        if not np.any(x):
+            assert np.array_equal(out.value, ref.value) and out.mu_star == ref.mu_star == 0.0
+            continue
+        gap = float(np.max(np.abs(out.value - ref.value))) / float(np.max(np.abs(x)))
+        worst_value = max(worst_value, gap)
+        worst_mu = max(worst_mu, abs(out.mu_star - ref.mu_star) / ref.mu_star)
+    assert worst_value <= 1e-11
+    assert worst_mu <= 1e-11
+
+
+@given(normal_vectors, st.floats(1e-3, 1e2))
+@settings(max_examples=200, deadline=None)
+def test_prox_properties(x, alpha):
+    out = prox_sq_l1(x, alpha)
+    scale = max(1.0, float(np.max(np.abs(x))))
+    if np.any(x):
+        assert np.all(out.lam >= 0)
+        assert np.sum(out.lam) == pytest.approx(1.0, abs=1e-9)
+    shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * out.mu_star))
+    assert np.max(np.abs(out.value - shrunk)) <= 1e-10 * scale
+
+    def objective(u):
+        return 0.5 * np.sum((u - x) ** 2, axis=-1) + alpha * np.sum(np.abs(u), axis=-1) ** 2
+
+    base = objective(out.value)
+    rng = np.random.default_rng(0)
+    for step in (1e-3, 1e-2, 0.1, 1.0):
+        perturbed = out.value + step * scale * rng.standard_normal((50, x.size))
+        assert np.min(objective(perturbed)) >= base - 1e-9 * max(1.0, base)
 
 
 # ---------------------------------------------------------------- projection
@@ -221,6 +279,9 @@ def test_project_single_coordinate():
     assert np.allclose(out, [1.0, 0.0])
     out_hv = project_l1_ball_hv(np.array([3.0, 0.0]), r, tol=1e-10)
     assert np.allclose(out_hv, [1.0, 0.0], atol=1e-9)
+    # the radius is below the precision of the entry, so the shift rounds to it
+    out_far = project_l1_ball_sort(np.array([1e20]), r)
+    assert np.sum(np.abs(out_far)) <= 1.0
 
 
 def test_project_shift_example():
