@@ -327,7 +327,6 @@ def run_experiment(cfg, want_traces=False):
             fields, result = run_algorithm(cfg, inst, spec, record_trace=want_traces)
             elapsed_ms = 1e3 * (time.perf_counter() - start)
             x = result.x_final
-            residual = float(np.linalg.norm(inst.A.apply(x) - inst.y_delta))
             snr_out = snr_metric(x, inst.x_true) if inst.x_true is not None else math.nan
             rerror = rerror_metric(x, inst.x_true) if inst.x_true is not None else math.nan
             rows.append(
@@ -346,7 +345,7 @@ def run_experiment(cfg, want_traces=False):
                     time_ms=elapsed_ms,
                     snr_out_db=snr_out,
                     rerror=rerror,
-                    residual_norm=residual,
+                    residual_norm=result.residual_norm,
                     termination=str(result.termination.value),
                 )
             )

@@ -141,10 +141,15 @@ def prox_sq_l1(x, alpha):
         zeros = np.zeros_like(x)
         return ProxResult(zeros, 0.0, zeros.copy())
 
+    scale = 1.0
     tau = _sort_threshold(absx, 0.0, 0.5 / alpha)
+    if not tau > 0:  # tau underflows on subnormal x; the prox is positively homogeneous
+        scale = float(np.max(absx))
+        absx = absx / scale
+        tau = _sort_threshold(absx, 0.0, 0.5 / alpha)
     lam = np.maximum(2.0 * alpha * (absx / tau - 1.0), 0.0)
     value = lam * x / (lam + 2.0 * alpha)
-    return ProxResult(value, float(tau * tau / (4.0 * alpha)), lam)
+    return ProxResult(value, float(tau * tau / (4.0 * alpha)) * scale * scale, lam)
 
 
 def project_l1_ball_sort(x, r):
@@ -157,7 +162,14 @@ def project_l1_ball_sort(x, r):
     absx = np.abs(x)
     l1 = np.sum(absx)
     if not math.isfinite(l1):
-        raise ValueError("x must be finite")
+        if not np.all(np.isfinite(absx)):
+            raise ValueError("x must be finite")
+        # Only the sum overflowed.  Shift |x|/m by -1 (m = max|x|; this shifts the
+        # threshold by -1) so a radius below the entries' precision survives.
+        m = float(np.max(absx))
+        shifted = absx / m - 1.0
+        theta = _sort_threshold(shifted, radius / m, 0.0)
+        return np.sign(x) * np.maximum(shifted - theta, 0.0) * m
     if l1 <= radius:
         return x.copy()
     theta = _sort_threshold(absx, radius, 0.0)

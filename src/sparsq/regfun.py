@@ -35,18 +35,18 @@ def eval_R(x, p):
     return p.alpha * l1 * l1 - p.beta * float(x @ x)
 
 
-def eval_J(A, ydelta, x, p):
-    """Penalized objective 0.5 * ||Ax - y||^2 + eval_R(x, p)."""
-    r = A.apply(x) - ydelta
+def eval_J(A, ydelta, x, p, r=None):
+    """Penalized objective 0.5 * ||Ax - y||^2 + eval_R(x, p); r, if given, is Ax - y."""
+    r = A.apply(x) - ydelta if r is None else r
     return 0.5 * float(r @ r) + eval_R(x, p)
 
 
-def eval_D(A, ydelta, x, beta):
-    """Constrained-formulation objective 0.5 * ||Ax - y||^2 - beta * ||x||_2^2."""
+def eval_D(A, ydelta, x, beta, r=None):
+    """Constrained objective 0.5 * ||Ax - y||^2 - beta * ||x||_2^2; r, if given, is Ax - y."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     x = np.asarray(x, dtype=float)
-    r = A.apply(x) - ydelta
+    r = A.apply(x) - ydelta if r is None else r
     return 0.5 * float(r @ r) - beta * float(x @ x)
 
 

@@ -14,14 +14,16 @@ solvers (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative
 half thresholding) are comparison baselines.
 
 Every solver is deterministic given its inputs, stops when the step norm
-falls below opts.step_tol or the iteration cap is reached, and can record a
-per-iteration trace.  The gradient step uses the descent sign
-x - t * A*(Ax - y) throughout.
+falls below opts.step_tol, turns non-finite, or hits the iteration cap, and
+can record a per-iteration trace.  The gradient step uses the descent sign
+x - t * A*(Ax - y) throughout; one engine forms the residual Ax - y once per
+iterate for both the step and the trace.
 """
 
+import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -42,6 +44,7 @@ class Termination(str, Enum):
     STEP_TOL = "step_tol"
     MAX_ITER = "max_iter"
     STAGNATION = "stagnation"
+    NONFINITE = "nonfinite"
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,7 @@ class SolveResult:
     iterations: int
     termination: Termination
     trace: list
+    residual_norm: float  # ||A x_final - y||
 
 
 @dataclass(frozen=True)
@@ -129,51 +133,56 @@ class AlphaSelection:
     bracketed: bool
 
 
-def _iterate(x0, step_fn, objective_fn, residual_fn, opts, x_true=None):
+def _rerror_fn(x_true):
+    """x -> ||x - x_true|| / ||x_true||, or x -> None without a nonzero x_true."""
+    x_true = None if x_true is None else np.asarray(x_true, dtype=float)
+    norm = 0.0 if x_true is None else float(np.linalg.norm(x_true))
+    if not norm:
+        return lambda x: None
+    return lambda x: float(np.linalg.norm(x - x_true)) / norm
+
+
+def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, step_uses_r=True):
+    """Run step_fn(x, r) from x0, forming r = Ax - y once per iterate for the step
+    and the trace.  A step that does not read r (step_uses_r=False) gets None,
+    and r is then formed only for the trace and for the final residual norm."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    x_true_norm = None
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float)
-        x_true_norm = float(np.linalg.norm(x_true))
+    rerror = _rerror_fn(x_true)
+    r = A.apply(x) - ydelta if step_uses_r or opts.record_trace else None
     trace = []
     start = time.perf_counter()
     termination = Termination.MAX_ITER
     k = 0
     for k in range(1, opts.max_iter + 1):
-        x_next = step_fn(x)
+        x_next = step_fn(x, r)
         step_norm = float(np.linalg.norm(x_next - x))
         x = x_next
+        if r is not None:
+            r = A.apply(x) - ydelta
         if opts.record_trace:
-            rerror = None
-            if x_true_norm:
-                rerror = float(np.linalg.norm(x - x_true)) / x_true_norm
             trace.append(
                 IterateRecord(
                     k=k,
-                    objective=objective_fn(x),
-                    residual_norm=residual_fn(x),
+                    objective=objective_fn(x, r),
+                    residual_norm=float(np.linalg.norm(r)),
                     step_norm=step_norm,
-                    rerror=rerror,
+                    rerror=rerror(x),
                     elapsed_s=time.perf_counter() - start,
                 )
             )
+        if not math.isfinite(step_norm):
+            termination = Termination.NONFINITE
+            break
         if step_norm == 0.0:
             termination = Termination.STAGNATION
             break
         if step_norm < opts.step_tol:
             termination = Termination.STEP_TOL
             break
-    return SolveResult(x, k, termination, trace)
-
-
-def _residual_norm(A, ydelta):
-    def fn(x):
-        r = A.apply(x) - ydelta
-        return float(np.linalg.norm(r))
-
-    return fn
+    r = A.apply(x) - ydelta if r is None else r
+    return SolveResult(x, k, termination, trace, float(np.linalg.norm(r)))
 
 
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
@@ -195,17 +204,12 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
             stacklevel=2,
         )
 
-    def step(x):
-        u = x + (2.0 * beta / lk) * x - A.apply_adjoint(A.apply(x) - ydelta) / lk
+    def step(x, r):
+        u = x + (2.0 * beta / lk) * x - A.apply_adjoint(r) / lk
         return prox_sq_l1(u, alpha / lk).value
 
     return _iterate(
-        x0,
-        step,
-        lambda x: eval_J(A, ydelta, x, p),
-        _residual_norm(A, ydelta),
-        opts,
-        x_true,
+        A, ydelta, x0, step, lambda x, r: eval_J(A, ydelta, x, p, r), opts, x_true
     )
 
 
@@ -221,17 +225,12 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         raise ValueError("beta must be nonnegative")
     denom = gamma - 2.0 * beta
 
-    def step(x):
-        u = (gamma * x - A.apply_adjoint(A.apply(x) - ydelta)) / denom
+    def step(x, resid):
+        u = (gamma * x - A.apply_adjoint(resid)) / denom
         return project_l1_ball_sort(u, r)
 
     return _iterate(
-        x0,
-        step,
-        lambda x: eval_D(A, ydelta, x, beta),
-        _residual_norm(A, ydelta),
-        opts,
-        x_true,
+        A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true
     )
 
 
@@ -248,30 +247,24 @@ def search_radius_mdp(
     """Bisection on the squared l1-ball radius until the residual obeys the
     discrepancy band [tau1 * delta, tau2 * delta].
 
-    Each trial radius runs a fresh solve_pg_sf from x0.  The residual is a
-    decreasing function of the radius, so the bracket update shrinks toward
-    the transition.  If max_outer halvings never land in the band the result
-    carries bracketed=False and holds the last midpoint solve.
+    Each trial radius runs a fresh untraced solve_pg_sf from x0.  The residual
+    is a decreasing function of the radius, so the bracket update shrinks
+    toward the transition.  If max_outer halvings never land in the band the
+    result carries bracketed=False and holds the last midpoint solve.  With
+    opts.record_trace the returned solve is run once more, traced, at the
+    returned radius.
     """
     r_min, r_max = mdp.r_min, mdp.r_max
+    trial_opts = replace(opts, record_trace=False)
     trace = []
-    result = None
-    radius = None
     bracketed = False
-    residual_fn = _residual_norm(A, ydelta)
-    x_true_norm = None
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float)
-        x_true_norm = float(np.linalg.norm(x_true))
+    rerror = _rerror_fn(x_true)
     for j in range(1, mdp.max_outer + 1):
         r_j = 0.5 * (r_max + r_min)
         radius = RadiusSpec.from_sq(r_j)
-        result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true)
-        residual = residual_fn(result.x_final)
-        rerror = None
-        if x_true_norm:
-            rerror = float(np.linalg.norm(result.x_final - x_true)) / x_true_norm
-        trace.append(MdpRecord(j, r_j, residual, rerror))
+        result = solve_pg_sf(A, ydelta, beta, gamma, radius, trial_opts, x0, x_true)
+        residual = result.residual_norm
+        trace.append(MdpRecord(j, r_j, residual, rerror(result.x_final)))
         if residual < mdp.tau1 * mdp.delta:
             r_max = r_j
         elif residual > mdp.tau2 * mdp.delta:
@@ -279,6 +272,8 @@ def search_radius_mdp(
         else:
             bracketed = True
             break
+    if opts.record_trace:
+        result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true)
     return MdpResult(radius, result, bracketed, trace)
 
 
@@ -299,7 +294,7 @@ def select_alpha_discrepancy(
     The residual grows with alpha, so a log-scale bisection applies.  If even
     the bracket endpoints cannot reach the band (residual above it at the low
     end, or below it at the high end) the nearer endpoint is returned with
-    bracketed=False.
+    bracketed=False.  The inner solves run untraced.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -308,20 +303,18 @@ def select_alpha_discrepancy(
         raise ValueError("alpha_bracket must be positive and increasing")
     if x0 is None:
         x0 = np.full(A.domain_dim, 0.01)
-    residual_fn = _residual_norm(A, ydelta)
+    opts = replace(opts, record_trace=False)
 
     def solve_at(alpha):
         if solver == "hv":
-            res = solve_hv(A, ydelta, RegParams(alpha, eta * alpha), opts, x0)
-        elif solver == "ista":
-            res = solve_ista(A, ydelta, alpha, opts, x0)
-        elif solver == "fista":
-            res = solve_fista(A, ydelta, alpha, opts, x0)
-        elif solver == "st":
-            res = solve_st_l1_l2(A, ydelta, alpha, eta * alpha, opts, x0)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-        return residual_fn(res.x_final)
+            return solve_hv(A, ydelta, RegParams(alpha, eta * alpha), opts, x0).residual_norm
+        if solver == "ista":
+            return solve_ista(A, ydelta, alpha, opts, x0).residual_norm
+        if solver == "fista":
+            return solve_fista(A, ydelta, alpha, opts, x0).residual_norm
+        if solver == "st":
+            return solve_st_l1_l2(A, ydelta, alpha, eta * alpha, opts, x0).residual_norm
+        raise ValueError(f"unknown solver {solver!r}")
 
     res_lo = solve_at(lo)
     if res_lo > band * delta:
@@ -353,12 +346,10 @@ def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
         raise ValueError("alpha must be positive")
     t = 1.0 / opts.lambda_st
 
-    def step(x):
-        return soft_threshold(x - t * A.apply_adjoint(A.apply(x) - ydelta), alpha * t)
+    def step(x, r):
+        return soft_threshold(x - t * A.apply_adjoint(r), alpha * t)
 
-    return _iterate(
-        x0, step, _l1_objective(A, ydelta, alpha), _residual_norm(A, ydelta), opts, x_true
-    )
+    return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)
 
 
 def fista_momentum_next(t):
@@ -374,7 +365,7 @@ def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None, momentum
     t = 1.0 / opts.lambda_st
     state = {"t": 1.0, "x_prev": np.array(x0, dtype=float), "first": True}
 
-    def step(x):
+    def step(x, _r):  # steps from z, so the engine's residual at x is unused
         if state["first"]:
             z = x
             state["first"] = False
@@ -390,7 +381,7 @@ def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None, momentum
         return x_next
 
     return _iterate(
-        x0, step, _l1_objective(A, ydelta, alpha), _residual_norm(A, ydelta), opts, x_true
+        A, ydelta, x0, step, _l1_objective(alpha), opts, x_true, step_uses_r=False
     )
 
 
@@ -406,20 +397,19 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
         raise ValueError("beta must satisfy 0 <= beta <= alpha")
     gamma = opts.lambda_st
 
-    def step(x):
+    def step(x, r):
         norm_x = max(float(np.linalg.norm(x)), 1e-12)
-        u = x + (beta / (gamma * norm_x)) * x - A.apply_adjoint(A.apply(x) - ydelta) / gamma
+        u = x + (beta / (gamma * norm_x)) * x - A.apply_adjoint(r) / gamma
         return soft_threshold(u, alpha / gamma)
 
-    def objective(x):
-        r = A.apply(x) - ydelta
+    def objective(x, r):
         return (
             0.5 * float(r @ r)
             + alpha * float(np.sum(np.abs(x)))
             - beta * float(np.linalg.norm(x))
         )
 
-    return _iterate(x0, step, objective, _residual_norm(A, ydelta), opts, x_true)
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true)
 
 
 def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
@@ -428,19 +418,17 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
         raise ValueError("lam must be positive")
     t = 1.0 / opts.lambda_st
 
-    def step(x):
-        return half_threshold(x - t * A.apply_adjoint(A.apply(x) - ydelta), lam, t)
+    def step(x, r):
+        return half_threshold(x - t * A.apply_adjoint(r), lam, t)
 
-    def objective(x):
-        r = A.apply(x) - ydelta
+    def objective(x, r):
         return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))
 
-    return _iterate(x0, step, objective, _residual_norm(A, ydelta), opts, x_true)
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true)
 
 
-def _l1_objective(A, ydelta, alpha):
-    def objective(x):
-        r = A.apply(x) - ydelta
+def _l1_objective(alpha):
+    def objective(x, r):
         return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
 
     return objective

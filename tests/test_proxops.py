@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,18 @@ def test_prox_and_projection_reject_nonfinite(bad):
         prox_sq_l1(x, 0.5)
     with pytest.raises(ValueError, match="x must be finite"):
         project_l1_ball_sort(x, RadiusSpec(1.0))
+    # the same, next to finite entries whose l1 sum overflows
+    with pytest.raises(ValueError, match="x must be finite"), np.errstate(over="ignore"):
+        project_l1_ball_sort(np.array([1e308, bad, 1e308]), RadiusSpec(1.0))
+
+
+def test_prox_subnormal_input():
+    # tau = 2 alpha S_1 / (1 + 2 alpha) underflows to 0 on this x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_sq_l1(np.array([5e-324, 0.0]), 1e-6)
+    assert np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.lam))
+    assert np.sum(out.lam) == 1.0
 
 
 def test_prox_matches_bisection_reference():
@@ -282,6 +296,13 @@ def test_project_single_coordinate():
     # the radius is below the precision of the entry, so the shift rounds to it
     out_far = project_l1_ball_sort(np.array([1e20]), r)
     assert np.sum(np.abs(out_far)) <= 1.0
+
+
+def test_project_finite_input_whose_sum_overflows():
+    with np.errstate(over="ignore"):
+        out = project_l1_ball_sort(np.array([1e308, 1e308]), RadiusSpec(1.0))
+    # radius / max|x| = 1e-308 is subnormal, which costs the last bits
+    assert out == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 def test_project_shift_example():

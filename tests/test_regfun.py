@@ -62,6 +62,8 @@ def test_eval_J_cases():
     I1 = DenseMatrix(np.eye(1))
     val = eval_J(I1, np.array([1.0]), np.array([1.0]), RegParams(0.25, 0.1))
     assert val == pytest.approx(0.15)
+    # a residual passed in is used as given
+    assert eval_J(I2, np.zeros(2), np.zeros(2), p, r=np.array([1.0, 0.0])) == 0.5
 
 
 def test_eval_D_cases():
@@ -71,6 +73,7 @@ def test_eval_D_cases():
     I1 = DenseMatrix(np.eye(1))
     assert eval_D(I1, np.zeros(1), np.array([1.0]), 0.5) == pytest.approx(0.0)
     assert eval_D(I2, y, np.array([1.0, 0.0]), 0.25) == pytest.approx(0.25)
+    assert eval_D(I2, y, np.array([1.0, 0.0]), 0.25, r=np.array([0.0, -1.0])) == 0.25
 
 
 def test_surrogate_identity_at_omega():

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsq.linops import DenseMatrix, estimate_opnorm_sq
+from sparsq.linops import DenseMatrix, LinearOperator, estimate_opnorm_sq, opnorm_sq_cached
 from sparsq.proxops import RadiusSpec, soft_threshold
 from sparsq.regfun import RegParams, eval_D, eval_J
 from sparsq.solvers import (
@@ -271,6 +273,82 @@ def test_trace_disabled():
     assert res.trace == []
 
 
+class CountingOperator(LinearOperator):
+    """Counts the applies and adjoints made through a wrapped operator."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain_dim, self.range_dim = inner.domain_dim, inner.range_dim
+        self.applies = self.adjoints = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoints += 1
+        return self.inner.apply_adjoint(y)
+
+
+SOLVER_NAMES = ("hv", "pg", "ista", "fista", "st", "ht")
+
+
+def _solve(name, A, y, opts):
+    x0 = np.full(A.domain_dim, 0.01)
+    if name == "hv":
+        return solve_hv(A, y, RegParams(1e-3, 5e-4), opts, x0)
+    if name == "pg":
+        return solve_pg_sf(A, y, 0.01, 1.0, RadiusSpec(0.7), opts, x0)
+    if name == "ista":
+        return solve_ista(A, y, 1e-3, opts, x0)
+    if name == "fista":
+        return solve_fista(A, y, 1e-3, opts, x0)
+    if name == "st":
+        return solve_st_l1_l2(A, y, 1e-3, 5e-4, opts, x0)
+    return solve_ht_half(A, y, 1e-3, opts, x0)
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_one_apply_per_iteration(name, record_trace):
+    rng = np.random.default_rng(16)
+    A, y = _random_instance(rng)
+    op = CountingOperator(A)
+    opnorm_sq_cached(op)  # solve_hv's step-constant check, left out of the count
+    op.applies = op.adjoints = 0
+    res = _solve(name, op, y, SolverOptions(max_iter=30, record_trace=record_trace))
+    k = res.iterations
+    # FISTA steps from the extrapolated point, so the trace's residual at x
+    # costs it one more apply per iteration.
+    applies = 2 * k + 1 if name == "fista" and record_trace else k + 1
+    assert (op.applies, op.adjoints) == (applies, k)
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_trace_changes_no_iterate(name):
+    rng = np.random.default_rng(17)
+    A, y = _random_instance(rng)
+    traced = _solve(name, A, y, SolverOptions(max_iter=60))
+    untraced = _solve(name, A, y, SolverOptions(max_iter=60, record_trace=False))
+    assert traced.x_final.tobytes() == untraced.x_final.tobytes()
+    assert (traced.iterations, traced.termination) == (untraced.iterations, untraced.termination)
+    assert len(traced.trace) == traced.iterations and untraced.trace == []
+    for res in (traced, untraced):
+        assert res.residual_norm == float(np.linalg.norm(A.apply(res.x_final) - y))
+
+
+def test_diverging_iteration_stops_nonfinite():
+    rng = np.random.default_rng(0)
+    # the unit step is far beyond 2 / ||A||^2, so every iterate grows
+    A = DenseMatrix(rng.standard_normal((20, 40)), scale=3.0)
+    y = rng.standard_normal(20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = solve_ista(A, y, 1e-3, SolverOptions(max_iter=3000), np.zeros(40))
+    assert res.termination == Termination.NONFINITE
+    assert res.iterations < 3000
+    assert not np.isfinite(res.trace[-1].step_norm)
+
+
 def test_rerror_recorded_when_truth_given():
     A = DenseMatrix(np.eye(2))
     truth = np.array([1.0, 0.0])
@@ -317,6 +395,33 @@ def test_mdp_recovers_radius_on_toy_instance():
     true_rsq = np.sum(np.abs(x_true)) ** 2
     assert out.radius.radius_sq == pytest.approx(true_rsq, rel=0.15)
     assert [rec.j for rec in out.trace] == list(range(1, len(out.trace) + 1))
+
+
+def test_mdp_trace_option_changes_no_outcome():
+    rng = np.random.default_rng(13)
+    A = DenseMatrix(rng.standard_normal((20, 40)), scale=0.1)
+    x_true = np.zeros(40)
+    x_true[[3, 17, 29]] = [2.0, -3.0, 1.5]
+    noise = 0.01 * rng.standard_normal(20)
+    y = A.apply(x_true) + noise
+    mdp = MdpOptions(
+        r_min=0.5, r_max=400.0, tau1=1.01, tau2=1.2, delta=float(np.linalg.norm(noise))
+    )
+    opts = SolverOptions(max_iter=600)
+    x0 = np.full(40, 0.01)
+    traced = search_radius_mdp(A, y, 1e-4, 1.0, mdp, opts, x0, x_true)
+    untraced = search_radius_mdp(
+        A, y, 1e-4, 1.0, mdp, replace(opts, record_trace=False), x0, x_true
+    )
+    assert traced.result.x_final.tobytes() == untraced.result.x_final.tobytes()
+    assert traced.radius == untraced.radius and traced.trace == untraced.trace
+    assert untraced.result.trace == []
+    # the traced result is the solve at the chosen radius, traced
+    direct = solve_pg_sf(A, y, 1e-4, 1.0, traced.radius, opts, x0, x_true)
+    assert len(direct.trace) > 0
+    assert [replace(rec, elapsed_s=0.0) for rec in traced.result.trace] == [
+        replace(rec, elapsed_s=0.0) for rec in direct.trace
+    ]
 
 
 def test_select_alpha_monotone_endpoints():
