@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from sparsq.bench import (  # noqa: E402
     AlgorithmSpec,
     ExperimentConfig,
+    agg_csv_text,
     manifest_text,
     report_csv_text,
     run_experiment,
@@ -52,14 +53,7 @@ def main():
     values = [round(0.1 * k, 1) for k in range(11)]
     rows, agg = sweep(cfg, "eta", values)
     write("eta_sweep.csv", report_csv_text(rows))
-    agg_lines = ["algorithm,axis,value,n_seeds,snr_median,snr_mean,rerror_median,rerror_mean"]
-    for e in agg:
-        agg_lines.append(
-            f"{e['algorithm']},{e['axis']},{e['value']:.17g},{e['n_seeds']},"
-            f"{e['snr_median']:.17g},{e['snr_mean']:.17g},"
-            f"{e['rerror_median']:.17g},{e['rerror_mean']:.17g}"
-        )
-    write("eta_sweep.agg.csv", "\n".join(agg_lines) + "\n")
+    write("eta_sweep.agg.csv", agg_csv_text(agg))
 
     # solver comparison; the l1-penalized baselines get their own
     # discrepancy-selected weights (the squared-l1 weight lives on a
@@ -76,7 +70,7 @@ def main():
         mdp={"r_min": 1.0, "r_max": 1e5},
         **{**DESK, "seeds": tuple(range(5))},
     )
-    rows, traces = run_experiment(cmp_cfg, want_traces=True)
+    rows, traces, _ = run_experiment(cmp_cfg, want_traces=True)
     write("solver_comparison.csv", report_csv_text(rows))
     write("solver_comparison.manifest.txt", manifest_text(cmp_cfg))
     from sparsq.bench import trace_csv_text

@@ -41,7 +41,7 @@ def main():
             maxiter=1500,
             algorithms=(AlgorithmSpec("hv", {"alpha": alpha, "eta": 1.0}),),
         )
-        rows, _ = run_experiment(cfg)
+        rows, _, _ = run_experiment(cfg)
         all_rows.extend(rows)
     write("noise_table_n16.csv", report_csv_text(all_rows))
 
@@ -75,7 +75,7 @@ def main():
         ),
         mdp={"r_min": 1.0, "r_max": 5e7},
     )
-    rows, _ = run_experiment(big)
+    rows, _, _ = run_experiment(big)
     write("comparison_n125.csv", report_csv_text(rows))
 
 

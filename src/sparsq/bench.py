@@ -17,7 +17,8 @@ import configparser
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,39 +34,14 @@ from .problems import (
     snr_metric,
 )
 from .proxops import RadiusSpec
-from .regfun import RegParams
 from .solvers import (
+    PENALIZED,
     MdpOptions,
     SolverOptions,
     search_radius_mdp,
     select_alpha_discrepancy,
-    solve_fista,
     solve_ht_half,
-    solve_hv,
-    solve_ista,
     solve_pg_sf,
-    solve_st_l1_l2,
-)
-
-ALGORITHMS = ("hv", "pg", "ista", "fista", "st", "ht")
-
-REPORT_COLUMNS = (
-    "experiment",
-    "algorithm",
-    "seed",
-    "n",
-    "m",
-    "s",
-    "snr_db",
-    "alpha",
-    "eta",
-    "radius_sq",
-    "iterations",
-    "time_ms",
-    "snr_out_db",
-    "rerror",
-    "residual_norm",
-    "termination",
 )
 
 TRACE_COLUMNS = ("k", "objective", "residual", "step_norm", "rerror", "elapsed_s")
@@ -74,7 +50,8 @@ MDP_TRACE_COLUMNS = ("j", "radius_sq", "residual_norm", "rerror")
 
 TIMING_COLUMNS = {"time_ms", "elapsed_s"}
 
-_AXIS_PARAMS = {"eta": ("hv", "st"), "alpha": ("hv", "ista", "fista", "st")}
+AGG_COLUMNS = ("algorithm", "axis", "value", "n_seeds", "snr_median", "snr_mean",
+               "rerror_median", "rerror_mean")
 
 
 class ConfigError(ValueError):
@@ -145,7 +122,11 @@ class ReportRow:
     termination: str
 
 
-def _parse_number(text, field_name):
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
+def parse_number(text, field_name):
+    """A number, 'inf' or 'noise-free' for infinity, or 'auto'; ConfigError otherwise."""
     text = text.strip()
     if text == "auto":
         return "auto"
@@ -172,7 +153,7 @@ def load_config(path):
         if section.startswith("algorithm:"):
             algo_kind = section.split(":", 1)[1].strip()
             params = {
-                k: _parse_number(v, f"{section}.{k}") for k, v in parser[section].items()
+                k: parse_number(v, f"{section}.{k}") for k, v in parser[section].items()
             }
             algorithms.append(AlgorithmSpec(algo_kind, params))
     mdp = {}
@@ -184,7 +165,7 @@ def load_config(path):
     kwargs = dict(
         experiment=kind,
         n=exp.getint("n"),
-        snr_db=_parse_number(exp.get("snr_db", "inf"), "snr_db"),
+        snr_db=parse_number(exp.get("snr_db", "inf"), "snr_db"),
         algorithms=tuple(algorithms),
         seeds=seeds,
         maxiter=exp.getint("maxiter", 1500),
@@ -254,6 +235,59 @@ def _build_mdp_options(cfg, delta):
     )
 
 
+def _run_penalized(cfg, inst, spec, opts, x0):
+    alpha, eta = spec.params.get("alpha", math.nan), spec.params.get("eta", 0.0)
+    if alpha == "auto":
+        alpha = select_alpha_discrepancy(
+            inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
+        ).alpha
+    result = PENALIZED[spec.kind](inst.A, inst.y_delta, alpha, eta, opts, x0, inst.x_true)
+    eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
+    return result, (alpha, eta_column, math.nan)
+
+
+def _run_pg(cfg, inst, spec, opts, x0):
+    beta, gamma = spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
+    radius_sq = spec.params.get("radius_sq", math.nan)
+    if radius_sq == "auto":
+        mdp_opts = _build_mdp_options(cfg, inst.delta)
+        out = search_radius_mdp(
+            inst.A, inst.y_delta, beta, gamma, mdp_opts, opts, x0, inst.x_true
+        )
+        return out.result, (math.nan, math.nan, out.radius.radius_sq)
+    if math.isnan(radius_sq):
+        raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
+    radius = RadiusSpec.from_sq(radius_sq)
+    result = solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
+    return result, (math.nan, math.nan, radius_sq)
+
+
+def _run_ht(cfg, inst, spec, opts, x0):
+    lam = spec.params.get("lam")
+    if lam is None:
+        raise ConfigError("ht needs a lam parameter")
+    result = solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true)
+    return result, (lam, math.nan, math.nan)  # ht's weight reported in the alpha column
+
+
+class SolverKind(NamedTuple):
+    params: tuple  # the parameters it reads; a sweep axis applies to the kinds listing it
+    run: Callable  # (cfg, inst, spec, opts, x0) -> (SolveResult, (alpha, eta, radius_sq))
+
+
+# The solver kinds, in report order.  Report columns that do not apply are nan.
+SOLVER_KINDS = {
+    "hv": SolverKind(("alpha", "eta", "l_k"), _run_penalized),
+    "pg": SolverKind(("beta", "gamma", "radius_sq"), _run_pg),
+    "ista": SolverKind(("alpha", "lambda"), _run_penalized),
+    "fista": SolverKind(("alpha", "lambda"), _run_penalized),
+    "st": SolverKind(("alpha", "eta", "lambda"), _run_penalized),
+    "ht": SolverKind(("lam", "lambda"), _run_ht),
+}
+
+ALGORITHMS = tuple(SOLVER_KINDS)
+
+
 def run_algorithm(cfg, inst, spec, record_trace=False):
     """Run one algorithm on one instance.  Returns (row_fields, SolveResult)."""
     params = spec.params
@@ -266,65 +300,24 @@ def run_algorithm(cfg, inst, spec, record_trace=False):
         record_trace=record_trace,
     )
     x0 = np.full(inst.A.domain_dim, cfg.x0_value)
-    alpha = params.get("alpha", math.nan)
-    eta = params.get("eta", 0.0)
-    radius_sq = params.get("radius_sq", math.nan)
-    A, y = inst.A, inst.y_delta
-
-    if spec.kind == "hv":
-        if alpha == "auto":
-            alpha = select_alpha_discrepancy(A, y, inst.delta, eta, "hv", opts, x0=x0).alpha
-        result = solve_hv(A, y, RegParams(alpha, eta * alpha), opts, x0, inst.x_true)
-    elif spec.kind == "pg":
-        beta = params.get("beta", 0.0)
-        gamma = params.get("gamma", 1.0)
-        if radius_sq == "auto":
-            mdp_opts = _build_mdp_options(cfg, inst.delta)
-            out = search_radius_mdp(A, y, beta, gamma, mdp_opts, opts, x0, inst.x_true)
-            result, radius_sq = out.result, out.radius.radius_sq
-        else:
-            if math.isnan(radius_sq):
-                raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
-            result = solve_pg_sf(
-                A, y, beta, gamma, RadiusSpec.from_sq(radius_sq), opts, x0, inst.x_true
-            )
-        alpha, eta = math.nan, math.nan
-    elif spec.kind in ("ista", "fista"):
-        if alpha == "auto":
-            alpha = select_alpha_discrepancy(
-                A, y, inst.delta, 0.0, spec.kind, opts, x0=x0
-            ).alpha
-        solver = solve_ista if spec.kind == "ista" else solve_fista
-        result = solver(A, y, alpha, opts, x0, inst.x_true)
-        eta = math.nan
-    elif spec.kind == "st":
-        if alpha == "auto":
-            alpha = select_alpha_discrepancy(A, y, inst.delta, eta, "st", opts, x0=x0).alpha
-        beta = (0.0 if math.isnan(eta) else eta) * alpha
-        result = solve_st_l1_l2(A, y, alpha, beta, opts, x0, inst.x_true)
-    elif spec.kind == "ht":
-        lam = params.get("lam")
-        if lam is None:
-            raise ConfigError("ht needs a lam parameter")
-        result = solve_ht_half(A, y, lam, opts, x0, inst.x_true)
-        alpha = lam  # ht's weight reported in the alpha column
-        eta = math.nan
-    else:  # pragma: no cover - AlgorithmSpec already validates
-        raise ConfigError(f"unknown algorithm {spec.kind!r}")
-
+    result, (alpha, eta, radius_sq) = SOLVER_KINDS[spec.kind].run(cfg, inst, spec, opts, x0)
     return dict(alpha=alpha, eta=eta, radius_sq=radius_sq), result
 
 
 def run_experiment(cfg, want_traces=False):
-    """Run every (algorithm, seed) cell.  Returns (rows, traces) where traces
-    maps (algorithm, seed) to the per-iteration record list."""
+    """Run every (algorithm, seed) cell, building each seed's instance once.
+    Returns (rows, traces, rescale): traces maps (algorithm, seed) to the
+    per-iteration record list, and rescale is make_instance's operator rescale
+    factor for the first seed."""
     rows = []
     traces = {}
+    rescale = None
     for seed in cfg.seeds:
-        inst, _ = make_instance(cfg, seed)
+        inst, factor = make_instance(cfg, seed)
+        rescale = factor if rescale is None else rescale
         for spec in cfg.algorithms:
             start = time.perf_counter()
-            fields, result = run_algorithm(cfg, inst, spec, record_trace=want_traces)
+            columns, result = run_algorithm(cfg, inst, spec, record_trace=want_traces)
             elapsed_ms = 1e3 * (time.perf_counter() - start)
             x = result.x_final
             snr_out = snr_metric(x, inst.x_true) if inst.x_true is not None else math.nan
@@ -338,9 +331,7 @@ def run_experiment(cfg, want_traces=False):
                     m=inst.A.range_dim,
                     s=int(np.count_nonzero(inst.x_true)) if inst.x_true is not None else 0,
                     snr_db=cfg.snr_db,
-                    alpha=fields["alpha"],
-                    eta=fields["eta"],
-                    radius_sq=fields["radius_sq"],
+                    **columns,
                     iterations=result.iterations,
                     time_ms=elapsed_ms,
                     snr_out_db=snr_out,
@@ -352,13 +343,7 @@ def run_experiment(cfg, want_traces=False):
             if want_traces:
                 traces[(spec.kind, seed)] = result.trace
     rows.sort(key=_row_sort_key)
-    return rows, traces
-
-
-def _update_algorithm(spec, axis, value):
-    params = dict(spec.params)
-    params[axis] = value
-    return AlgorithmSpec(spec.kind, params)
+    return rows, traces, rescale
 
 
 def sweep(cfg, axis, values, want_traces=False):
@@ -375,9 +360,8 @@ def sweep(cfg, axis, values, want_traces=False):
         raise ConfigError("sweep needs at least one value")
     if axis not in ("eta", "alpha", "snr_db"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if axis in _AXIS_PARAMS:
-        allowed = _AXIS_PARAMS[axis]
-        bad = [a.kind for a in cfg.algorithms if a.kind not in allowed]
+    if axis != "snr_db":
+        bad = [a.kind for a in cfg.algorithms if axis not in SOLVER_KINDS[a.kind].params]
         if bad:
             raise ConfigError(f"axis {axis!r} does not apply to algorithms {bad}")
     all_rows = []
@@ -385,12 +369,9 @@ def sweep(cfg, axis, values, want_traces=False):
         if axis == "snr_db":
             cfg_v = replace(cfg, snr_db=value)
         else:
-            cfg_v = replace(
-                cfg,
-                algorithms=tuple(_update_algorithm(a, axis, value) for a in cfg.algorithms),
-            )
-        rows, _ = run_experiment(cfg_v, want_traces=want_traces)
-        all_rows.extend(rows)
+            specs = (AlgorithmSpec(a.kind, {**a.params, axis: value}) for a in cfg.algorithms)
+            cfg_v = replace(cfg, algorithms=tuple(specs))
+        all_rows.extend(run_experiment(cfg_v, want_traces=want_traces)[0])
     return all_rows, aggregate_rows(all_rows, axis)
 
 
@@ -398,7 +379,7 @@ def aggregate_rows(rows, axis):
     """Per-(algorithm, axis value) medians and means over seeds."""
     groups = {}
     for row in rows:
-        key = (row.algorithm, getattr(row, axis if axis != "eta" else "eta"))
+        key = (row.algorithm, getattr(row, axis))
         groups.setdefault(key, []).append(row)
     out = []
     for (algorithm, value), members in sorted(groups.items(), key=lambda kv: (kv[0][0], _nan_key(kv[0][1]))):
@@ -478,6 +459,15 @@ def report_csv_text(rows):
     buf.write(",".join(REPORT_COLUMNS) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(getattr(row, col)) for col in REPORT_COLUMNS) + "\n")
+    return buf.getvalue()
+
+
+def agg_csv_text(agg):
+    """The aggregate entries of sweep() / aggregate_rows() as CSV text."""
+    buf = io.StringIO()
+    buf.write(",".join(AGG_COLUMNS) + "\n")
+    for entry in agg:
+        buf.write(",".join(_fmt(entry[col]) for col in AGG_COLUMNS) + "\n")
     return buf.getvalue()
 
 

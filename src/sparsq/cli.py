@@ -7,21 +7,24 @@ validation errors or internal check failures.
 """
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .bench import (
+    ALGORITHMS,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
+    agg_csv_text,
     deterministic_view,
     load_config,
     manifest_text,
     mdp_trace_csv_text,
+    parse_number,
     radius_search,
     report_csv_text,
     run_experiment,
@@ -49,7 +52,7 @@ def _add_common_flags(sub, kind):
     sub.add_argument("--maxiter", type=int)
     sub.add_argument("--step-tol", type=float, dest="step_tol")
     sub.add_argument("--x0", type=float, dest="x0_value")
-    sub.add_argument("--algo", choices=("hv", "pg", "ista", "fista", "st", "ht"),
+    sub.add_argument("--algo", choices=ALGORITHMS,
                      help="single-algorithm shortcut instead of a config file")
     sub.add_argument("--alpha", help="number or 'auto'")
     sub.add_argument("--eta", type=float)
@@ -66,16 +69,6 @@ def _add_common_flags(sub, kind):
     sub.add_argument("--max-outer", type=int, dest="max_outer")
     sub.add_argument("--out", help="results CSV path (default results.csv)")
     sub.add_argument("--trace-dir", dest="trace_dir", help="write per-iteration trace CSVs here")
-
-
-def _parse_auto(text):
-    if text is None:
-        return None
-    if text == "auto":
-        return "auto"
-    if text in ("inf", "noise-free"):
-        return math.inf
-    return float(text)
 
 
 def _config_from_args(args, kind):
@@ -96,32 +89,15 @@ def _config_from_args(args, kind):
             scale=getattr(args, "scale", None) or 0.04,
             algorithms=(AlgorithmSpec(args.algo, {}),),
         )
-        if kind == "deblur":
-            cfg = _replace(
-                cfg,
-                band=getattr(args, "band", None) or 3,
-                sigma=getattr(args, "sigma", None) or 0.7,
-            )
-        if kind == "cs" and getattr(args, "amp_scale", None):
-            cfg = _replace(cfg, amp_scale=args.amp_scale)
 
+    fields = ("m", "s", "scale", "amp_scale") if kind == "cs" else ("band", "sigma", "image")
     overrides = {}
-    for name in ("n", "maxiter", "step_tol", "x0_value"):
+    for name in ("n", "maxiter", "step_tol", "x0_value") + fields:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if kind == "cs":
-        for name in ("m", "s", "scale", "amp_scale"):
-            value = getattr(args, name, None)
-            if value is not None:
-                overrides[name] = value
-    else:
-        for name in ("band", "sigma", "image"):
-            value = getattr(args, name, None)
-            if value is not None:
-                overrides[name] = value
     if args.snr_db is not None:
-        overrides["snr_db"] = _parse_auto(args.snr_db)
+        overrides["snr_db"] = parse_number(args.snr_db, "snr_db")
     if args.seeds:
         overrides["seeds"] = tuple(int(t) for t in args.seeds.replace(",", " ").split())
     if args.algo:
@@ -129,7 +105,7 @@ def _config_from_args(args, kind):
         for name in _ALGO_PARAM_FLAGS:
             value = getattr(args, name, None)
             if value is not None:
-                params[name] = _parse_auto(value) if isinstance(value, str) else value
+                params[name] = parse_number(value, name) if isinstance(value, str) else value
         overrides["algorithms"] = (AlgorithmSpec(args.algo, params),)
     mdp = dict(cfg.mdp)
     for name in ("r_min", "r_max", "tau1", "tau2", "max_outer"):
@@ -138,13 +114,7 @@ def _config_from_args(args, kind):
             mdp[name] = value
     if mdp != cfg.mdp:
         overrides["mdp"] = mdp
-    return _replace(cfg, **overrides) if overrides else cfg
-
-
-def _replace(cfg, **kwargs):
-    from dataclasses import replace
-
-    return replace(cfg, **kwargs)
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _write(path, text):
@@ -158,12 +128,9 @@ def _write(path, text):
 
 
 def _run_and_write(cfg, args):
-    from .bench import make_instance
-
     out = args.out or cfg.out or "results.csv"
     trace_dir = args.trace_dir or cfg.trace_dir
-    rows, traces = run_experiment(cfg, want_traces=bool(trace_dir))
-    _, factor = make_instance(cfg, cfg.seeds[0])
+    rows, traces, factor = run_experiment(cfg, want_traces=bool(trace_dir))
     notes = () if factor == 1.0 else (f"operator_rescale = {factor:.17g}",)
     _write(out, report_csv_text(rows))
     _write(out + ".manifest.txt", manifest_text(cfg, notes=notes))
@@ -187,27 +154,11 @@ def _cmd_sweep(args):
     kind = args.experiment
     cfg = _config_from_args(args, kind)
     out = args.out or cfg.out or "results.csv"
-    values = [_parse_auto(t) for t in args.values.replace(",", " ").split()]
+    values = [parse_number(t, "values") for t in args.values.replace(",", " ").split()]
     rows, agg = sweep(cfg, args.axis, values)
     _write(out, report_csv_text(rows))
     _write(out + ".manifest.txt", manifest_text(cfg, notes=(f"sweep {args.axis} = {values}",)))
-    agg_lines = ["algorithm,axis,value,n_seeds,snr_median,snr_mean,rerror_median,rerror_mean"]
-    for entry in agg:
-        agg_lines.append(
-            ",".join(
-                [
-                    entry["algorithm"],
-                    entry["axis"],
-                    f"{entry['value']:.17g}",
-                    str(entry["n_seeds"]),
-                    f"{entry['snr_median']:.17g}",
-                    f"{entry['snr_mean']:.17g}",
-                    f"{entry['rerror_median']:.17g}",
-                    f"{entry['rerror_mean']:.17g}",
-                ]
-            )
-        )
-    _write(args.agg_out or out + ".agg.csv", "\n".join(agg_lines) + "\n")
+    _write(args.agg_out or out + ".agg.csv", agg_csv_text(agg))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -236,8 +187,6 @@ def _cmd_radius_search(args):
 def _selftest_battery(outdir):
     """Small deterministic battery exercising every algorithm and both
     experiment kinds.  Returns the list of (filename, deterministic bytes)."""
-    from dataclasses import replace
-
     cs_cfg = ExperimentConfig(
         experiment="cs",
         n=40,
@@ -277,10 +226,10 @@ def _selftest_battery(outdir):
     )
 
     outputs = []
-    cs_rows, cs_traces = run_experiment(cs_cfg, want_traces=True)
+    cs_rows, cs_traces, _ = run_experiment(cs_cfg, want_traces=True)
     outputs.append(("selftest_cs.csv", report_csv_text(cs_rows)))
     outputs.append(("selftest_cs_trace_hv_seed0.csv", trace_csv_text(cs_traces[("hv", 0)])))
-    blur_rows, _ = run_experiment(blur_cfg)
+    blur_rows = run_experiment(blur_cfg)[0]
     outputs.append(("selftest_deblur.csv", report_csv_text(blur_rows)))
     mdp_out, _ = radius_search(mdp_cfg)
     outputs.append(("selftest_radius_trace.csv", mdp_trace_csv_text(mdp_out.trace)))

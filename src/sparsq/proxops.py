@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
+
 
 @dataclass(frozen=True)
 class RadiusSpec:
@@ -132,6 +134,9 @@ def prox_sq_l1(x, alpha):
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    ridge = 0.5 / float(alpha)
+    if not math.isfinite(ridge):
+        raise ValueError(f"alpha = {alpha!r} is too small: 0.5 / alpha overflows")
     x = np.asarray(x, dtype=float)
     absx = np.abs(x)
     l1 = float(np.sum(absx))
@@ -142,11 +147,13 @@ def prox_sq_l1(x, alpha):
         return ProxResult(zeros, 0.0, zeros.copy())
 
     scale = 1.0
-    tau = _sort_threshold(absx, 0.0, 0.5 / alpha)
-    if not tau > 0:  # tau underflows on subnormal x; the prox is positively homogeneous
+    tau = _sort_threshold(absx, 0.0, ridge)
+    # tau is subnormal or 0 on tiny x, where |x| / tau loses precision; the prox
+    # is positively homogeneous, so redo the step on x / max|x|
+    if not tau >= _TINY:
         scale = float(np.max(absx))
         absx = absx / scale
-        tau = _sort_threshold(absx, 0.0, 0.5 / alpha)
+        tau = _sort_threshold(absx, 0.0, ridge)
     lam = np.maximum(2.0 * alpha * (absx / tau - 1.0), 0.0)
     value = lam * x / (lam + 2.0 * alpha)
     return ProxResult(value, float(tau * tau / (4.0 * alpha)) * scale * scale, lam)

@@ -9,9 +9,10 @@ Two first-class algorithms share the package's penalty:
 
 search_radius_mdp wraps solve_pg_sf in an outer bisection on the squared ball
 radius driven by the discrepancy principle, and select_alpha_discrepancy does
-the analogous bisection on alpha for the penalized solvers.  The remaining
-solvers (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative
-half thresholding) are comparison baselines.
+the analogous bisection on alpha for the penalized solvers listed in
+PENALIZED.  The remaining solvers (ISTA, which is FISTA without momentum,
+FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
+thresholding) are comparison baselines.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, turns non-finite, or hits the iteration cap, and
@@ -294,7 +295,8 @@ def select_alpha_discrepancy(
     The residual grows with alpha, so a log-scale bisection applies.  If even
     the bracket endpoints cannot reach the band (residual above it at the low
     end, or below it at the high end) the nearer endpoint is returned with
-    bracketed=False.  The inner solves run untraced.
+    bracketed=False.  The inner solves run untraced.  solver is a key of
+    PENALIZED; any other raises ValueError.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -305,16 +307,11 @@ def select_alpha_discrepancy(
         x0 = np.full(A.domain_dim, 0.01)
     opts = replace(opts, record_trace=False)
 
-    def solve_at(alpha):
-        if solver == "hv":
-            return solve_hv(A, ydelta, RegParams(alpha, eta * alpha), opts, x0).residual_norm
-        if solver == "ista":
-            return solve_ista(A, ydelta, alpha, opts, x0).residual_norm
-        if solver == "fista":
-            return solve_fista(A, ydelta, alpha, opts, x0).residual_norm
-        if solver == "st":
-            return solve_st_l1_l2(A, ydelta, alpha, eta * alpha, opts, x0).residual_norm
+    if solver not in PENALIZED:
         raise ValueError(f"unknown solver {solver!r}")
+
+    def solve_at(alpha):
+        return PENALIZED[solver](A, ydelta, alpha, eta, opts, x0).residual_norm
 
     res_lo = solve_at(lo)
     if res_lo > band * delta:
@@ -341,15 +338,9 @@ def select_alpha_discrepancy(
 
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
-    """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    t = 1.0 / opts.lambda_st
-
-    def step(x, r):
-        return soft_threshold(x - t * A.apply_adjoint(r), alpha * t)
-
-    return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)
+    """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1: FISTA with
+    the momentum sequence held at 1."""
+    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum=False)
 
 
 def fista_momentum_next(t):
@@ -359,26 +350,32 @@ def fista_momentum_next(t):
 
 def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None, momentum=True):
     """ISTA with extrapolation.  momentum=False freezes the momentum sequence
-    at 1, which reproduces plain ISTA exactly."""
+    at 1, which is plain ISTA."""
+    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum)
+
+
+def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
+    """Body of both, so neither public solver calls the other."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     t = 1.0 / opts.lambda_st
-    state = {"t": 1.0, "x_prev": np.array(x0, dtype=float), "first": True}
+
+    def prox_grad(z, r):  # r = Az - y
+        return soft_threshold(z - t * A.apply_adjoint(r), alpha * t)
+
+    if not momentum:  # the extrapolated point is x itself, so step on the engine's residual
+        return _iterate(A, ydelta, x0, prox_grad, _l1_objective(alpha), opts, x_true)
+    state = {"t": 1.0, "x_prev": None}
 
     def step(x, _r):  # steps from z, so the engine's residual at x is unused
-        if state["first"]:
-            z = x
-            state["first"] = False
-        else:
+        z = x
+        if state["x_prev"] is not None:
             t_k = state["t"]
-            t_next = fista_momentum_next(t_k) if momentum else 1.0
+            t_next = fista_momentum_next(t_k)
             z = x + ((t_k - 1.0) / t_next) * (x - state["x_prev"])
             state["t"] = t_next
-        x_next = soft_threshold(
-            z - t * A.apply_adjoint(A.apply(z) - ydelta), alpha * t
-        )
         state["x_prev"] = x
-        return x_next
+        return prox_grad(z, A.apply(z) - ydelta)
 
     return _iterate(
         A, ydelta, x0, step, _l1_objective(alpha), opts, x_true, step_uses_r=False
@@ -432,3 +429,15 @@ def _l1_objective(alpha):
         return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
 
     return objective
+
+
+# Penalized solvers by kind, each called as (A, ydelta, alpha, eta, opts, x0[, x_true]).
+# The one place where alpha and eta = beta / alpha become a solver's weights; the
+# rest passes through.  An entry looks its solver up when called, so a patched
+# module attribute is used.
+PENALIZED = {
+    "hv": lambda A, y, alpha, eta, *rest: solve_hv(A, y, RegParams(alpha, eta * alpha), *rest),
+    "ista": lambda A, y, alpha, eta, *rest: solve_ista(A, y, alpha, *rest),
+    "fista": lambda A, y, alpha, eta, *rest: solve_fista(A, y, alpha, *rest),
+    "st": lambda A, y, alpha, eta, *rest: solve_st_l1_l2(A, y, alpha, eta * alpha, *rest),
+}

@@ -18,7 +18,8 @@ from sparsq.bench import (
     sweep,
     trace_csv_text,
 )
-from sparsq import cli
+from sparsq import bench, cli
+from sparsq.solvers import PENALIZED
 
 TINY_CS = dict(
     experiment="cs",
@@ -147,7 +148,7 @@ def test_run_experiment_row_count_and_schema():
             AlgorithmSpec("ista", {"alpha": 1e-3}),
         )
     )
-    rows, traces = run_experiment(cfg, want_traces=True)
+    rows, traces, _ = run_experiment(cfg, want_traces=True)
     assert len(rows) == 3 * 2
     assert traces and len(traces) == 6
     for row in rows:
@@ -163,8 +164,8 @@ def test_run_experiment_row_count_and_schema():
 
 def test_run_experiment_deterministic_csv():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("hv", {"alpha": 1e-3, "eta": 0.5}),))
-    rows1, _ = run_experiment(cfg)
-    rows2, _ = run_experiment(cfg)
+    rows1, _, _ = run_experiment(cfg)
+    rows2, _, _ = run_experiment(cfg)
     assert deterministic_view(report_csv_text(rows1)) == deterministic_view(
         report_csv_text(rows2)
     )
@@ -177,7 +178,7 @@ def test_pg_auto_radius_through_runner():
         seeds=(0,),
         maxiter=400,
     )
-    rows, _ = run_experiment(cfg)
+    rows, _, _ = run_experiment(cfg)
     assert len(rows) == 1
     assert math.isfinite(rows[0].radius_sq) and rows[0].radius_sq > 0
 
@@ -194,7 +195,7 @@ def test_hv_auto_alpha_through_runner():
         seeds=(0,),
         maxiter=400,
     )
-    rows, _ = run_experiment(cfg)
+    rows, _, _ = run_experiment(cfg)
     assert math.isfinite(rows[0].alpha) and rows[0].alpha > 0
 
 
@@ -209,7 +210,7 @@ def test_deblur_noise_free_reconstruction_quality():
         maxiter=1500,
         algorithms=(AlgorithmSpec("hv", {"alpha": 1e-5, "eta": 1.0}),),
     )
-    rows, _ = run_experiment(cfg)
+    rows, _, _ = run_experiment(cfg)
     assert rows[0].snr_out_db > 50.0
 
 
@@ -229,7 +230,7 @@ def test_sweep_eta_shape():
 def test_sweep_alpha_single_value_is_plain_run():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("ista", {"alpha": 1e-3}),))
     rows, _ = sweep(cfg, "alpha", [1e-3])
-    plain, _ = run_experiment(cfg)
+    plain, _, _ = run_experiment(cfg)
     assert deterministic_view(report_csv_text(rows)) == deterministic_view(
         report_csv_text(plain)
     )
@@ -254,6 +255,13 @@ def test_sweep_rejects_inapplicable_axis():
         sweep(cfg, "alpha", [1e-3])
     with pytest.raises(ConfigError):
         sweep(cfg, "eta", [0.5])
+    params = {"ista": {"alpha": 1e-3}, "fista": {"alpha": 1e-3}, "ht": {"lam": 1e-3},
+              "pg": {"beta": 1e-3, "radius_sq": 30.0}}
+    for axis, kinds in (("eta", ("ista", "fista", "pg", "ht")), ("alpha", ("pg", "ht"))):
+        for kind in kinds:
+            cfg = tiny_cfg(algorithms=(AlgorithmSpec(kind, params[kind]),))
+            with pytest.raises(ConfigError, match="does not apply"):
+                sweep(cfg, axis, [0.5])
 
 
 # -------------------------------------------------------------- radius search
@@ -299,7 +307,7 @@ def test_radius_search_degenerate_bracket_single_solve():
 
 def test_report_csv_full_precision():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("hv", {"alpha": 1e-3, "eta": 1.0}),), seeds=(0,))
-    rows, _ = run_experiment(cfg)
+    rows, _, _ = run_experiment(cfg)
     text = report_csv_text(rows)
     header, line = text.strip().splitlines()
     assert header.startswith("experiment,algorithm,seed,")
@@ -309,7 +317,7 @@ def test_report_csv_full_precision():
 
 def test_trace_csv_columns():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("hv", {"alpha": 1e-3, "eta": 1.0}),), seeds=(0,))
-    _, traces = run_experiment(cfg, want_traces=True)
+    _, traces, _ = run_experiment(cfg, want_traces=True)
     text = trace_csv_text(traces[("hv", 0)])
     assert text.splitlines()[0] == "k,objective,residual,step_norm,rerror,elapsed_s"
 
@@ -332,7 +340,7 @@ def test_manifest_mentions_config_and_seeds():
 
 def test_aggregate_rows_medians():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("hv", {"alpha": 1e-3, "eta": 1.0}),))
-    rows, _ = run_experiment(cfg)
+    rows, _, _ = run_experiment(cfg)
     agg = aggregate_rows(rows, "eta")
     assert len(agg) == 1
     assert agg[0]["n_seeds"] == 2
@@ -437,6 +445,9 @@ def test_cli_validation_error_exit_code(tmp_path):
     bad.write_text("[experiment]\nkind = cs\nn = 40\nm = 16\ns = 4\nseeds = 0\n")
     code = cli.main(["cs", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert code == 1  # no algorithms configured
+    # flag values go through the config file's number parser
+    code = cli.main(["cs", "--algo", "hv", "--alpha", "lots", "--out", str(tmp_path / "y.csv")])
+    assert code == 1
 
 
 def test_cli_selftest(tmp_path):
@@ -494,3 +505,43 @@ def test_cli_out_dir_env_override(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "redirected" / "rel.csv").exists()
     assert not (tmp_path / "rel.csv").exists()
+
+
+def test_solver_table_is_the_only_list_of_kinds():
+    assert bench.ALGORITHMS == ("hv", "pg", "ista", "fista", "st", "ht")
+    assert bench.ALGORITHMS == tuple(bench.SOLVER_KINDS)
+    # the kinds that take alpha are exactly the penalized ones
+    assert set(PENALIZED) == {k for k, v in bench.SOLVER_KINDS.items() if "alpha" in v.params}
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for name in ("cs", "deblur", "sweep", "radius-search"):
+        algo = next(a for a in subcommands[name]._actions if a.dest == "algo")
+        assert tuple(algo.choices) == bench.ALGORITHMS
+
+
+def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
+    built = []
+    real = bench.make_instance
+
+    def counting(cfg, seed):
+        built.append(seed)
+        return real(cfg, seed)
+
+    monkeypatch.setattr(bench, "make_instance", counting)
+    out = tmp_path / "r.csv"
+    code = cli.main(
+        [
+            "cs", "--algo", "ista", "--alpha", "1e-2", "--n", "30", "--m", "12",
+            "--s", "3", "--scale", "1.0", "--snr-db", "40", "--seeds", "0,1",
+            "--maxiter", "40", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert built == [0, 1]
+    cfg = ExperimentConfig(
+        experiment="cs", n=30, m=12, s=3, scale=1.0, snr_db=40.0, seeds=(0, 1),
+        algorithms=(AlgorithmSpec("ista", {"alpha": 1e-2}),),
+    )
+    _, factor = real(cfg, 0)
+    assert factor != 1.0 and factor != real(cfg, 1)[1]
+    manifest = (tmp_path / "r.csv.manifest.txt").read_text()
+    assert f"operator_rescale = {factor:.17g}\n" in manifest

@@ -19,10 +19,6 @@ from prox_reference import prox_sq_l1_bisect
 vectors = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=10
 ).map(lambda v: np.array(v))
-# Subnormal entries are left out: there lambda's sum-to-one loses its precision.
-normal_vectors = st.lists(
-    st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False), min_size=1, max_size=10
-).map(lambda v: np.array(v))
 
 
 # ---------------------------------------------------------------- thresholds
@@ -225,6 +221,22 @@ def test_prox_subnormal_input():
     assert np.sum(out.lam) == 1.0
 
 
+def test_prox_rejects_alpha_whose_ridge_overflows():
+    # 0.5 / alpha is inf for a subnormal alpha, which would make lam inf and value nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            prox_sq_l1(np.array([1.0, 2.0]), 5e-324)
+
+
+def test_prox_subnormal_threshold():
+    # tau = 2 alpha S_2 / (1 + 4 alpha) is about 6e-320 here, and |x| / tau
+    # loses precision in the subnormal range
+    out = prox_sq_l1(np.array([1e-300, 2e-300]), 1e-20)
+    assert abs(np.sum(out.lam) - 1.0) <= 1e-12
+    assert np.all(np.isfinite(out.value))
+
+
 def test_prox_matches_bisection_reference():
     rng = np.random.default_rng(10)
     worst_value = 0.0
@@ -248,7 +260,7 @@ def test_prox_matches_bisection_reference():
     assert worst_mu <= 1e-11
 
 
-@given(normal_vectors, st.floats(1e-3, 1e2))
+@given(vectors, st.floats(1e-3, 1e2))
 @settings(max_examples=200, deadline=None)
 def test_prox_properties(x, alpha):
     out = prox_sq_l1(x, alpha)

@@ -7,6 +7,7 @@ from sparsq.linops import DenseMatrix, LinearOperator, estimate_opnorm_sq, opnor
 from sparsq.proxops import RadiusSpec, soft_threshold
 from sparsq.regfun import RegParams, eval_D, eval_J
 from sparsq.solvers import (
+    PENALIZED,
     MdpOptions,
     SolverOptions,
     Termination,
@@ -324,6 +325,23 @@ def test_one_apply_per_iteration(name, record_trace):
     assert (op.applies, op.adjoints) == (applies, k)
 
 
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("kind", sorted(PENALIZED))
+def test_penalized_table_one_apply_per_iteration(kind, record_trace):
+    # The same count through the table; ISTA is FISTA without momentum, and
+    # steps on the engine's residual.
+    rng = np.random.default_rng(16)
+    A, y = _random_instance(rng)
+    op = CountingOperator(A)
+    opnorm_sq_cached(op)
+    op.applies = op.adjoints = 0
+    opts = SolverOptions(max_iter=30, record_trace=record_trace)
+    res = PENALIZED[kind](op, y, 1e-3, 0.5, opts, np.full(8, 0.01))
+    k = res.iterations
+    applies = 2 * k + 1 if kind == "fista" and record_trace else k + 1
+    assert (op.applies, op.adjoints) == (applies, k)
+
+
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 def test_trace_changes_no_iterate(name):
     rng = np.random.default_rng(17)
@@ -473,3 +491,28 @@ def test_select_alpha_unreachable_band_flags():
         alpha_bracket=(1e-8, 1e-6),
     )
     assert not sel.bracketed
+
+
+@pytest.mark.parametrize("solver", ["pg", "ht", "lasso"])
+def test_select_alpha_rejects_kinds_outside_the_table(solver):
+    with pytest.raises(ValueError, match="unknown solver"):
+        select_alpha_discrepancy(DenseMatrix(np.eye(2)), np.ones(2), 0.1, 0.0, solver)
+
+
+def test_penalized_table_looks_solvers_up_when_called(monkeypatch):
+    # A patched module attribute must see the alpha search's inner solves.
+    import sparsq.solvers
+
+    calls = []
+    real = sparsq.solvers.solve_ista
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparsq.solvers, "solve_ista", counting)
+    sel = select_alpha_discrepancy(
+        DenseMatrix(np.eye(2)), np.array([1.0, 1.0]), 10.0, 0.0, "ista",
+        SolverOptions(max_iter=50), alpha_bracket=(1e-8, 1e-6),
+    )
+    assert calls[0] == 1e-8 and calls[-1] == sel.alpha
