@@ -155,7 +155,14 @@ def load_config(path):
             params = {
                 k: parse_number(v, f"{section}.{k}") for k, v in parser[section].items()
             }
-            algorithms.append(AlgorithmSpec(algo_kind, params))
+            spec = AlgorithmSpec(algo_kind, params)  # checks the kind
+            known = SOLVER_KINDS[algo_kind].params
+            unknown = [k for k in params if k not in known]
+            if unknown:
+                raise ConfigError(
+                    f"[{section}] has unknown key {unknown[0]!r} ({algo_kind} reads {', '.join(known)})"
+                )
+            algorithms.append(spec)
     mdp = {}
     if "mdp" in parser:
         mdp = {k: float(v) for k, v in parser["mdp"].items()}

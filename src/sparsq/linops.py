@@ -4,9 +4,15 @@ The blur operator is the Kronecker product of a banded symmetric Toeplitz
 factor with itself, scaled by the Gaussian kernel normalization.  It is never
 materialized at full size; applying it to a vector reshapes the vector to an
 image (column-major) and multiplies by the factor on both sides.
+
+Every operator carries its normal operator A*A (`normal`), built once and of
+the same class where the structure allows, so a gradient A*(Ax - y) costs one
+operator call.  The spectral norm ||A*A|| is exact for those classes and a
+power-iteration estimate otherwise.
 """
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +40,15 @@ class LinearOperator:
     def apply_adjoint(self, y):
         raise NotImplementedError
 
+    @cached_property
+    def normal(self):
+        """The normal operator A*A, built on first use."""
+        return NormalOperator(self)
+
+    def exact_opnorm_sq(self):
+        """||A*A|| where the structure gives it directly, else None."""
+        return None
+
     def _check_domain(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.domain_dim,):
@@ -49,6 +64,20 @@ class LinearOperator:
                 f"expected a vector of length {self.range_dim}, got shape {y.shape}"
             )
         return y
+
+
+class NormalOperator(LinearOperator):
+    """A*A of an operator without a cheaper form: one apply, then one adjoint."""
+
+    def __init__(self, op):
+        self.op = op
+        self.domain_dim = self.range_dim = op.domain_dim
+
+    def apply(self, x):
+        return self.op.apply_adjoint(self.op.apply(x))
+
+    def apply_adjoint(self, y):
+        return self.apply(y)
 
 
 class DenseMatrix(LinearOperator):
@@ -73,6 +102,21 @@ class DenseMatrix(LinearOperator):
     def apply_adjoint(self, y):
         y = self._check_range(y)
         return self.scale * (self.entries.T @ y)
+
+    @cached_property
+    def normal(self):
+        """The Gram matrix E^T E with scale^2, unless it would exceed DENSIFY_GUARD entries."""
+        if self.domain_dim**2 > DENSIFY_GUARD:
+            return NormalOperator(self)
+        return DenseMatrix(self.entries.T @ self.entries, self.scale**2)
+
+    def exact_opnorm_sq(self):
+        """scale^2 times the largest eigenvalue of the smaller of E E^T and E^T E."""
+        e = self.entries
+        if min(e.shape) ** 2 > DENSIFY_GUARD:
+            return None
+        gram = e @ e.T if e.shape[0] <= e.shape[1] else e.T @ e
+        return self.scale**2 * max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
 class KroneckerBlur(LinearOperator):
@@ -107,6 +151,18 @@ class KroneckerBlur(LinearOperator):
         self.domain_dim = n * n
         self.range_dim = n * n
 
+    @classmethod
+    def _kronecker_square(cls, factor, scale):
+        """scale * (factor kron factor) for a symmetric factor, with no Gaussian
+        parameters: band, sigma and toeplitz_first_row are None."""
+        op = cls.__new__(cls)
+        op.n = factor.shape[0]
+        op.band = op.sigma = op.toeplitz_first_row = None
+        op.scale = scale
+        op._factor = factor
+        op.domain_dim = op.range_dim = op.n * op.n
+        return op
+
     def apply(self, x):
         x = self._check_domain(x)
         image = x.reshape(self.n, self.n, order="F")
@@ -115,6 +171,17 @@ class KroneckerBlur(LinearOperator):
 
     def apply_adjoint(self, y):
         return self.apply(y)
+
+    @cached_property
+    def normal(self):
+        """scale^2 * (T^2 kron T^2): one apply's cost, since T is symmetric."""
+        return KroneckerBlur._kronecker_square(self._factor @ self._factor, self.scale**2)
+
+    def exact_opnorm_sq(self):
+        """(scale * lambda_max(T)^2)^2: the eigenvalues of T kron T are the
+        products of T's, and ||A*A|| = ||A||^2."""
+        lam = float(np.max(np.abs(np.linalg.eigvalsh(self._factor))))
+        return (self.scale * lam * lam) ** 2
 
 
 class ScaledOperator(LinearOperator):
@@ -133,6 +200,14 @@ class ScaledOperator(LinearOperator):
 
     def apply_adjoint(self, y):
         return self.factor * self.inner.apply_adjoint(y)
+
+    @cached_property
+    def normal(self):
+        return ScaledOperator(self.inner.normal, self.factor**2)
+
+    def exact_opnorm_sq(self):
+        inner = self.inner.exact_opnorm_sq()
+        return None if inner is None else self.factor**2 * inner
 
 
 def densify(op):
@@ -192,10 +267,13 @@ def estimate_opnorm_sq(op, max_iters=500, tol=1e-10, seed=0):
 
 
 def opnorm_sq_cached(op, **kwargs):
-    """Memoized estimate_opnorm_sq value, keyed on the operator instance."""
+    """||A*A||, memoized on the operator instance: op.exact_opnorm_sq() where
+    it has one, else the estimate_opnorm_sq(op, **kwargs) value."""
     cached = getattr(op, "_opnorm_sq_value", None)
     if cached is None:
-        cached = estimate_opnorm_sq(op, **kwargs).value
+        cached = op.exact_opnorm_sq()
+        if cached is None:
+            cached = estimate_opnorm_sq(op, **kwargs).value
         op._opnorm_sq_value = cached
     return cached
 

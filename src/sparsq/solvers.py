@@ -17,8 +17,10 @@ thresholding) are comparison baselines.
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, turns non-finite, or hits the iteration cap, and
 can record a per-iteration trace.  The gradient step uses the descent sign
-x - t * A*(Ax - y) throughout; one engine forms the residual Ax - y once per
-iterate for both the step and the trace.
+x - t * A*(Ax - y) throughout, with the gradient formed as N x - A*y from the
+operator's normal operator N = A*A: one operator call per iteration.  The
+engine forms the residual Ax - y only for a traced record and once at the
+end, for SolveResult.residual_norm.
 """
 
 import math
@@ -143,26 +145,30 @@ def _rerror_fn(x_true):
     return lambda x: float(np.linalg.norm(x - x_true)) / norm
 
 
-def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, step_uses_r=True):
-    """Run step_fn(x, r) from x0, forming r = Ax - y once per iterate for the step
-    and the trace.  A step that does not read r (step_uses_r=False) gets None,
-    and r is then formed only for the trace and for the final residual norm."""
+def _gradient(A, ydelta):
+    """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A."""
+    normal, aty = A.normal, A.apply_adjoint(ydelta)
+    return lambda x: normal.apply(x) - aty
+
+
+def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None):
+    """Run x <- step_fn(x) from x0.  The residual r = Ax - y is formed for each
+    traced record, which gets objective_fn(x, r) and ||r||, and once at the end
+    for the result's residual_norm."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     rerror = _rerror_fn(x_true)
-    r = A.apply(x) - ydelta if step_uses_r or opts.record_trace else None
     trace = []
     start = time.perf_counter()
     termination = Termination.MAX_ITER
     k = 0
     for k in range(1, opts.max_iter + 1):
-        x_next = step_fn(x, r)
+        x_next = step_fn(x)
         step_norm = float(np.linalg.norm(x_next - x))
         x = x_next
-        if r is not None:
-            r = A.apply(x) - ydelta
         if opts.record_trace:
+            r = A.apply(x) - ydelta
             trace.append(
                 IterateRecord(
                     k=k,
@@ -182,8 +188,7 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, step_uses_
         if step_norm < opts.step_tol:
             termination = Termination.STEP_TOL
             break
-    r = A.apply(x) - ydelta if r is None else r
-    return SolveResult(x, k, termination, trace, float(np.linalg.norm(r)))
+    return SolveResult(x, k, termination, trace, float(np.linalg.norm(A.apply(x) - ydelta)))
 
 
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
@@ -205,8 +210,10 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
             stacklevel=2,
         )
 
-    def step(x, r):
-        u = x + (2.0 * beta / lk) * x - A.apply_adjoint(r) / lk
+    grad = _gradient(A, ydelta)
+
+    def step(x):
+        u = x + (2.0 * beta / lk) * x - grad(x) / lk
         return prox_sq_l1(u, alpha / lk).value
 
     return _iterate(
@@ -225,10 +232,10 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     denom = gamma - 2.0 * beta
+    grad = _gradient(A, ydelta)
 
-    def step(x, resid):
-        u = (gamma * x - A.apply_adjoint(resid)) / denom
-        return project_l1_ball_sort(u, r)
+    def step(x):
+        return project_l1_ball_sort((gamma * x - grad(x)) / denom, r)
 
     return _iterate(
         A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true
@@ -359,27 +366,20 @@ def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     t = 1.0 / opts.lambda_st
-
-    def prox_grad(z, r):  # r = Az - y
-        return soft_threshold(z - t * A.apply_adjoint(r), alpha * t)
-
-    if not momentum:  # the extrapolated point is x itself, so step on the engine's residual
-        return _iterate(A, ydelta, x0, prox_grad, _l1_objective(alpha), opts, x_true)
+    grad = _gradient(A, ydelta)
     state = {"t": 1.0, "x_prev": None}
 
-    def step(x, _r):  # steps from z, so the engine's residual at x is unused
+    def step(x):  # a prox-gradient step from the extrapolated point z
         z = x
-        if state["x_prev"] is not None:
+        if momentum and state["x_prev"] is not None:
             t_k = state["t"]
             t_next = fista_momentum_next(t_k)
             z = x + ((t_k - 1.0) / t_next) * (x - state["x_prev"])
             state["t"] = t_next
         state["x_prev"] = x
-        return prox_grad(z, A.apply(z) - ydelta)
+        return soft_threshold(z - t * grad(z), alpha * t)
 
-    return _iterate(
-        A, ydelta, x0, step, _l1_objective(alpha), opts, x_true, step_uses_r=False
-    )
+    return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)
 
 
 def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
@@ -393,10 +393,11 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     if not 0 <= beta <= alpha:
         raise ValueError("beta must satisfy 0 <= beta <= alpha")
     gamma = opts.lambda_st
+    grad = _gradient(A, ydelta)
 
-    def step(x, r):
+    def step(x):
         norm_x = max(float(np.linalg.norm(x)), 1e-12)
-        u = x + (beta / (gamma * norm_x)) * x - A.apply_adjoint(r) / gamma
+        u = x + (beta / (gamma * norm_x)) * x - grad(x) / gamma
         return soft_threshold(u, alpha / gamma)
 
     def objective(x, r):
@@ -414,9 +415,10 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
     if not lam > 0:
         raise ValueError("lam must be positive")
     t = 1.0 / opts.lambda_st
+    grad = _gradient(A, ydelta)
 
-    def step(x, r):
-        return half_threshold(x - t * A.apply_adjoint(r), lam, t)
+    def step(x):
+        return half_threshold(x - t * grad(x), lam, t)
 
     def objective(x, r):
         return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))

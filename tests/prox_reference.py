@@ -1,9 +1,13 @@
-"""Reference prox of alpha * ||.||_1^2 by bisection on psi, for the tests.
+"""Reference implementations for the tests.
 
-It finds mu* by root-finding and shares no code with the library's
+prox_sq_l1_bisect is the prox of alpha * ||.||_1^2 by bisection on psi.  It
+finds mu* by root-finding and shares no code with the library's
 sort-and-threshold kernel, so tests compare the library's prox against it,
 and the prox-based l1-ball projection run through it is an independent check
 of the sort-based projection.
+
+sort_threshold_full is that kernel with a full sort of every entry, the form
+the library's prefiltered kernel must match bit for bit.
 """
 
 import numpy as np
@@ -60,3 +64,17 @@ def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
     lam = np.maximum(np.sqrt(alpha) * absx / np.sqrt(root) - 2.0 * alpha, 0.0)
     value = lam * x / (lam + 2.0 * alpha)
     return ProxResult(value, root, lam)
+
+
+def sort_threshold_full(absx, offset, ridge):
+    """Threshold t_rho of the candidates t_k = (S_k - offset) / (k + ridge) over
+    all of sorted |x|, rho being the last k with u_k > t_k (rho >= 1)."""
+    u = np.sort(absx)[::-1]
+    partial = np.cumsum(u)
+    partial -= offset
+    k = np.arange(1.0, absx.size + 1.0)
+    k += ridge
+    above = u * k > partial
+    above[0] = True
+    rho = np.nonzero(above)[0][-1]
+    return partial[rho] / k[rho]

@@ -450,6 +450,17 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
+    bad = tmp_path / "typo.ini"
+    bad.write_text(CONFIG_TEXT.replace("alpha = 1e-3\neta = 1.0", "alhpa = 1e-3\neta = 1.0"))
+    with pytest.raises(ConfigError, match=r"\[algorithm:hv\].*'alhpa'"):
+        load_config(bad)
+    code = cli.main(["cs", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "alhpa" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_selftest(tmp_path):
     code = cli.main(["selftest", "--outdir", str(tmp_path / "st")])
     assert code == 0

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import sparsq.linops
 from sparsq.linops import (
     DenseMatrix,
     KroneckerBlur,
+    NormalOperator,
     ScaledOperator,
     densify,
     dump_operator_csv,
     estimate_opnorm_sq,
+    opnorm_sq_cached,
 )
 
 
@@ -168,6 +171,62 @@ def test_opnorm_deterministic():
 def test_opnorm_zero_operator():
     est = estimate_opnorm_sq(DenseMatrix(np.zeros((3, 3))), max_iters=10, tol=1e-8)
     assert est.value == 0.0 and est.converged
+
+
+def _dense_opnorm_sq(op):
+    entries = densify(op).entries
+    return float(np.linalg.eigvalsh(entries.T @ entries)[-1])
+
+
+def test_exact_opnorm_blur_matches_densified():
+    op = KroneckerBlur(16, 3, 0.7)
+    assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+    # ||A*A|| = (scale * lambda_max(T)^2)^2; (scale * lambda_max(T))^2 would give 0.3247
+    assert KroneckerBlur(125, 3, 0.7).exact_opnorm_sq() == pytest.approx(0.9994299, abs=1e-7)
+
+
+def test_exact_opnorm_dense_matches_eigvalsh():
+    rng = np.random.default_rng(21)
+    for m, n in ((8, 12), (12, 8), (5, 5), (1, 7), (80, 200)):
+        op = DenseMatrix(rng.standard_normal((m, n)), scale=float(rng.uniform(0.1, 3.0)))
+        assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+
+
+def test_exact_opnorm_scaled_and_generic():
+    inner = KroneckerBlur(8, 3, 0.7)
+    op = ScaledOperator(inner, 0.3)
+    assert op.exact_opnorm_sq() == pytest.approx(0.09 * inner.exact_opnorm_sq(), rel=1e-15)
+    assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+    assert ScaledOperator(NormalOperator(inner), 2.0).exact_opnorm_sq() is None
+
+
+def test_opnorm_sq_cached_is_exact_where_known(monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(sparsq.linops, "estimate_opnorm_sq", no_estimate)
+    op = KroneckerBlur(16, 3, 0.7)
+    assert opnorm_sq_cached(op) == op.exact_opnorm_sq()
+    with pytest.raises(AssertionError, match="power iteration"):
+        opnorm_sq_cached(NormalOperator(op))
+
+
+def test_normal_operator_classes():
+    # each N = A*A keeps its operator's class, built once
+    blur = KroneckerBlur(6, 3, 0.7)
+    dense = DenseMatrix(np.arange(12.0).reshape(3, 4), scale=0.5)
+    for op in (blur, dense, ScaledOperator(blur, 0.5), ScaledOperator(dense, 2.0)):
+        assert type(op.normal) is type(op)
+        assert op.normal is op.normal
+        assert np.allclose(densify(op.normal).entries, densify(op).entries.T @ densify(op).entries)
+    assert type(NormalOperator(dense).normal) is NormalOperator
+
+
+def test_dense_normal_falls_back_above_the_guard(monkeypatch):
+    monkeypatch.setattr(sparsq.linops, "DENSIFY_GUARD", 10)
+    op = DenseMatrix(np.ones((2, 4)))
+    assert type(op.normal) is NormalOperator
+    assert op.exact_opnorm_sq() == 8.0  # the 2x2 Gram side stays under the guard
 
 
 def test_dump_operator_csv_roundtrip(tmp_path):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsq.proxops import (
+    _PREFILTER_MIN_SIZE,
     RadiusSpec,
+    _l1,
+    _sort_threshold,
     half_threshold,
     project_l1_ball_hv,
     project_l1_ball_sort,
@@ -14,7 +17,7 @@ from sparsq.proxops import (
     psi,
     soft_threshold,
 )
-from prox_reference import prox_sq_l1_bisect
+from prox_reference import prox_sq_l1_bisect, sort_threshold_full
 
 vectors = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=10
@@ -207,9 +210,14 @@ def test_prox_and_projection_reject_nonfinite(bad):
         prox_sq_l1(x, 0.5)
     with pytest.raises(ValueError, match="x must be finite"):
         project_l1_ball_sort(x, RadiusSpec(1.0))
-    # the same, next to finite entries whose l1 sum overflows
-    with pytest.raises(ValueError, match="x must be finite"), np.errstate(over="ignore"):
-        project_l1_ball_sort(np.array([1e308, bad, 1e308]), RadiusSpec(1.0))
+    # the same, next to finite entries whose l1 sum overflows, with no warning
+    # on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be finite"):
+            prox_sq_l1(np.array([1e308, bad, 1e308]), 0.5)
+        with pytest.raises(ValueError, match="x must be finite"):
+            project_l1_ball_sort(np.array([1e308, bad, 1e308]), RadiusSpec(1.0))
 
 
 def test_prox_subnormal_input():
@@ -235,6 +243,60 @@ def test_prox_subnormal_threshold():
     out = prox_sq_l1(np.array([1e-300, 2e-300]), 1e-20)
     assert abs(np.sum(out.lam) - 1.0) <= 1e-12
     assert np.all(np.isfinite(out.value))
+
+
+def test_prox_finite_input_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_sq_l1(np.array([1e308, 1e308]), 1.0)
+    # on c * (1, 1) the prox is c / (1 + 4 alpha) * (1, 1), with lambda = (1/2, 1/2)
+    assert out.value == pytest.approx([2e307, 2e307], rel=1e-15)
+    assert out.lam == pytest.approx([0.5, 0.5], rel=1e-15)
+
+
+def test_sort_threshold_matches_full_sort():
+    # The prefilter drops only entries outside the support, so the kernel's
+    # threshold equals the full sort's bit for bit, in both modes and on sizes
+    # on both sides of the cut-over
+    rng = np.random.default_rng(12)
+    prefiltered = 0
+    for case in range(3200):
+        small = case % 4 == 0
+        n = int(rng.integers(1, 64) if small else rng.integers(_PREFILTER_MIN_SIZE, 1600))
+        shape = case % 5
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)
+        if shape == 1:  # tied magnitudes
+            x = np.round(x / np.max(np.abs(x)) * 4.0)
+        elif shape == 2:  # subnormal entries
+            x = rng.integers(-50, 50, n) * 5e-324
+        elif shape == 3:  # one entry far above the rest, as [1e20] against radius 1
+            x = rng.standard_normal(n)
+            x[rng.integers(n)] = 1e20
+        if shape == 4:  # equal magnitudes, normal or subnormal: every entry sits
+            # next to the lower bound t_n when offset or ridge is small
+            c = 10.0 ** rng.uniform(-300, 300) if case % 3 else int(rng.integers(1, 9)) * 5e-324
+            x = c * rng.choice([-1.0, 1.0], n)
+        else:
+            x[rng.random(n) < 0.3] = 0.0
+        if not np.any(x):
+            x[0] = 1.0
+        absx = np.abs(x)
+        total = _l1(absx)
+        if case % 2:  # prox: offset 0, ridge 1 / (2 alpha)
+            offset, ridge = 0.0, 0.5 / 10.0 ** rng.uniform(-6, 6)
+        elif shape == 3:
+            offset, ridge = 1.0, 0.0
+        else:  # projection onto a ball the input is outside of, down to radii
+            # below the precision of the sum
+            offset, ridge = total * 10.0 ** rng.uniform(-20, 0), 0.0
+        got = _sort_threshold(absx, offset, ridge, total)
+        assert got == sort_threshold_full(absx, offset, ridge), (case, n, shape)
+        prefiltered += not small and np.count_nonzero(absx > (total - offset) / (n + ridge)) < n
+    assert prefiltered >= 1000
+    # n = 1 stays exact: 1e20 - 1 rounds to 1e20
+    assert _sort_threshold(np.array([1e20]), 1.0, 0.0, 1e20) == sort_threshold_full(
+        np.array([1e20]), 1.0, 0.0
+    )
 
 
 def test_prox_matches_bisection_reference():
@@ -311,7 +373,8 @@ def test_project_single_coordinate():
 
 
 def test_project_finite_input_whose_sum_overflows():
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = project_l1_ball_sort(np.array([1e308, 1e308]), RadiusSpec(1.0))
     # radius / max|x| = 1e-308 is subnormal, which costs the last bits
     assert out == pytest.approx([0.5, 0.5], rel=1e-12)

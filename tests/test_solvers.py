@@ -1,9 +1,18 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from sparsq.linops import DenseMatrix, LinearOperator, estimate_opnorm_sq, opnorm_sq_cached
+from sparsq.linops import (
+    DenseMatrix,
+    KroneckerBlur,
+    LinearOperator,
+    NormalOperator,
+    ScaledOperator,
+    estimate_opnorm_sq,
+    opnorm_sq_cached,
+)
 from sparsq.proxops import RadiusSpec, soft_threshold
 from sparsq.regfun import RegParams, eval_D, eval_J
 from sparsq.solvers import (
@@ -21,6 +30,7 @@ from sparsq.solvers import (
     solve_ista,
     solve_pg_sf,
     solve_st_l1_l2,
+    _gradient,
 )
 
 
@@ -274,8 +284,24 @@ def test_trace_disabled():
     assert res.trace == []
 
 
+class OpaqueOperator(LinearOperator):
+    """An operator seen only through apply and apply_adjoint, so its normal
+    operator is the generic fallback."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain_dim, self.range_dim = inner.domain_dim, inner.range_dim
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+    def apply_adjoint(self, y):
+        return self.inner.apply_adjoint(y)
+
+
 class CountingOperator(LinearOperator):
-    """Counts the applies and adjoints made through a wrapped operator."""
+    """Counts the applies and adjoints made through a wrapped operator, and
+    through its normal operator, which is counted on its own."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -289,6 +315,20 @@ class CountingOperator(LinearOperator):
     def apply_adjoint(self, y):
         self.adjoints += 1
         return self.inner.apply_adjoint(y)
+
+    @cached_property
+    def normal(self):
+        return CountingOperator(self.inner.normal)
+
+
+def _counts(op):
+    return (op.applies, op.adjoints, op.normal.applies, op.normal.adjoints)
+
+
+def _expected_counts(k, record_trace):
+    # a k-iteration solve: k normal-operator applies, one adjoint (A*y) and one
+    # apply for the final residual; a traced record costs one more apply
+    return (k + 1 if record_trace else 1, 1, k, 0)
 
 
 SOLVER_NAMES = ("hv", "pg", "ista", "fista", "st", "ht")
@@ -318,18 +358,13 @@ def test_one_apply_per_iteration(name, record_trace):
     opnorm_sq_cached(op)  # solve_hv's step-constant check, left out of the count
     op.applies = op.adjoints = 0
     res = _solve(name, op, y, SolverOptions(max_iter=30, record_trace=record_trace))
-    k = res.iterations
-    # FISTA steps from the extrapolated point, so the trace's residual at x
-    # costs it one more apply per iteration.
-    applies = 2 * k + 1 if name == "fista" and record_trace else k + 1
-    assert (op.applies, op.adjoints) == (applies, k)
+    assert _counts(op) == _expected_counts(res.iterations, record_trace)
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
 @pytest.mark.parametrize("kind", sorted(PENALIZED))
 def test_penalized_table_one_apply_per_iteration(kind, record_trace):
-    # The same count through the table; ISTA is FISTA without momentum, and
-    # steps on the engine's residual.
+    # The same count through the table; ISTA is FISTA without momentum.
     rng = np.random.default_rng(16)
     A, y = _random_instance(rng)
     op = CountingOperator(A)
@@ -337,9 +372,35 @@ def test_penalized_table_one_apply_per_iteration(kind, record_trace):
     op.applies = op.adjoints = 0
     opts = SolverOptions(max_iter=30, record_trace=record_trace)
     res = PENALIZED[kind](op, y, 1e-3, 0.5, opts, np.full(8, 0.01))
-    k = res.iterations
-    applies = 2 * k + 1 if kind == "fista" and record_trace else k + 1
-    assert (op.applies, op.adjoints) == (applies, k)
+    assert _counts(op) == _expected_counts(res.iterations, record_trace)
+
+
+def _operators():
+    rng = np.random.default_rng(18)
+    blur = KroneckerBlur(9, 3, 0.7)
+    tall = DenseMatrix(rng.standard_normal((12, 7)), scale=0.3)
+    wide = DenseMatrix(rng.standard_normal((7, 12)), scale=1.7)
+    return {
+        "blur": blur,
+        "dense_tall": tall,
+        "dense_wide": wide,
+        "scaled_blur": ScaledOperator(blur, 0.4),
+        "scaled_dense": ScaledOperator(wide, 2.5),
+        "generic": OpaqueOperator(wide),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_operators()))
+def test_gradient_matches_adjoint_of_residual(name):
+    op = _operators()[name]
+    assert type(op.normal) is (NormalOperator if name == "generic" else type(op))
+    rng = np.random.default_rng(19)
+    y = rng.standard_normal(op.range_dim)
+    grad = _gradient(op, y)
+    for _ in range(5):
+        x = rng.standard_normal(op.domain_dim)
+        direct = op.apply_adjoint(op.apply(x) - y)
+        assert np.linalg.norm(grad(x) - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
