@@ -302,7 +302,6 @@ def run_algorithm(cfg, inst, spec, record_trace=False):
         max_iter=cfg.maxiter,
         step_tol=cfg.step_tol,
         L_k=params.get("l_k", 1.0),
-        gamma=params.get("gamma", 1.0),
         lambda_st=params.get("lambda", 1.0),
         record_trace=record_trace,
     )

@@ -3,7 +3,10 @@
 The blur operator is the Kronecker product of a banded symmetric Toeplitz
 factor with itself, scaled by the Gaussian kernel normalization.  It is never
 materialized at full size; applying it to a vector reshapes the vector to an
-image (column-major) and multiplies by the factor on both sides.
+image (column-major) and multiplies by the factor on both sides.  Both
+products run over blocks of BLUR_BLOCK rows and read only the factor's band,
+so a factor of half-bandwidth h costs about (BLUR_BLOCK + 2h) / n of a dense
+product.  Where blocks would not cut the work the apply is one dense product.
 
 Every operator carries its normal operator A*A (`normal`), built once and of
 the same class where the structure allows, so a gradient A*(Ax - y) costs one
@@ -18,6 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 DENSIFY_GUARD = 10**7
+
+# Rows per block of the blur apply.  At n=125, on one OpenBLAS thread of a
+# 2-core AVX-512 Xeon VM, one N apply (half-bandwidth 4) took 78 us at 32
+# rows against 230 us dense; 16 to 48 rows took 81 to 98 us.
+BLUR_BLOCK = 32
 
 
 class OpNormEstimate(NamedTuple):
@@ -163,11 +171,46 @@ class KroneckerBlur(LinearOperator):
         op.domain_dim = op.range_dim = op.n * op.n
         return op
 
+    @cached_property
+    def _row_blocks(self):
+        """(rows, band, T[rows, band].T, T[band, rows].T) for each block of
+        BLUR_BLOCK rows, where band is rows widened by the factor's
+        half-bandwidth h on both sides; None when blocks would not cut the
+        work (n < BLUR_BLOCK or BLUR_BLOCK + 2h >= n)."""
+        n, factor = self.n, self._factor
+        i, j = np.nonzero(factor)
+        h = int(np.max(np.abs(i - j)))
+        if n < BLUR_BLOCK or BLUR_BLOCK + 2 * h >= n:
+            return None
+        blocks = []
+        for i0 in range(0, n, BLUR_BLOCK):
+            rows = slice(i0, min(i0 + BLUR_BLOCK, n))
+            band = slice(max(i0 - h, 0), min(rows.stop + h, n))
+            blocks.append((rows, band, factor[rows, band].T.copy(), factor[band, rows].T.copy()))
+        return blocks
+
     def apply(self, x):
+        """scale * T X T for the column-major image X of x.
+
+        The blocked form computes Z^T = T^T X^T T^T: X^T is x read row-major
+        and Z's column-major vector is Z^T's row-major one, so every array is
+        row-major and no copy is made.  Each entry is the dense product's dot
+        product with its zero terms left out; BLAS kernels chosen by block
+        shape and thread count may round it differently in the last bits."""
         x = self._check_domain(x)
-        image = x.reshape(self.n, self.n, order="F")
-        out = self._factor @ image @ self._factor
-        return self.scale * out.reshape(-1, order="F")
+        n, blocks = self.n, self._row_blocks
+        if blocks is None:
+            image = x.reshape(n, n, order="F")
+            out = self._factor @ image @ self._factor
+            return self.scale * out.reshape(-1, order="F")
+        xt = x.reshape(n, n)
+        half = np.empty((n, n))  # X^T T^T = (T X)^T
+        for rows, band, rows_t, _ in blocks:
+            np.matmul(xt[:, band], rows_t, out=half[:, rows])
+        out = np.empty((n, n))  # T^T (T X)^T = Z^T
+        for rows, band, _, cols_t in blocks:
+            np.matmul(cols_t, half[band], out=out[rows])
+        return self.scale * out.reshape(-1)
 
     def apply_adjoint(self, y):
         return self.apply(y)

@@ -57,7 +57,6 @@ class SolverOptions:
     max_iter: int = 1500
     step_tol: float = 1e-5
     L_k: float = 1.0
-    gamma: float = 1.0
     lambda_st: float = 1.0
     record_trace: bool = True
 
@@ -146,7 +145,12 @@ def _rerror_fn(x_true):
 
 
 def _gradient(A, ydelta):
-    """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A."""
+    """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A.
+
+    Every solver builds its gradient here once per solve, so this is where a
+    non-finite ydelta is rejected."""
+    if not np.all(np.isfinite(ydelta)):
+        raise ValueError("ydelta must be finite")
     normal, aty = A.normal, A.apply_adjoint(ydelta)
     return lambda x: normal.apply(x) - aty
 

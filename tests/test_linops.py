@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import sparsq.linops
+from linops_reference import dense_apply, rounding_bound
 from sparsq.linops import (
+    BLUR_BLOCK,
     DenseMatrix,
     KroneckerBlur,
     NormalOperator,
@@ -107,6 +109,47 @@ def test_blur_apply_matches_densify(n):
     for _ in range(5):
         x = rng.standard_normal(n * n)
         assert np.max(np.abs(op.apply(x) - dense.apply(x))) <= 1e-12
+
+
+def _blur_band(op):
+    """The rows each block reads beyond its own, from _row_blocks."""
+    rows, band = op._row_blocks[1][:2]
+    return rows.start - band.start
+
+
+@pytest.mark.parametrize("sigma", [0.7, 3.0])
+@pytest.mark.parametrize("band", ["1", "3", "n"])
+def test_blur_blocks_match_dense_reference(band, sigma):
+    # One block is the dense product itself, so it must agree bit for bit.
+    # Row blocks compute the same dot products minus their zero terms, but
+    # BLAS picks its kernels by shape and thread count, which can round a dot
+    # product differently in the last bits; there a rounding bound applies.
+    rng = np.random.default_rng(int(10 * sigma) + len(band))
+    blocked = 0
+    for n in range(1, 91):
+        blur = KroneckerBlur(n, {"1": 1, "3": min(3, n), "n": n}[band], sigma)
+        for op in (blur, blur.normal, ScaledOperator(blur, 0.3), ScaledOperator(blur, 2.0).normal):
+            x = rng.standard_normal(n * n)
+            got, want = op.apply(x), dense_apply(op, x)
+            one_block = getattr(op, "inner", op)._row_blocks is None
+            if one_block:
+                assert got.tobytes() == want.tobytes(), (n, op)
+            else:
+                blocked += 1
+                assert np.all(np.abs(got - want) <= rounding_bound(op, x)), (n, op)
+            assert op.apply_adjoint(x).tobytes() == got.tobytes()
+    assert blocked > 0 or (band, sigma) == ("n", 3.0)  # a band that wide keeps one block
+
+
+def test_blur_blocks_follow_the_band():
+    assert KroneckerBlur(BLUR_BLOCK - 1, 3, 0.7)._row_blocks is None  # n below the block
+    assert KroneckerBlur(BLUR_BLOCK + 4, 3, 0.7)._row_blocks is None  # B + 2h >= n
+    blur = KroneckerBlur(90, 3, 0.7)
+    assert _blur_band(blur) == 2 and _blur_band(blur.normal) == 4
+    assert len(blur._row_blocks) == -(-90 // BLUR_BLOCK)
+    assert _blur_band(KroneckerBlur(90, 1, 0.7)) == 0
+    # entries that underflow to zero narrow the band below band - 1
+    assert _blur_band(KroneckerBlur(90, 90, 0.7)) < 89
 
 
 def test_densify_blur_band_one():

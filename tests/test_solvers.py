@@ -428,6 +428,27 @@ def test_diverging_iteration_stops_nonfinite():
     assert not np.isfinite(res.trace[-1].step_norm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_solvers_reject_nonfinite_ydelta(name, bad):
+    A, y = _random_instance(np.random.default_rng(18))
+    y[2] = bad
+    with pytest.raises(ValueError, match="ydelta must be finite"):
+        _solve(name, A, y, SolverOptions(max_iter=5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_searches_reject_nonfinite_ydelta(bad):
+    A, y = _random_instance(np.random.default_rng(19))
+    y[0] = bad
+    opts = SolverOptions(max_iter=5)
+    mdp = MdpOptions(r_min=0.01, r_max=10.0, tau1=1.01, tau2=1.1, delta=0.1, max_outer=3)
+    with pytest.raises(ValueError, match="ydelta must be finite"):
+        search_radius_mdp(A, y, 0.0, 1.0, mdp, opts, np.zeros(A.domain_dim))
+    with pytest.raises(ValueError, match="ydelta must be finite"):
+        select_alpha_discrepancy(A, y, 0.1, 0.0, "fista", opts)
+
+
 def test_rerror_recorded_when_truth_given():
     A = DenseMatrix(np.eye(2))
     truth = np.array([1.0, 0.0])
