@@ -202,7 +202,8 @@ class KroneckerBlur(LinearOperator):
         if blocks is None:
             image = x.reshape(n, n, order="F")
             out = self._factor @ image @ self._factor
-            return self.scale * out.reshape(-1, order="F")
+            out *= self.scale
+            return out.reshape(-1, order="F")
         xt = x.reshape(n, n)
         half = np.empty((n, n))  # X^T T^T = (T X)^T
         for rows, band, rows_t, _ in blocks:
@@ -210,7 +211,8 @@ class KroneckerBlur(LinearOperator):
         out = np.empty((n, n))  # T^T (T X)^T = Z^T
         for rows, band, _, cols_t in blocks:
             np.matmul(cols_t, half[band], out=out[rows])
-        return self.scale * out.reshape(-1)
+        out *= self.scale
+        return out.reshape(-1)
 
     def apply_adjoint(self, y):
         return self.apply(y)

@@ -12,7 +12,11 @@ prox's mu* is its root.
 Two l1-ball projections are provided.  The sort-based one is the exact
 O(n log n) method and is used on solver hot paths; the prox-based one obtains
 the projection by tuning alpha until the prox output has the requested l1
-norm, and exists as an independent cross-check of the first.
+norm, and exists as an independent cross-check of the first.  The solvers call
+the sort-based one through its private body, which also returns the threshold
+and ||x||_1 and takes a guess at the threshold (a cut) that narrows the sort:
+an iterate's threshold moves little from one step to the next.  The guess
+only changes the work, never the bits of the result.
 """
 
 import math
@@ -62,7 +66,7 @@ class ProxResult:
 
 def soft_threshold(x, t):
     """Entrywise sign(x) * max(|x| - t, 0)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
@@ -105,7 +109,7 @@ def psi(mu, x, alpha):
     return float(np.sum(np.maximum(brackets, 0.0))) - 1.0
 
 
-def _sort_threshold(absx, offset, ridge, total):
+def _sort_threshold(absx, offset, ridge, total, cut=None):
     """Threshold of the sort-and-shift step shared by the prox and the projection.
 
     With u = |x| sorted in descending order and partial sums S_k = u_1 + ... + u_k,
@@ -116,16 +120,37 @@ def _sort_threshold(absx, offset, ridge, total):
     alpha * ||.||_1^2 (Kowalski 2009).  rho = 1 qualifies whenever ||x||_1 > r
     (projection) or x != 0 (prox), which the callers ensure.
 
-    total is sum(absx).  The threshold is the largest candidate, so t_n =
-    (total - offset) / (n + ridge) bounds it from below and no entry at or
-    below t_n is in the support.  From _PREFILTER_MIN_SIZE entries on, only
-    the entries above t_n, less a margin for rounding, are sorted.  They are
-    the leading entries of the full sorted array, so the partial sums, rho
-    and the threshold are the same bits as with a full sort.
+    total is sum(absx).  From _PREFILTER_MIN_SIZE entries on, only a leading
+    part of the sorted array is formed, so the partial sums, rho and the
+    threshold are the same bits as with a full sort, provided no support entry
+    is left out:
+
+    * cut, when given, is a guess at a lower bound of the threshold.  The
+      entries above it are sorted, and their threshold t is kept if it
+      exceeds cut by more than a margin for rounding.  Then, for every k past
+      the sorted part, u_k (k + ridge) > S_k - offset fails by at least
+      t - cut, so no entry at or below cut is in the support.  The threshold
+      of any subset of the entries bounds the full one from below (Michelot
+      1986), so a cut just below the last threshold of a slowly moving
+      iterate usually holds.
+    * Otherwise t_n = (total - offset) / (n + ridge), the last candidate,
+      bounds the threshold from below, and the entries above t_n less the
+      margin are sorted.
     """
     if absx.size >= _PREFILTER_MIN_SIZE:
         margin = _MARGIN_EPS * (abs(total) + abs(offset)) + _TINY
+        if cut is not None:
+            top = np.compress(absx > cut, absx)
+            if top.size:
+                threshold = _sorted_threshold(top, offset, ridge)
+                if threshold > cut + margin:
+                    return threshold
         absx = np.compress(absx > (total - offset) / (absx.size + ridge) - margin, absx)
+    return _sorted_threshold(absx, offset, ridge)
+
+
+def _sorted_threshold(absx, offset, ridge):
+    """t_rho over all of absx (nonempty), by one sort and one cumsum."""
     u = np.sort(absx)[::-1]
     partial = np.cumsum(u)
     partial -= offset
@@ -189,7 +214,17 @@ def project_l1_ball_sort(x, r):
     Raises ValueError if x has a NaN or infinite entry.
     """
     x = np.asarray(x, dtype=float)
-    radius = r.radius_l1
+    value = _project_l1_ball(x, r.radius_l1)[0]
+    return x.copy() if value is x else value
+
+
+def _project_l1_ball(x, radius, cut=None):
+    """project_l1_ball_sort's body for the solvers: (value, threshold, ||x||_1).
+
+    x is a float array.  Inside the ball the value is x itself, not a copy,
+    and the threshold is 0.  cut is passed to _sort_threshold; any value is
+    safe, and the result's bits do not depend on it.
+    """
     absx = np.abs(x)
     l1 = _l1(absx)
     if not math.isfinite(l1):
@@ -200,11 +235,14 @@ def project_l1_ball_sort(x, r):
         m = float(np.max(absx))
         shifted = absx / m - 1.0
         theta = _sort_threshold(shifted, radius / m, 0.0, float(np.sum(shifted)))
-        return np.copysign(np.maximum(shifted - theta, 0.0) * m, x)
+        return np.copysign(np.maximum(shifted - theta, 0.0) * m, x), (theta + 1.0) * m, l1
     if l1 <= radius:
-        return x.copy()
-    theta = _sort_threshold(absx, radius, 0.0, l1)
-    return np.copysign(np.maximum(absx - theta, 0.0), x)
+        return x, 0.0, l1
+    theta = _sort_threshold(absx, radius, 0.0, l1, cut)
+    # the same operations as copysign(maximum(absx - theta, 0), x), over absx
+    absx -= theta
+    np.maximum(absx, 0.0, out=absx)
+    return np.copysign(absx, x, out=absx), theta, l1
 
 
 def project_l1_ball_hv(x, r, tol=1e-10, max_iters=200):

@@ -40,6 +40,8 @@ def test_soft_threshold_zero_t_is_identity():
 def test_soft_threshold_rejects_negative_t():
     with pytest.raises(ValueError):
         soft_threshold(np.ones(2), -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft_threshold(np.ones(2), np.nan)
 
 
 def _scalar_grid_min(objective, lo, hi, points=20001):
@@ -255,9 +257,9 @@ def test_prox_finite_input_whose_sum_overflows():
 
 
 def test_sort_threshold_matches_full_sort():
-    # The prefilter drops only entries outside the support, so the kernel's
-    # threshold equals the full sort's bit for bit, in both modes and on sizes
-    # on both sides of the cut-over
+    # The prefilter and the cut drop only entries outside the support, so the
+    # kernel's threshold equals the full sort's bit for bit, in both modes, on
+    # sizes on both sides of the cut-over and for any cut
     rng = np.random.default_rng(12)
     prefiltered = 0
     for case in range(3200):
@@ -289,14 +291,71 @@ def test_sort_threshold_matches_full_sort():
         else:  # projection onto a ball the input is outside of, down to radii
             # below the precision of the sum
             offset, ridge = total * 10.0 ** rng.uniform(-20, 0), 0.0
-        got = _sort_threshold(absx, offset, ridge, total)
-        assert got == sort_threshold_full(absx, offset, ridge), (case, n, shape)
+        want = sort_threshold_full(absx, offset, ridge)
+        assert _sort_threshold(absx, offset, ridge, total) == want, (case, n, shape)
+        for cut in () if small else _cuts(absx, want):
+            assert _sort_threshold(absx, offset, ridge, total, cut) == want, (case, n, shape, cut)
         prefiltered += not small and np.count_nonzero(absx > (total - offset) / (n + ridge)) < n
     assert prefiltered >= 1000
     # n = 1 stays exact: 1e20 - 1 rounds to 1e20
     assert _sort_threshold(np.array([1e20]), 1.0, 0.0, 1e20) == sort_threshold_full(
         np.array([1e20]), 1.0, 0.0
     )
+
+    # Entries tied at the cut c, with offset or ridge set so that the exact
+    # threshold is c: the sorted part's threshold then equals the cut up to
+    # rounding, where the full sort's rho may reach into the ties.  Only the
+    # margin of the cut's acceptance check keeps the two apart.
+    for case in range(2000):
+        n = int(rng.integers(_PREFILTER_MIN_SIZE, 1600))
+        c = 10.0 ** rng.uniform(-3, 3)
+        k = int(rng.integers(1, 60))
+        top = c * (1.0 + rng.random(k) * 10.0 ** rng.uniform(-12, 1))
+        ties = int(rng.integers(1, 300))
+        absx = np.concatenate([top, np.full(ties, c), c * rng.random(n - k - ties)])
+        rng.shuffle(absx)
+        if case % 2:  # prox: (sum(top) - 0) / (k + ridge) = c
+            offset, ridge = 0.0, float(np.sum(top)) / c - k
+        else:  # projection: (sum(top) - offset) / k = c
+            offset, ridge = float(np.sum(top - c)), 0.0
+        if not (offset > 0 or ridge > 0):
+            continue
+        want = sort_threshold_full(absx, offset, ridge)
+        for cut in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)):
+            assert _sort_threshold(absx, offset, ridge, _l1(absx), cut) == want, (case, cut)
+
+
+def _cuts(absx, t):
+    """Lower-bound guesses for the threshold t: below it (as solve_pg_sf
+    guesses, and within the rounding margin), at it, just and far above it,
+    and at the largest entry at or below it, where ties sit."""
+    cuts = [0.98 * t, t * (1.0 - 1e-14), np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+    cuts += [2.0 * t + float(np.max(absx)), -1.0]
+    below = absx[absx <= t]
+    if below.size:
+        cuts.append(float(np.max(below)))
+    return cuts
+
+
+@given(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+    st.integers(0, 1000),
+    st.floats(1e-9, 1.0),
+    st.floats(0.0, 2.0),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sort_threshold_cut_property(values, extra, share, guess, prox):
+    # Any cut, from far below the threshold to above every entry, gives the
+    # full sort's threshold bit for bit.  The values repeat cyclically up to
+    # the prefilter's size, so most magnitudes are tied.
+    absx = np.resize(np.array(values), _PREFILTER_MIN_SIZE + extra)
+    total = _l1(absx)
+    if not total > 0:
+        return
+    offset, ridge = (0.0, 1.0 / share) if prox else (share * total, 0.0)
+    want = sort_threshold_full(absx, offset, ridge)
+    assert _sort_threshold(absx, offset, ridge, total, guess * want) == want
 
 
 def test_prox_matches_bisection_reference():

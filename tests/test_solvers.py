@@ -466,6 +466,12 @@ def test_mdp_options_validation():
         MdpOptions(r_min=0.1, r_max=1.0, tau1=0.9, tau2=1.1, delta=0.1)
     with pytest.raises(ValueError):
         MdpOptions(r_min=0.1, r_max=1.0, tau1=1.2, tau2=1.1, delta=0.1)
+    # non-finite settings: with r_max = inf every midpoint is inf
+    for field in ("r_max", "tau2", "delta"):
+        settings = dict(r_min=1.0, r_max=1e5, tau1=1.01, tau2=1.1, delta=0.1)
+        settings[field] = np.inf
+        with pytest.raises(ValueError):
+            MdpOptions(**settings)
 
 
 def test_mdp_degenerate_band_not_bracketed():
@@ -522,6 +528,130 @@ def test_mdp_trace_option_changes_no_outcome():
     assert [replace(rec, elapsed_s=0.0) for rec in traced.result.trace] == [
         replace(rec, elapsed_s=0.0) for rec in direct.trace
     ]
+
+
+def _blur_search_instance(snr_db):
+    from sparsq.problems import NoiseSpec, add_awgn, gen_blur_instance
+
+    inst = add_awgn(gen_blur_instance(24, 3, 0.7), NoiseSpec(snr_db, 0))  # 576 entries
+    r_max = 20.0 * float(np.sum(np.abs(inst.x_true))) ** 2
+    return inst, MdpOptions(r_min=1.0, r_max=r_max, tau1=1.01, tau2=1.1, delta=inst.delta)
+
+
+def _cs_search_instance(seed):
+    from sparsq.problems import cs_desk_instance
+
+    inst = cs_desk_instance(seed)
+    return inst, MdpOptions(r_min=1.0, r_max=1e5, tau1=1.01, tau2=1.1, delta=inst.delta)
+
+
+@pytest.mark.parametrize(
+    "make, beta, max_iter",
+    [
+        # bracketed; the first three trials never project
+        (lambda: _blur_search_instance(40.0), 1e-5, 300),
+        # the residual stays above the band: 40 trials, none projects
+        (lambda: _blur_search_instance(60.0), 1e-5, 300),
+        (lambda: _cs_search_instance(0), 6e-5, 1500),
+        (lambda: _cs_search_instance(14), 6e-5, 1500),
+    ],
+    ids=["blur-bracketed", "blur-above-band", "cs-seed0", "cs-seed14"],
+)
+def test_search_radius_matches_reference(make, beta, max_iter, monkeypatch):
+    # The in-place pg step, the warm-started projection and the reuse of
+    # unprojected trials return the plain search's bits
+    import sparsq.proxops
+    from solver_reference import pg_solve_reference, search_radius_reference
+
+    inst, mdp = make()
+    A, y, n = inst.A, inst.y_delta, inst.A.domain_dim
+    x0 = np.full(n, 0.01)
+    cuts = []
+    kernel = sparsq.proxops._sort_threshold
+
+    def recording(absx, offset, ridge, total, cut=None):
+        cuts.append(cut)
+        return kernel(absx, offset, ridge, total, cut)
+
+    opts = SolverOptions(max_iter=max_iter, record_trace=False)
+    radius, bracketed, path, (x, iters, termination, residual) = search_radius_reference(
+        A, y, beta, 1.0, mdp, max_iter, opts.step_tol, x0, inst.x_true
+    )
+    monkeypatch.setattr(sparsq.proxops, "_sort_threshold", recording)
+    out = search_radius_mdp(A, y, beta, 1.0, mdp, opts, x0, inst.x_true)
+    assert out.radius == radius and out.bracketed == bracketed
+    assert [(r.j, r.radius_sq, r.residual_norm, r.rerror) for r in out.trace] == path
+    res = out.result
+    assert res.x_final.tobytes() == x.tobytes()
+    assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
+    if n >= 512 and cuts:  # the blur search projects with a warm cut
+        assert sum(cut > 0 for cut in cuts) > 0.9 * len(cuts)
+
+    # and one solve on its own, with no search around it
+    r = RadiusSpec.from_sq(path[-1][1])
+    res = solve_pg_sf(A, y, beta, 1.0, r, opts, x0)
+    x, iters, termination, residual = pg_solve_reference(
+        A, y, beta, 1.0, r, max_iter, opts.step_tol, x0
+    )
+    assert res.x_final.tobytes() == x.tobytes()
+    assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
+
+
+def test_search_radius_reuses_unprojected_trials(monkeypatch):
+    # A trial at or above the peak l1 norm of the first unprojected solve
+    # calls no solve_pg_sf: the search's trial count exceeds its solve count
+    import sparsq.solvers
+
+    calls = []
+    real = sparsq.solvers.solve_pg_sf
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args[4].radius_l1, result.peak_l1))
+        return result
+
+    monkeypatch.setattr(sparsq.solvers, "solve_pg_sf", counting)
+    inst, mdp = _blur_search_instance(40.0)
+    opts = SolverOptions(max_iter=300, record_trace=False)
+    out = search_radius_mdp(inst.A, inst.y_delta, 1e-5, 1.0, mdp, opts, np.full(576, 0.01))
+    assert out.bracketed
+    radii = [float(np.sqrt(rec.radius_sq)) for rec in out.trace]
+    # the first trial never projects; the next ones at or above its peak reuse it
+    first_radius, peak = calls[0]
+    assert peak <= first_radius
+    reused = [r for r in radii[1:] if r >= peak]
+    assert reused and len(calls) == len(radii) - len(reused)
+    assert all(r < peak for r, _ in calls[1:])
+
+
+def test_pg_reports_peak_l1():
+    A = DenseMatrix(np.eye(2))
+    y = np.array([3.0, -1.0])
+    opts = SolverOptions(max_iter=3)
+    res = solve_pg_sf(A, y, 0.0, 1.0, RadiusSpec(10.0), opts, np.zeros(2))
+    assert res.peak_l1 == 4.0  # u = y at every step, inside the ball
+    res = solve_pg_sf(A, y, 0.0, 1.0, RadiusSpec(1.0), opts, np.zeros(2))
+    assert res.peak_l1 == 4.0 and np.sum(np.abs(res.x_final)) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta": np.inf},
+        {"alpha_bracket": (1e-8, np.inf)},
+        {"band": np.nan},
+        {"band": 0.5},
+        {"band": np.inf},
+    ],
+    ids=["delta-inf", "bracket-inf", "band-nan", "band-half", "band-inf"],
+)
+def test_select_alpha_rejects_bad_settings(kwargs):
+    args = {"delta": 0.1, **kwargs}
+    with pytest.raises(ValueError):
+        select_alpha_discrepancy(
+            DenseMatrix(np.eye(2)), np.ones(2), eta=0.0, solver="fista",
+            opts=SolverOptions(max_iter=5), **args,
+        )
 
 
 def test_select_alpha_monotone_endpoints():
