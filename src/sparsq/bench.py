@@ -5,7 +5,9 @@ list of algorithms with their parameters.  Config files are flat INI text with
 an [experiment] section, one [algorithm:<kind>] section per solver, and an
 optional [mdp] section for the radius search.  Numeric algorithm parameters
 may be the string "auto" where a selection rule exists (alpha via the
-discrepancy principle, radius_sq via the radius search).
+discrepancy principle, radius_sq via the radius search).  build_config is the
+one builder: load_config feeds it a file's sections, the CLI the sections with
+its flags written over them.
 
 All CSV numerics are written with 17 significant digits so values round-trip
 exactly.  Timing columns (time_ms, elapsed_s) are the only nondeterministic
@@ -138,67 +140,105 @@ def parse_number(text, field_name):
         raise ConfigError(f"cannot parse {field_name} value {text!r}") from None
 
 
-def load_config(path):
-    """Parse an INI experiment config.  See the README for the schema."""
+def _seed_list(text):
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _whole_number(text):
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+def _number(key):
+    """parse_number for key; "auto" only where a selection rule exists."""
+    def parse(text):
+        value = parse_number(text, key)
+        if value == "auto" and key not in ("alpha", "radius_sq"):
+            raise ValueError(f"no selection rule for {key}")
+        return value
+    return parse
+
+
+# The [experiment] keys each experiment kind reads, with their parsers; x0
+# fills ExperimentConfig.x0_value.  The CLI offers one flag per key (--<key>,
+# "_" as "-"), and so does it for the [mdp] keys.
+_COMMON_KEYS = {"n": int, "snr_db": _number("snr_db"), "seeds": _seed_list, "maxiter": int,
+                "step_tol": float, "x0": float, "out": str, "trace_dir": str}
+EXPERIMENT_KEYS = {
+    "cs": {**_COMMON_KEYS, "m": int, "s": int, "scale": float, "amp_scale": float},
+    "deblur": {**_COMMON_KEYS, "band": int, "sigma": float, "image": str},
+}
+MDP_KEYS = {"r_min": float, "r_max": float, "tau1": float, "tau2": float,
+            "max_outer": _whole_number}
+
+
+def _parse_section(name, items, parsers, reader):
+    """{key: parsed value} of one section; unknown keys and unparsable values
+    are ConfigErrors."""
+    unknown = [k for k in items if k not in parsers]
+    if unknown:
+        raise ConfigError(
+            f"[{name}] has unknown key {unknown[0]!r} ({reader} reads {', '.join(parsers)})"
+        )
+    parsed = {}
+    for key, text in items.items():
+        try:
+            parsed[key] = parsers[key](text)
+        except ValueError:
+            raise ConfigError(f"cannot parse [{name}] {key} value {text!r}") from None
+    return parsed
+
+
+def algorithm_kind(section):
+    """The solver kind of an [algorithm:<kind>] section name, else None."""
+    prefix, colon, kind = section.partition(":")
+    return kind.strip() if prefix == "algorithm" and colon else None
+
+
+def read_config(path):
+    """The sections of an INI config file, as {section: {key: text}}."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as err:
+        raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    if "experiment" not in parser:
+    if "experiment" not in sections:
         raise ConfigError("config needs an [experiment] section")
-    exp = parser["experiment"]
-    kind = exp.get("kind", "cs").strip()
-    algorithms = []
-    for section in parser.sections():
-        if section.startswith("algorithm:"):
-            algo_kind = section.split(":", 1)[1].strip()
-            params = {
-                k: parse_number(v, f"{section}.{k}") for k, v in parser[section].items()
-            }
-            spec = AlgorithmSpec(algo_kind, params)  # checks the kind
-            known = SOLVER_KINDS[algo_kind].params
-            unknown = [k for k in params if k not in known]
-            if unknown:
-                raise ConfigError(
-                    f"[{section}] has unknown key {unknown[0]!r} ({algo_kind} reads {', '.join(known)})"
-                )
-            algorithms.append(spec)
-    mdp = {}
-    if "mdp" in parser:
-        mdp = {k: float(v) for k, v in parser["mdp"].items()}
-    seeds = tuple(int(tok) for tok in exp.get("seeds", "0").replace(",", " ").split())
-    if exp.get("n") is None:
+    return sections
+
+
+def build_config(sections):
+    """The one builder of ExperimentConfig from config sections ({section:
+    {key: text}}, as read_config returns them).  See the README for the schema."""
+    exp = dict(sections["experiment"])
+    kind = exp.pop("kind", "cs").strip()
+    if kind not in EXPERIMENT_KEYS:
+        raise ConfigError(f"experiment must be 'cs' or 'deblur', got {kind!r}")
+    values = _parse_section("experiment", exp, EXPERIMENT_KEYS[kind], kind)
+    if "n" not in values:
         raise ConfigError("[experiment] section needs n")
-    kwargs = dict(
-        experiment=kind,
-        n=exp.getint("n"),
-        snr_db=parse_number(exp.get("snr_db", "inf"), "snr_db"),
-        algorithms=tuple(algorithms),
-        seeds=seeds,
-        maxiter=exp.getint("maxiter", 1500),
-        step_tol=exp.getfloat("step_tol", 1e-5),
-        x0_value=exp.getfloat("x0", 0.01),
-        out=exp.get("out", ""),
-        trace_dir=exp.get("trace_dir", ""),
-        mdp=mdp,
-    )
-    if kind == "cs":
-        kwargs.update(
-            m=exp.getint("m"),
-            s=exp.getint("s"),
-            scale=exp.getfloat("scale", 1.0),
-            amp_scale=exp.getfloat("amp_scale", CS_DESK_AMP_SCALE),
-        )
-    else:
-        kwargs.update(
-            band=exp.getint("band", 3),
-            sigma=exp.getfloat("sigma", 0.7),
-            image=exp.get("image", ""),
-        )
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
+    algorithms = []
+    for section, items in sections.items():
+        algo_kind = algorithm_kind(section)
+        if algo_kind is not None:
+            AlgorithmSpec(algo_kind)  # checks the kind
+            parsers = {k: _number(k) for k in SOLVER_KINDS[algo_kind].params}
+            params = _parse_section(section, items, parsers, algo_kind)
+            algorithms.append(AlgorithmSpec(algo_kind, params))
+    mdp = _parse_section("mdp", sections.get("mdp", {}), MDP_KEYS, "the radius search")
+    if "x0" in values:
+        values["x0_value"] = values.pop("x0")
+    return ExperimentConfig(experiment=kind, algorithms=tuple(algorithms), mdp=mdp, **values)
+
+
+def load_config(path):
+    """Parse an INI experiment config.  See the README for the schema."""
+    return build_config(read_config(path))
 
 
 def make_instance(cfg, seed):
@@ -226,22 +266,6 @@ def make_instance(cfg, seed):
     return inst, factor
 
 
-def _build_mdp_options(cfg, delta):
-    mdp = cfg.mdp
-    if "r_min" not in mdp or "r_max" not in mdp:
-        raise ConfigError("radius search needs r_min and r_max (an [mdp] section or flags)")
-    if not delta > 0:
-        raise ConfigError("radius search needs noisy data (delta > 0)")
-    return MdpOptions(
-        r_min=mdp["r_min"],
-        r_max=mdp["r_max"],
-        tau1=mdp.get("tau1", 1.01),
-        tau2=mdp.get("tau2", 1.1),
-        delta=delta,
-        max_outer=int(mdp.get("max_outer", 40)),
-    )
-
-
 def _run_penalized(cfg, inst, spec, opts, x0):
     alpha, eta = spec.params.get("alpha", math.nan), spec.params.get("eta", 0.0)
     if alpha == "auto":
@@ -253,17 +277,32 @@ def _run_penalized(cfg, inst, spec, opts, x0):
     return result, (alpha, eta_column, math.nan)
 
 
+def _pg_weights(spec):
+    return spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
+
+
+def _search_radius(cfg, inst, spec, opts, x0):
+    """The radius search of a pg spec: radius_sq = auto, and radius_search()."""
+    if "r_min" not in cfg.mdp or "r_max" not in cfg.mdp:
+        raise ConfigError("radius search needs r_min and r_max (an [mdp] section or flags)")
+    if not inst.delta > 0:
+        raise ConfigError("radius search needs noisy data (delta > 0)")
+    try:
+        mdp = MdpOptions(**{"tau1": 1.01, "tau2": 1.1, **cfg.mdp, "delta": inst.delta})
+    except ValueError as err:
+        raise ConfigError(f"[mdp] {err}") from None
+    beta, gamma = _pg_weights(spec)
+    return search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
+
+
 def _run_pg(cfg, inst, spec, opts, x0):
-    beta, gamma = spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
     radius_sq = spec.params.get("radius_sq", math.nan)
     if radius_sq == "auto":
-        mdp_opts = _build_mdp_options(cfg, inst.delta)
-        out = search_radius_mdp(
-            inst.A, inst.y_delta, beta, gamma, mdp_opts, opts, x0, inst.x_true
-        )
+        out = _search_radius(cfg, inst, spec, opts, x0)
         return out.result, (math.nan, math.nan, out.radius.radius_sq)
     if math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
+    beta, gamma = _pg_weights(spec)
     radius = RadiusSpec.from_sq(radius_sq)
     result = solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
     return result, (math.nan, math.nan, radius_sq)
@@ -295,17 +334,21 @@ SOLVER_KINDS = {
 ALGORITHMS = tuple(SOLVER_KINDS)
 
 
-def run_algorithm(cfg, inst, spec, record_trace=False):
-    """Run one algorithm on one instance.  Returns (row_fields, SolveResult)."""
-    params = spec.params
+def _solver_inputs(cfg, inst, spec, record_trace=False):
+    """The SolverOptions and starting point of a run of spec on inst."""
     opts = SolverOptions(
         max_iter=cfg.maxiter,
         step_tol=cfg.step_tol,
-        L_k=params.get("l_k", 1.0),
-        lambda_st=params.get("lambda", 1.0),
+        L_k=spec.params.get("l_k", 1.0),
+        lambda_st=spec.params.get("lambda", 1.0),
         record_trace=record_trace,
     )
-    x0 = np.full(inst.A.domain_dim, cfg.x0_value)
+    return opts, np.full(inst.A.domain_dim, cfg.x0_value)
+
+
+def run_algorithm(cfg, inst, spec, record_trace=False):
+    """Run one algorithm on one instance.  Returns (row_fields, SolveResult)."""
+    opts, x0 = _solver_inputs(cfg, inst, spec, record_trace)
     result, (alpha, eta, radius_sq) = SOLVER_KINDS[spec.kind].run(cfg, inst, spec, opts, x0)
     return dict(alpha=alpha, eta=eta, radius_sq=radius_sq), result
 
@@ -406,30 +449,15 @@ def aggregate_rows(rows, axis):
     return out
 
 
-def radius_search(cfg, beta=None, gamma=None):
-    """Radius selection on the configured instance (first seed).
-
-    Returns (MdpResult, instance).  beta/gamma default to the pg algorithm
-    section when present.
-    """
-    pg_specs = [a for a in cfg.algorithms if a.kind == "pg"]
-    if beta is None:
-        beta = pg_specs[0].params.get("beta", 0.0) if pg_specs else 0.0
-    if gamma is None:
-        gamma = pg_specs[0].params.get("gamma", 1.0) if pg_specs else 1.0
-    seed = cfg.seeds[0]
-    inst, _ = make_instance(cfg, seed)
+def radius_search(cfg):
+    """Radius selection on the configured instance (first seed), with the
+    weights of the first pg algorithm (beta 0 and gamma 1 without one), run as
+    radius_sq = auto runs it.  Returns (MdpResult, instance)."""
+    spec = next((a for a in cfg.algorithms if a.kind == "pg"), AlgorithmSpec("pg"))
+    inst, _ = make_instance(cfg, cfg.seeds[0])
     if inst.x_true is None:
         raise ConfigError("radius search needs an instance with ground truth")
-    mdp_opts = _build_mdp_options(cfg, inst.delta)
-    opts = SolverOptions(
-        max_iter=cfg.maxiter, step_tol=cfg.step_tol, record_trace=False
-    )
-    x0 = np.full(inst.A.domain_dim, cfg.x0_value)
-    out = search_radius_mdp(
-        inst.A, inst.y_delta, beta, gamma, mdp_opts, opts, x0, inst.x_true
-    )
-    return out, inst
+    return _search_radius(cfg, inst, spec, *_solver_inputs(cfg, inst, spec)), inst
 
 
 def _fmt(value):
@@ -511,31 +539,17 @@ def deterministic_view(csv_text):
 
 
 def manifest_text(cfg, notes=()):
-    lines = [f"sparsq {__version__}", "[config]"]
-    lines.append(f"experiment = {cfg.experiment}")
-    if cfg.experiment == "cs":
-        lines += [
-            f"n = {cfg.n}",
-            f"m = {cfg.m}",
-            f"s = {cfg.s}",
-            f"scale = {_fmt(cfg.scale)}",
-            f"amp_scale = {_fmt(cfg.amp_scale)}",
-        ]
-    else:
-        lines += [f"n = {cfg.n}", f"band = {cfg.band}", f"sigma = {_fmt(cfg.sigma)}"]
-    lines += [
-        f"snr_db = {_fmt(cfg.snr_db)}",
-        f"maxiter = {cfg.maxiter}",
-        f"step_tol = {_fmt(cfg.step_tol)}",
-        f"x0 = {_fmt(cfg.x0_value)}",
-        "[algorithms]",
-    ]
+    cs = cfg.experiment == "cs"
+    shape = ("n", "m", "s", "scale", "amp_scale") if cs else ("n", "band", "sigma")
+    lines = [f"sparsq {__version__}", "[config]", f"experiment = {cfg.experiment}"]
+    lines += [f"{k} = {_fmt(getattr(cfg, k))}" for k in shape + ("snr_db", "maxiter", "step_tol")]
+    lines += [f"x0 = {_fmt(cfg.x0_value)}", "[algorithms]"]
     for spec in cfg.algorithms:
         params = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(spec.params.items()))
         lines.append(f"{spec.kind}: {params}")
-    lines.append("[seeds]")
-    lines.append(" ".join(str(s) for s in cfg.seeds))
+    if cfg.mdp:
+        lines += ["[mdp]"] + [f"{k} = {_fmt(cfg.mdp[k])}" for k in MDP_KEYS if k in cfg.mdp]
+    lines += ["[seeds]", " ".join(str(s) for s in cfg.seeds)]
     if notes:
-        lines.append("[notes]")
-        lines.extend(notes)
+        lines += ["[notes]", *notes]
     return "\n".join(lines) + "\n"

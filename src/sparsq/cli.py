@@ -16,105 +16,87 @@ import numpy as np
 from . import __version__
 from .bench import (
     ALGORITHMS,
+    EXPERIMENT_KEYS,
+    MDP_KEYS,
+    SOLVER_KINDS,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
     agg_csv_text,
+    algorithm_kind,
+    build_config,
     deterministic_view,
-    load_config,
     manifest_text,
     mdp_trace_csv_text,
     parse_number,
     radius_search,
+    read_config,
     report_csv_text,
     run_experiment,
     sweep,
     trace_csv_text,
 )
+from .problems import BLUR_DESK, CS_DESK
 
-_ALGO_PARAM_FLAGS = ("alpha", "eta", "beta", "gamma", "radius_sq", "lam", "l_k", "lambda")
+# One flag per config key: --<key> with "_" as "-", its raw text parsed by
+# bench.build_config as the same key in a config file is.
+_EXPERIMENT_FLAGS = tuple(dict.fromkeys(k for keys in EXPERIMENT_KEYS.values() for k in keys))
+_ALGORITHM_FLAGS = tuple(dict.fromkeys(k for kind in SOLVER_KINDS.values() for k in kind.params))
+_FLAG_HELP = {
+    "image": "CSV file with an n-by-n ground-truth image",
+    "snr_db": "noise level in dB, or 'inf'",
+    "seeds": "comma or space separated seed list",
+    "out": "results CSV path (default results.csv)",
+    "trace_dir": "write per-iteration trace CSVs here",
+    "alpha": "number or 'auto'",
+    "radius_sq": "number or 'auto'",
+}
 
 
 def _add_common_flags(sub, kind):
     sub.add_argument("--config", help="INI experiment config file")
-    sub.add_argument("--n", type=int)
-    if kind in ("cs", "both"):
-        sub.add_argument("--m", type=int)
-        sub.add_argument("--s", type=int)
-        sub.add_argument("--scale", type=float)
-        sub.add_argument("--amp-scale", type=float, dest="amp_scale")
-    if kind in ("deblur", "both"):
-        sub.add_argument("--band", type=int)
-        sub.add_argument("--sigma", type=float)
-        sub.add_argument("--image", help="CSV file with an n-by-n ground-truth image")
-    sub.add_argument("--snr-db", dest="snr_db", help="noise level in dB, or 'inf'")
-    sub.add_argument("--seeds", help="comma or space separated seed list")
-    sub.add_argument("--maxiter", type=int)
-    sub.add_argument("--step-tol", type=float, dest="step_tol")
-    sub.add_argument("--x0", type=float, dest="x0_value")
     sub.add_argument("--algo", choices=ALGORITHMS,
                      help="single-algorithm shortcut instead of a config file")
-    sub.add_argument("--alpha", help="number or 'auto'")
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--radius-sq", dest="radius_sq", help="number or 'auto'")
-    sub.add_argument("--lam", type=float)
-    sub.add_argument("--l-k", type=float, dest="l_k")
-    sub.add_argument("--lambda", type=float, dest="lambda")
-    sub.add_argument("--r-min", type=float, dest="r_min")
-    sub.add_argument("--r-max", type=float, dest="r_max")
-    sub.add_argument("--tau1", type=float)
-    sub.add_argument("--tau2", type=float)
-    sub.add_argument("--max-outer", type=int, dest="max_outer")
-    sub.add_argument("--out", help="results CSV path (default results.csv)")
-    sub.add_argument("--trace-dir", dest="trace_dir", help="write per-iteration trace CSVs here")
+    keys = EXPERIMENT_KEYS[kind] if kind in EXPERIMENT_KEYS else _EXPERIMENT_FLAGS
+    for key in (*keys, *_ALGORITHM_FLAGS, *MDP_KEYS):
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAG_HELP.get(key))
 
 
 def _config_from_args(args, kind):
+    """Write the flags over the config file's sections, or over the desk
+    defaults without one, and build the config from them."""
     if args.config:
-        cfg = load_config(args.config)
-        if cfg.experiment != kind:
-            raise ConfigError(
-                f"config is for {cfg.experiment!r} but the {kind!r} subcommand was used"
-            )
+        sections = read_config(args.config)
+        config_kind = sections["experiment"].get("kind", "cs").strip()
+        if config_kind != kind:
+            raise ConfigError(f"config is for {config_kind!r} but the {kind!r} subcommand was used")
+    elif args.algo:
+        desk = CS_DESK if kind == "cs" else BLUR_DESK
+        sections = {"experiment": {"kind": kind, **{k: str(v) for k, v in desk.items()}}}
     else:
-        if not args.algo:
-            raise ConfigError("either --config or --algo is required")
-        cfg = ExperimentConfig(
-            experiment=kind,
-            n=args.n if args.n else (200 if kind == "cs" else 16),
-            m=getattr(args, "m", None) or 80,
-            s=getattr(args, "s", None) or 16,
-            scale=getattr(args, "scale", None) or 0.04,
-            algorithms=(AlgorithmSpec(args.algo, {}),),
-        )
+        raise ConfigError("either --config or --algo is required")
 
-    fields = ("m", "s", "scale", "amp_scale") if kind == "cs" else ("band", "sigma", "image")
-    overrides = {}
-    for name in ("n", "maxiter", "step_tol", "x0_value") + fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if args.snr_db is not None:
-        overrides["snr_db"] = parse_number(args.snr_db, "snr_db")
-    if args.seeds:
-        overrides["seeds"] = tuple(int(t) for t in args.seeds.replace(",", " ").split())
-    if args.algo:
-        params = {}
-        for name in _ALGO_PARAM_FLAGS:
-            value = getattr(args, name, None)
-            if value is not None:
-                params[name] = parse_number(value, name) if isinstance(value, str) else value
-        overrides["algorithms"] = (AlgorithmSpec(args.algo, params),)
-    mdp = dict(cfg.mdp)
-    for name in ("r_min", "r_max", "tau1", "tau2", "max_outer"):
-        value = getattr(args, name, None)
-        if value is not None:
-            mdp[name] = value
-    if mdp != cfg.mdp:
-        overrides["mdp"] = mdp
-    return replace(cfg, **overrides) if overrides else cfg
+    def given(keys):
+        return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+    sections["experiment"].update(given(_EXPERIMENT_FLAGS))
+    if given(MDP_KEYS):
+        sections.setdefault("mdp", {}).update(given(MDP_KEYS))
+    algo_flags = given(_ALGORITHM_FLAGS)
+    if args.algo:  # a single algorithm, its parameters from the flags alone
+        sections = {name: s for name, s in sections.items() if algorithm_kind(name) is None}
+        sections[f"algorithm:{args.algo}"] = algo_flags
+    else:  # each flag overrides its key in every configured algorithm that reads it
+        for key, text in algo_flags.items():
+            kinds = [k for k, v in SOLVER_KINDS.items() if key in v.params]
+            readers = [s for name, s in sections.items() if algorithm_kind(name) in kinds]
+            if not readers and args.command == "radius-search" and key in ("beta", "gamma"):
+                readers = [sections.setdefault("algorithm:pg", {})]  # the search's weights
+            if not readers:
+                raise ConfigError(f"--{key.replace('_', '-')} is read by no configured algorithm")
+            for section in readers:
+                section[key] = text
+    return build_config(sections)
 
 
 def _write(path, text):
@@ -128,8 +110,8 @@ def _write(path, text):
 
 
 def _run_and_write(cfg, args):
-    out = args.out or cfg.out or "results.csv"
-    trace_dir = args.trace_dir or cfg.trace_dir
+    out = cfg.out or "results.csv"
+    trace_dir = cfg.trace_dir
     rows, traces, factor = run_experiment(cfg, want_traces=bool(trace_dir))
     notes = () if factor == 1.0 else (f"operator_rescale = {factor:.17g}",)
     _write(out, report_csv_text(rows))
@@ -153,7 +135,7 @@ def _cmd_deblur(args):
 def _cmd_sweep(args):
     kind = args.experiment
     cfg = _config_from_args(args, kind)
-    out = args.out or cfg.out or "results.csv"
+    out = cfg.out or "results.csv"
     values = [parse_number(t, "values") for t in args.values.replace(",", " ").split()]
     rows, agg = sweep(cfg, args.axis, values)
     _write(out, report_csv_text(rows))
@@ -166,8 +148,8 @@ def _cmd_sweep(args):
 def _cmd_radius_search(args):
     kind = args.experiment
     cfg = _config_from_args(args, kind)
-    out_path = args.out or cfg.out or "results.csv"
-    out, inst = radius_search(cfg, beta=args.beta, gamma=args.gamma)
+    out_path = cfg.out or "results.csv"
+    out, inst = radius_search(cfg)
     _write(out_path, mdp_trace_csv_text(out.trace))
     notes = [
         f"final_radius_sq = {out.radius.radius_sq:.17g}",

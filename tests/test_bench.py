@@ -1,4 +1,7 @@
 import math
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,10 +335,15 @@ def test_deterministic_view_strips_timing():
 def test_manifest_mentions_config_and_seeds():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("hv", {"alpha": 1e-3, "eta": 1.0}),))
     text = manifest_text(cfg, notes=("extra = 1",))
-    assert "experiment = cs" in text
-    assert "hv: alpha=0.001 eta=1" in text
-    assert "0 1" in text
-    assert "extra = 1" in text
+    assert text == (
+        "sparsq 0.1.0\n[config]\nexperiment = cs\nn = 40\nm = 16\ns = 4\nscale = 0.10000000000000001\n"
+        "amp_scale = 2\nsnr_db = 40\nmaxiter = 120\nstep_tol = 1.0000000000000001e-05\n"
+        "x0 = 0.01\n[algorithms]\nhv: alpha=0.001 eta=1\n[seeds]\n0 1\n[notes]\nextra = 1\n"
+    )
+    # the [mdp] settings are echoed when there are any, so the manifest reproduces the search
+    mdp = {"r_max": 400.0, "r_min": 1.0, "max_outer": 12}
+    text = manifest_text(replace(cfg, mdp=mdp))
+    assert "eta=1\n[mdp]\nr_min = 1\nr_max = 400\nmax_outer = 12\n[seeds]\n" in text
 
 
 def test_aggregate_rows_medians():
@@ -440,7 +448,7 @@ def test_cli_radius_search(tmp_path):
     assert "final_radius_sq" in manifest
 
 
-def test_cli_validation_error_exit_code(tmp_path):
+def test_cli_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nkind = cs\nn = 40\nm = 16\ns = 4\nseeds = 0\n")
     code = cli.main(["cs", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
@@ -448,6 +456,32 @@ def test_cli_validation_error_exit_code(tmp_path):
     # flag values go through the config file's number parser
     code = cli.main(["cs", "--algo", "hv", "--alpha", "lots", "--out", str(tmp_path / "y.csv")])
     assert code == 1
+    # unknown [mdp] and [experiment] keys and unparsable values, in a file or as flags
+    pg_auto = "[algorithm:pg]\nbeta = 1e-3\nradius_sq = auto\n"
+    edits = {
+        "tua1": ("tau1 = 1.01", "tua1 = 1.5"),
+        "maxitre": ("maxiter = 120", "maxitre = 5"),
+        "max_outer": ("max_outer = 12", "max_outer = abc"),
+        "maxiter": ("maxiter = 120", "maxiter = abc"),
+        "seeds": ("seeds = 0, 1", "seeds = 0, x"),
+        "eta": ("eta = 1.0", "eta = auto"),
+        "r_max": ("r_max = 400.0", "r_max = 0.5"),
+    }
+    for key, (old, new) in edits.items():
+        bad.write_text(CONFIG_TEXT.replace(old, new) + pg_auto)
+        assert cli.main(["cs", "--config", str(bad), "--out", str(tmp_path / "z.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+    flag_cases = (
+        ["cs", "--algo", "hv", "--alpha", "1e-3", "--maxiter", "abc"],
+        ["cs", "--algo", "hv", "--alpha", "1e-3", "--eta", "auto"],
+        ["sweep", "--experiment", "cs", "--axis", "eta", "--values", "0,1", "--algo", "hv",
+         "--alpha", "1e-3", "--band", "9", "--sigma", "3"],
+    )
+    for argv in flag_cases:
+        assert cli.main(argv + ["--out", str(tmp_path / "z.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
@@ -458,7 +492,33 @@ def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
     code = cli.main(["cs", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "alhpa" in capsys.readouterr().err
+    # the same check holds for the flags of a kind that does not read them
+    code = cli.main(["cs", "--algo", "fista", "--alpha", "1e-3", "--beta", "5", "--lam", "3",
+                     "--seeds", "0", "--maxiter", "20", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "[algorithm:fista] has unknown key 'beta'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_algorithm_flags_override_configured_algorithms(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT)
+    out = tmp_path / "r.csv"
+    base = ["--config", str(path), "--seeds", "0", "--maxiter", "20", "--out", str(out)]
+    assert cli.main(["cs", *base, "--alpha", "5e-4"]) == 0  # hv and ista both read alpha
+    manifest = (tmp_path / "r.csv.manifest.txt").read_text()
+    assert "hv: alpha=0.00050000000000000001 eta=1\n" in manifest
+    assert "ista: alpha=0.00050000000000000001\n" in manifest
+    assert cli.main(["cs", *base, "--radius-sq", "30"]) == 1  # neither reads radius_sq
+    assert "--radius-sq is read by no configured algorithm" in capsys.readouterr().err
+    # radius-search's pg search reads beta and gamma without a pg section
+    assert cli.main(["radius-search", *base, "--beta", "1e-3"]) == 0
+    assert "pg: beta=0.001\n" in (tmp_path / "r.csv.manifest.txt").read_text()
+    path.write_text(CONFIG_TEXT + "[algorithm:pg]\nbeta = 1e-3\nradius_sq = auto\n")
+    assert cli.main(["cs", *base, "--algo", "pg", "--radius-sq", "30"]) == 0
+    assert "pg: radius_sq=30\n[mdp]" in (tmp_path / "r.csv.manifest.txt").read_text()
+    assert cli.main(["radius-search", *base, "--beta", "2e-3", "--gamma", "0.5"]) == 0
+    assert "pg: beta=0.002 gamma=0.5 radius_sq=auto\n" in (tmp_path / "r.csv.manifest.txt").read_text()
 
 
 def test_cli_selftest(tmp_path):
@@ -556,3 +616,22 @@ def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
     assert factor != 1.0 and factor != real(cfg, 1)[1]
     manifest = (tmp_path / "r.csv.manifest.txt").read_text()
     assert f"operator_rescale = {factor:.17g}\n" in manifest
+
+
+def _readme_cli_lines():
+    """The `sparsq ...` lines of README's CLI block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [line.strip() for line in block.splitlines() if line.strip().startswith("sparsq ")]
+
+
+@pytest.mark.parametrize("subcommand", ["cs", "deblur", "sweep", "radius-search", "selftest"])
+def test_readme_cli_examples_run(subcommand, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPARSQ_OUT_DIR", raising=False)
+    (line,) = [l for l in _readme_cli_lines() if l.split()[1] == subcommand]
+    argv = shlex.split(line)[1:]
+    if subcommand != "selftest":
+        argv += ["--maxiter", "30"]  # the last flag wins
+    assert cli.main(argv) == 0
+    assert list(tmp_path.iterdir())
