@@ -36,10 +36,12 @@ from .problems import (
     snr_metric,
 )
 from .proxops import RadiusSpec
+from .regfun import RegParams
 from .solvers import (
     PENALIZED,
     MdpOptions,
     SolverOptions,
+    _pg_denominator,
     search_radius_mdp,
     select_alpha_discrepancy,
     solve_ht_half,
@@ -241,9 +243,16 @@ def load_config(path):
     return build_config(read_config(path))
 
 
-def make_instance(cfg, seed):
-    """Generate the configured instance, add noise, rescale if the normal
-    operator's norm is at or above one.  Returns (instance, rescale_factor)."""
+def _checked(where, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError raised again as a ConfigError
+    that names where.  Only for building a run's inputs, never around a solve."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+def _generate(cfg, seed):
     if cfg.experiment == "cs":
         inst = gen_cs_instance(cfg.n, cfg.m, cfg.s, cfg.scale, seed, cfg.amp_scale)
     else:
@@ -251,7 +260,14 @@ def make_instance(cfg, seed):
         if cfg.image:
             image = np.loadtxt(cfg.image, delimiter=",")
         inst = gen_blur_instance(cfg.n, cfg.band, cfg.sigma, image=image)
-    inst = add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
+    return add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
+
+
+def make_instance(cfg, seed):
+    """Generate the configured instance, add noise, rescale if the normal
+    operator's norm is at or above one.  Returns (instance, rescale_factor).
+    Settings the generators reject are ConfigErrors."""
+    inst = _checked(f"{cfg.experiment} instance", _generate, cfg, seed)
     r_hat = opnorm_sq_cached(inst.A)
     factor = 1.0
     if r_hat >= 1.0:
@@ -268,6 +284,9 @@ def make_instance(cfg, seed):
 
 def _run_penalized(cfg, inst, spec, opts, x0):
     alpha, eta = spec.params.get("alpha", math.nan), spec.params.get("eta", 0.0)
+    # the weights every penalized solver takes: alpha > 0 and 0 <= eta <= 1
+    trial_alpha = 1.0 if alpha == "auto" else alpha
+    _checked(f"{spec.kind} (alpha={alpha}, eta={eta})", RegParams, trial_alpha, eta * trial_alpha)
     if alpha == "auto":
         alpha = select_alpha_discrepancy(
             inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
@@ -278,7 +297,9 @@ def _run_penalized(cfg, inst, spec, opts, x0):
 
 
 def _pg_weights(spec):
-    return spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
+    beta, gamma = spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
+    _checked("pg", _pg_denominator, beta, gamma)
+    return beta, gamma
 
 
 def _search_radius(cfg, inst, spec, opts, x0):
@@ -303,15 +324,15 @@ def _run_pg(cfg, inst, spec, opts, x0):
     if math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
     beta, gamma = _pg_weights(spec)
-    radius = RadiusSpec.from_sq(radius_sq)
+    radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
     result = solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
     return result, (math.nan, math.nan, radius_sq)
 
 
 def _run_ht(cfg, inst, spec, opts, x0):
-    lam = spec.params.get("lam")
-    if lam is None:
-        raise ConfigError("ht needs a lam parameter")
+    lam = spec.params.get("lam", math.nan)
+    if not lam > 0:
+        raise ConfigError("ht needs a positive lam parameter")
     result = solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true)
     return result, (lam, math.nan, math.nan)  # ht's weight reported in the alpha column
 
@@ -336,13 +357,17 @@ ALGORITHMS = tuple(SOLVER_KINDS)
 
 def _solver_inputs(cfg, inst, spec, record_trace=False):
     """The SolverOptions and starting point of a run of spec on inst."""
-    opts = SolverOptions(
+    opts = _checked(
+        spec.kind,
+        SolverOptions,
         max_iter=cfg.maxiter,
         step_tol=cfg.step_tol,
         L_k=spec.params.get("l_k", 1.0),
         lambda_st=spec.params.get("lambda", 1.0),
         record_trace=record_trace,
     )
+    if not math.isfinite(cfg.x0_value):
+        raise ConfigError("x0 must be finite")
     return opts, np.full(inst.A.domain_dim, cfg.x0_value)
 
 

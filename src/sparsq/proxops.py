@@ -17,6 +17,14 @@ the sort-based one through its private body, which also returns the threshold
 and ||x||_1 and takes a guess at the threshold (a cut) that narrows the sort:
 an iterate's threshold moves little from one step to the next.  The guess
 only changes the work, never the bits of the result.
+
+Per call the kernel builds the sorted survivors, their cumulative sum, one
+product and one comparison.  The projection's ranks 1..n are a view of one
+cached read-only vector, and rho, the last index where the comparison holds,
+comes from an argmax over the reversed comparison, so no index array is
+built.  On a radius search's large-support projections (5,000 to 13,000 of
+15,625 entries survive) the sort and the cumulative sum, whose order fixes
+the bits, take most of the time.
 """
 
 import math
@@ -140,28 +148,43 @@ def _sort_threshold(absx, offset, ridge, total, cut=None):
     if absx.size >= _PREFILTER_MIN_SIZE:
         margin = _MARGIN_EPS * (abs(total) + abs(offset)) + _TINY
         if cut is not None:
-            top = np.compress(absx > cut, absx)
+            top = absx.compress(absx > cut)
             if top.size:
                 threshold = _sorted_threshold(top, offset, ridge)
                 if threshold > cut + margin:
                     return threshold
-        absx = np.compress(absx > (total - offset) / (absx.size + ridge) - margin, absx)
+        absx = absx.compress(absx > (total - offset) / (absx.size + ridge) - margin)
     return _sorted_threshold(absx, offset, ridge)
 
 
 def _sorted_threshold(absx, offset, ridge):
     """t_rho over all of absx (nonempty), by one sort and one cumsum."""
+    n = absx.size
     u = np.sort(absx)[::-1]
-    partial = np.cumsum(u)
+    partial = u.cumsum()  # the method: np.cumsum's wrapper costs 1-2 us a call
     partial -= offset
-    k = np.arange(1.0, absx.size + 1.0)
-    k += ridge
+    k = _ranks(n) if ridge == 0.0 else _ranks(n) + ridge
     above = u * k > partial
     # Exact for rho = 1, but lost in rounding when offset or ridge * u_1 is
     # below the precision of u_1.
     above[0] = True
-    rho = np.nonzero(above)[0][-1]
+    rho = n - 1 - above[::-1].argmax()  # the last True
     return partial[rho] / k[rho]
+
+
+_rank_cache = np.arange(1.0, 1.0)
+
+
+def _ranks(n):
+    """The ranks 1.0, ..., n, read-only: a view of one cached vector that is
+    rebuilt only when a larger n is asked for, so most calls build none."""
+    global _rank_cache
+    ranks = _rank_cache  # read once: another thread's rebuild cannot shorten it
+    if ranks.size < n:
+        ranks = np.arange(1.0, n + 1.0)
+        ranks.flags.writeable = False
+        _rank_cache = ranks
+    return ranks[:n]
 
 
 def _l1(absx):

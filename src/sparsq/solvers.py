@@ -22,7 +22,8 @@ can record a per-iteration trace.  The gradient step uses the descent sign
 x - t * A*(Ax - y) throughout, with the gradient formed as N x - A*y from the
 operator's normal operator N = A*A: one operator call per iteration.  The
 engine forms the residual Ax - y only for a traced record and once at the
-end, for SolveResult.residual_norm.
+end, for SolveResult.residual_norm.  The gradient and the step x_next - x
+are written into arrays made once per solve, never into a result.
 """
 
 import math
@@ -161,11 +162,13 @@ def _gradient(A, ydelta):
     """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A.
 
     Every solver builds its gradient here once per solve, so this is where a
-    non-finite ydelta is rejected."""
+    non-finite ydelta is rejected.  Each call writes its value into the same
+    array, which the next call overwrites."""
     if not np.all(np.isfinite(ydelta)):
         raise ValueError("ydelta must be finite")
     normal, aty = A.normal, A.apply_adjoint(ydelta)
-    return lambda x: normal.apply(x) - aty
+    out = np.empty(A.domain_dim)
+    return lambda x: np.subtract(normal.apply(x), aty, out=out)
 
 
 def _norm(v):
@@ -182,12 +185,13 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None):
         raise ValueError("x0 must be finite")
     rerror = _rerror_fn(x_true)
     trace = []
+    diff = np.empty_like(x)  # x_next - x
     start = time.perf_counter()
     termination = Termination.MAX_ITER
     k = 0
     for k in range(1, opts.max_iter + 1):
         x_next = step_fn(x)
-        step_norm = _norm(x_next - x)
+        step_norm = _norm(np.subtract(x_next, x, out=diff))
         x = x_next
         if opts.record_trace:
             r = A.apply(x) - ydelta
@@ -250,11 +254,7 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     ball.  Requires gamma > 2 * beta.  The result's peak_l1 is the largest
     ||u||_1 of the solve.
     """
-    if not gamma > 2.0 * beta:
-        raise ValueError("gamma must exceed 2 * beta")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    denom = gamma - 2.0 * beta
+    denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
     cut = 0.0  # a guess at the next projection's threshold, from below
     peak_l1 = 0.0
@@ -277,9 +277,19 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     return replace(result, peak_l1=peak_l1)
 
 
+def _pg_denominator(beta, gamma):
+    """gamma - 2 beta, the pg step's divisor; ValueError unless beta >= 0 and
+    gamma > 2 beta."""
+    if not gamma > 2.0 * beta:
+        raise ValueError("gamma must exceed 2 * beta")
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    return gamma - 2.0 * beta
+
+
 def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
     """Norm of x minus one projected-gradient step from x (stationarity check)."""
-    denom = gamma - 2.0 * beta
+    denom = _pg_denominator(beta, gamma)
     u = (gamma * np.asarray(x, float) - A.apply_adjoint(A.apply(x) - ydelta)) / denom
     return float(np.linalg.norm(x - project_l1_ball_sort(u, r)))
 

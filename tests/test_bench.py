@@ -484,6 +484,34 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "z.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cs --algo hv --alpha 1e-3 --maxiter 0",
+        "cs --algo hv --alpha 1e-3 --l-k -1",
+        "cs --algo fista --alpha 1e-3 --lambda 0",
+        "cs --algo hv --alpha 1e-3 --x0 nan",
+        "cs --algo hv --alpha 1e-3 --m 500",
+        "cs --algo hv --alpha 1e-3 --snr-db nan",
+        "deblur --algo hv --alpha 1e-3 --band 40 --n 8",
+        "cs --algo hv --alpha 0",
+        "cs --algo hv --alpha 1e-3 --eta 2",
+        "cs --algo st --alpha auto --eta 2",
+        "cs --algo ht --lam 0",
+        "cs --algo pg --beta 1 --gamma 1 --radius-sq 10",
+        "cs --algo pg --radius-sq -1",
+        "radius-search --algo pg --beta -1 --r-min 1 --r-max 100 --snr-db 40",
+    ],
+)
+def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
+    # values that parse but that SolverOptions, the penalty or pg weights, the
+    # radius or the instance generators reject, before any solve
+    out = tmp_path / "r.csv"
+    assert cli.main(shlex.split(argv) + ["--seeds", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
     bad = tmp_path / "typo.ini"
     bad.write_text(CONFIG_TEXT.replace("alpha = 1e-3\neta = 1.0", "alhpa = 1e-3\neta = 1.0"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsq import proxops
 from sparsq.proxops import (
     _PREFILTER_MIN_SIZE,
     RadiusSpec,
@@ -335,6 +336,68 @@ def _cuts(absx, t):
     if below.size:
         cuts.append(float(np.max(below)))
     return cuts
+
+
+def _kernel_agrees(absx, offset, ridge):
+    """The kernel's threshold, with no cut and with each of _cuts, equals the
+    full sort's; returns it."""
+    want = sort_threshold_full(absx, offset, ridge)
+    total = _l1(absx)
+    assert _sort_threshold(absx, offset, ridge, total) == want
+    for cut in _cuts(absx, want):
+        assert _sort_threshold(absx, offset, ridge, total, cut) == want, cut
+    return want
+
+
+def test_sort_threshold_whole_support():
+    # Large inputs whose survivors are all in the support, so rho is the last
+    # sorted entry: every entry, or a top block with everything else below
+    # the cut, as in the radius search's large-support projections
+    rng = np.random.default_rng(21)
+    for n in (13000, 15625, 16001):
+        block = 1.0 + 0.01 * rng.random(n)
+        gap = _l1(block) - n * float(np.min(block))  # t_n is below min(block) past this
+        small = 1e-3 * rng.random(2000)
+        for absx in (block, rng.permutation(np.concatenate([block, small]))):
+            # projection: t = (S_n - offset) / n; prox: t = S_n / (n + ridge)
+            for offset, ridge in ((1.5 * gap, 0.0), (0.0, 1.5 * gap / float(np.min(block)))):
+                want = _kernel_agrees(absx, offset, ridge)
+                assert np.max(small) < want < np.min(block)
+
+
+def test_sort_threshold_single_entry_support():
+    # rho = 1: one entry far above the rest, on both sides of the prefilter's size
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 40, _PREFILTER_MIN_SIZE, 5000):
+        absx = rng.random(n)
+        absx[rng.integers(n)] = 100.0
+        assert _kernel_agrees(absx, 50.0, 0.0) == 50.0  # t_1 = u_1 - offset
+        assert _kernel_agrees(absx, 0.0, 1.0) == 50.0  # t_1 = u_1 / (1 + ridge)
+
+
+def test_sort_threshold_prox_at_large_sizes():
+    # ridge != 0 (the prox) past the prefilter's size
+    rng = np.random.default_rng(23)
+    for n in (_PREFILTER_MIN_SIZE, 513, 2048, 15625):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.random(n) < 0.3] = 0.0
+        for alpha in (1e-6, 1e-3, 1.0, 1e3):
+            _kernel_agrees(np.abs(x), 0.0, 0.5 / alpha)
+
+
+def test_sort_threshold_rank_cache_grows_and_shrinks(monkeypatch):
+    # The projection reads its ranks from one cached vector: a call larger
+    # than any before rebuilds it, a smaller one reads a prefix, and no caller
+    # can write into it
+    monkeypatch.setattr(proxops, "_rank_cache", np.arange(1.0, 1.0))
+    rng = np.random.default_rng(24)
+    for n in (3, 600, 20000, 700, 1, 16000, 20001, 50):
+        absx = np.abs(rng.standard_normal(n))
+        _kernel_agrees(absx, 0.5 * _l1(absx), 0.0)
+    assert proxops._rank_cache.size == 20001
+    assert proxops._ranks(7).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    with pytest.raises(ValueError):
+        proxops._ranks(5)[0] = 0.0
 
 
 @given(

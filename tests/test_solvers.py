@@ -456,6 +456,54 @@ def test_rerror_recorded_when_truth_given():
     assert res.trace[0].rerror is not None
 
 
+def _inputs_instance():
+    # 576 entries, so the projection's prefilter and warm cut both run
+    from sparsq.problems import NoiseSpec, add_awgn, gen_blur_instance
+
+    inst = add_awgn(gen_blur_instance(24, 3, 0.7), NoiseSpec(60.0, 0))
+    return inst.A, inst.y_delta, inst.x_true
+
+
+def _run_with_truth(name, A, y, x0, x_true):
+    opts = SolverOptions(max_iter=40, record_trace=name.endswith("traced"))
+    kind = name.split()[0]
+    if kind == "search_radius":
+        r2 = float(np.sum(np.abs(x_true))) ** 2
+        mdp = MdpOptions(r_min=1.0, r_max=20.0 * r2, tau1=1.01, tau2=1.1, delta=1.0, max_outer=6)
+        return search_radius_mdp(A, y, 1e-5, 1.0, mdp, opts, x0, x_true).result
+    if kind == "select_alpha":
+        return select_alpha_discrepancy(A, y, 1.0, 0.5, "st", opts, max_steps=4, x0=x0)
+    if kind == "pg":
+        return solve_pg_sf(A, y, 1e-5, 1.0, RadiusSpec(0.5 * np.sum(np.abs(x_true))), opts, x0, x_true)
+    weights = {"hv": (RegParams(1e-3, 5e-4),), "ista": (1e-3,), "fista": (1e-3,),
+               "st": (1e-3, 5e-4), "ht": (1e-3,)}[kind]
+    solve = {"hv": solve_hv, "ista": solve_ista, "fista": solve_fista, "st": solve_st_l1_l2,
+             "ht": solve_ht_half}[kind]
+    return solve(A, y, *weights, opts, x0, x_true)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*SOLVER_NAMES, "pg traced", "search_radius", "search_radius traced", "select_alpha"],
+)
+def test_solvers_leave_inputs_alone(name):
+    # No solve writes into x0, ydelta or x_true, and no scratch array of one
+    # solve is (or is written into) another solve's result.
+    A, y, x_true = _inputs_instance()
+    x0 = np.full(A.domain_dim, 0.01)
+    before = [a.tobytes() for a in (x0, y, x_true)]
+    first = _run_with_truth(name, A, y, x0, x_true)
+    assert [a.tobytes() for a in (x0, y, x_true)] == before
+    second = _run_with_truth(name, A, y, x0, x_true)
+    assert [a.tobytes() for a in (x0, y, x_true)] == before
+    if name == "select_alpha":
+        assert first == second
+        return
+    kept = first.x_final.tobytes()
+    assert not any(np.shares_memory(second.x_final, a) for a in (first.x_final, x0, y, x_true))
+    assert first.x_final.tobytes() == kept == second.x_final.tobytes()
+
+
 # ------------------------------------------------------------------- MDP / alpha
 
 
