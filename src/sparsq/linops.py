@@ -311,14 +311,14 @@ def estimate_opnorm_sq(op, max_iters=500, tol=1e-10, seed=0):
     return OpNormEstimate(estimate, iters, converged)
 
 
-def opnorm_sq_cached(op, **kwargs):
+def opnorm_sq_cached(op):
     """||A*A||, memoized on the operator instance: op.exact_opnorm_sq() where
-    it has one, else the estimate_opnorm_sq(op, **kwargs) value."""
+    it has one, else the estimate_opnorm_sq(op) value."""
     cached = getattr(op, "_opnorm_sq_value", None)
     if cached is None:
         cached = op.exact_opnorm_sq()
         if cached is None:
-            cached = estimate_opnorm_sq(op, **kwargs).value
+            cached = estimate_opnorm_sq(op).value
         op._opnorm_sq_value = cached
     return cached
 

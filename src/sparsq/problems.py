@@ -35,7 +35,6 @@ CS_DESK_AMP_SCALE = 5.0
 
 # Desk-scale deblurring settings.
 BLUR_DESK = {"n": 16, "band": 3, "sigma": 0.7}
-BLUR_LARGE = {"n": 125, "band": 3, "sigma": 0.7}
 
 
 @dataclass(frozen=True)

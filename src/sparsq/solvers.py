@@ -7,14 +7,16 @@ Two first-class algorithms share the package's penalty:
 * solve_pg_sf   projected-gradient iteration over an l1 ball, derived from a
                 quadratic surrogate of 0.5||Ax - y||^2 - beta ||x||_2^2.
 
-search_radius_mdp wraps solve_pg_sf in an outer bisection on the squared ball
-radius driven by the discrepancy principle, and select_alpha_discrepancy does
-the analogous bisection on alpha for the penalized solvers listed in
-PENALIZED.  A radius trial whose solve would never project reuses an earlier
-solve that did not project either, since neither depends on the radius.  The
-remaining solvers (ISTA, which is FISTA without momentum, FISTA, a
-soft-threshold l1-minus-l2 iteration, and iterative half thresholding) are
-comparison baselines.
+Both discrepancy-principle searches run the one bisection loop _bisect:
+search_radius_mdp on the squared ball radius of solve_pg_sf at linear
+midpoints, select_alpha_discrepancy on alpha of a PENALIZED solver at
+geometric midpoints.  Each keeps its own policy in the residual function it
+passes.  The radius search runs untraced trials, records one MdpRecord per
+trial, and reuses an earlier solve that did not project for a trial that
+would not project either, since neither depends on the radius.  The alpha
+search solves both bracket ends before it bisects.  The remaining solvers
+(ISTA, which is FISTA without momentum, FISTA, a soft-threshold l1-minus-l2
+iteration, and iterative half thresholding) are comparison baselines.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, turns non-finite, or hits the iteration cap, and
@@ -294,17 +296,37 @@ def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
     return float(np.linalg.norm(x - project_l1_ball_sort(u, r)))
 
 
+def _bisect(residual_at, small, large, band, steps, midpoint):
+    """(p, residual, bracketed) of at most steps trials p = midpoint(small, large).
+
+    A residual in band = (low, high) ends the loop; one below low moves small
+    to p and any other moves large, so small is the small-residual end on
+    either side of large.  The last trial is returned if none lands."""
+    low, high = band
+    for _ in range(steps):
+        p = midpoint(small, large)
+        residual = residual_at(p)
+        if low <= residual <= high:
+            return p, residual, True
+        if residual < low:
+            small = p
+        else:
+            large = p
+    return p, residual, False
+
+
 def search_radius_mdp(
     A, ydelta, beta, gamma, mdp: MdpOptions, opts: SolverOptions, x0, x_true=None
 ):
     """Bisection on the squared l1-ball radius until the residual obeys the
     discrepancy band [tau1 * delta, tau2 * delta].
 
-    Each trial radius runs a fresh untraced solve_pg_sf from x0.  The residual
-    is a decreasing function of the radius, so the bracket update shrinks
-    toward the transition.  If max_outer halvings never land in the band the
-    result carries bracketed=False and holds the last midpoint solve.  With
-    opts.record_trace the returned solve is run once more, traced, at the
+    Each trial radius runs a fresh untraced solve_pg_sf from x0 and adds one
+    MdpRecord to the trace.  The residual is a decreasing function of the
+    radius, so _bisect gets r_max as its small-residual end and splits the
+    bracket at the linear midpoint.  If max_outer trials never land in the
+    band the result carries bracketed=False and holds the last trial's solve.
+    With opts.record_trace the returned solve is run once more, traced, at the
     returned radius.
 
     A solve that never projected (its peak_l1 is at most its radius) follows
@@ -312,30 +334,28 @@ def search_radius_mdp(
     above its peak_l1: every projection there returns its input.  Such trials
     reuse the first unprojected solve's result instead of solving again.
     """
-    r_min, r_max = mdp.r_min, mdp.r_max
     trial_opts = replace(opts, record_trace=False)
     trace = []
-    bracketed = False
     rerror = _rerror_fn(x_true)
-    unprojected = None  # the first trial result that never projected
-    for j in range(1, mdp.max_outer + 1):
-        r_j = 0.5 * (r_max + r_min)
-        radius = RadiusSpec.from_sq(r_j)
+    unprojected = result = None  # the first trial that never projected; the last trial
+
+    def residual_at(r_sq):
+        nonlocal unprojected, result
+        radius = RadiusSpec.from_sq(r_sq)
         if unprojected is not None and radius.radius_l1 >= unprojected.peak_l1:
             result = unprojected
         else:
             result = solve_pg_sf(A, ydelta, beta, gamma, radius, trial_opts, x0, x_true)
             if unprojected is None and result.peak_l1 <= radius.radius_l1:
                 unprojected = result
-        residual = result.residual_norm
-        trace.append(MdpRecord(j, r_j, residual, rerror(result.x_final)))
-        if residual < mdp.tau1 * mdp.delta:
-            r_max = r_j
-        elif residual > mdp.tau2 * mdp.delta:
-            r_min = r_j
-        else:
-            bracketed = True
-            break
+        trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_norm, rerror(result.x_final)))
+        return result.residual_norm
+
+    band = (mdp.tau1 * mdp.delta, mdp.tau2 * mdp.delta)
+    r_sq, _, bracketed = _bisect(
+        residual_at, mdp.r_max, mdp.r_min, band, mdp.max_outer, lambda a, b: 0.5 * (a + b)
+    )
+    radius = RadiusSpec.from_sq(r_sq)
     if opts.record_trace:
         result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true)
     return MdpResult(radius, result, bracketed, trace)
@@ -355,12 +375,13 @@ def select_alpha_discrepancy(
 ):
     """Pick alpha so the solve residual lands in [delta, band * delta].
 
-    The residual grows with alpha, so a log-scale bisection applies.  If even
-    the bracket endpoints cannot reach the band (residual above it at the low
-    end, or below it at the high end) the nearer endpoint is returned with
-    bracketed=False.  The inner solves run untraced.  solver is a key of
-    PENALIZED; any other raises ValueError, as do a delta, bracket or band
-    that is not finite, and a band below 1, which no residual can land in.
+    The residual grows with alpha, so a log-scale bisection of up to
+    max_steps + 1 midpoints applies.  If even the bracket endpoints cannot
+    reach the band (residual above it at the low end, or below it at the high
+    end) the nearer endpoint is returned with bracketed=False.  The inner
+    solves run untraced.  solver is a key of PENALIZED; any other raises
+    ValueError, as do a delta, bracket or band that is not finite, a band
+    below 1, which no residual can land in, and a negative max_steps.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -369,6 +390,8 @@ def select_alpha_discrepancy(
         raise ValueError("alpha_bracket must be positive, increasing and finite")
     if not 1 <= band < math.inf:
         raise ValueError("band must be finite and at least 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
     if x0 is None:
         x0 = np.full(A.domain_dim, 0.01)
     opts = replace(opts, record_trace=False)
@@ -390,17 +413,10 @@ def select_alpha_discrepancy(
     if res_hi <= band * delta:
         return AlphaSelection(hi, res_hi, True)
 
-    for _ in range(max_steps):
-        mid = float(np.sqrt(lo * hi))
-        res_mid = solve_at(mid)
-        if delta <= res_mid <= band * delta:
-            return AlphaSelection(mid, res_mid, True)
-        if res_mid < delta:
-            lo = mid
-        else:
-            hi = mid
-    mid = float(np.sqrt(lo * hi))
-    return AlphaSelection(mid, solve_at(mid), False)
+    alpha, residual, bracketed = _bisect(
+        solve_at, lo, hi, (delta, band * delta), max_steps + 1, lambda a, b: float(np.sqrt(a * b))
+    )
+    return AlphaSelection(alpha, residual, bracketed)
 
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):

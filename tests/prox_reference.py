@@ -1,10 +1,11 @@
 """Reference implementations for the tests.
 
-prox_sq_l1_bisect is the prox of alpha * ||.||_1^2 by bisection on psi.  It
-finds mu* by root-finding and shares no code with the library's
-sort-and-threshold kernel, so tests compare the library's prox against it,
-and the prox-based l1-ball projection run through it is an independent check
-of the sort-based projection.
+prox_sq_l1_bisect is the prox of alpha * ||.||_1^2 by bisection on psi, and
+prox_sq_l1_newton the same prox by Newton's method on psi in s = mu^(-1/2).
+Both find mu* by root-finding and share no code with the library's
+sort-and-threshold kernel, so tests compare the library's prox against the
+bisection, and the prox-based l1-ball projection run through the Newton form
+is an independent check of the sort-based projection.
 
 sort_threshold_full is that kernel with a full sort of every entry, the form
 the library's prefiltered kernel must match bit for bit.
@@ -64,6 +65,42 @@ def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
     lam = np.maximum(np.sqrt(alpha) * absx / np.sqrt(root) - 2.0 * alpha, 0.0)
     value = lam * x / (lam + 2.0 * alpha)
     return ProxResult(value, root, lam)
+
+
+def prox_sq_l1_newton(x, alpha):
+    """Prox of alpha * ||.||_1^2 from the root of psi, found by Newton's method.
+
+    In s = mu^(-1/2), g(s) = sum_i [sqrt(alpha) |x_i| s - 2 alpha]_+ - 1 is
+    convex, piecewise linear and nondecreasing.  At s0 = (1 + 2 alpha n) /
+    min_i sqrt(alpha) |x_i| (nonzero x_i) every bracket is at least 1, so
+    g(s0) >= 0, and Newton's method from there descends monotonically to the
+    root, each step leaving at least one bracket behind: at most n + 1 steps
+    in exact arithmetic.  It stops where g(s) <= 0 or s stops falling.  For
+    x = 0 the prox is 0.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    x = np.asarray(x, dtype=float)
+    if not np.any(x):
+        zeros = np.zeros_like(x)
+        return ProxResult(zeros, 0.0, zeros.copy())
+
+    a = np.sqrt(alpha) * np.abs(x)
+    s = (1.0 + 2.0 * alpha * x.size) / float(np.min(a[a > 0]))
+    for _ in range(2 * x.size + 10):
+        brackets = a * s - 2.0 * alpha
+        active = brackets > 0.0
+        g = float(np.sum(brackets[active])) - 1.0
+        s_next = s - g / float(np.sum(a[active]))
+        if not (g > 0.0 and s_next < s):
+            break
+        s = s_next
+    else:
+        raise RuntimeError("psi Newton iteration did not stop within the iteration cap")
+
+    lam = np.maximum(a * s - 2.0 * alpha, 0.0)
+    value = lam * x / (lam + 2.0 * alpha)
+    return ProxResult(value, 1.0 / (s * s), lam)
 
 
 def sort_threshold_full(absx, offset, ridge):

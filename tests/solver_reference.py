@@ -1,19 +1,23 @@
-"""Reference forms of the projected-gradient solve and the radius search.
+"""Reference forms of the projected-gradient solve and the two searches.
 
 pg_solve_reference is solve_pg_sf's iteration written plainly: each step
 projects (gamma x - A*(Ax - y)) / (gamma - 2 beta) with the public
 project_l1_ball_sort into a new array, and the step norm is np.linalg.norm.
 search_radius_reference is the discrepancy bisection with one solve per trial
 radius.  The library's in-place step, warm-started projection and reuse of
-unprojected trials must return the same bits.
+unprojected trials must return the same bits.  select_alpha_reference is the
+alpha search written as its own loop, with one more midpoint solved after it;
+the library's alpha search must return its alpha and residual, and its
+bracketed flag wherever that last midpoint's residual misses the band.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sparsq.proxops import RadiusSpec, project_l1_ball_sort
-from sparsq.solvers import Termination
+from sparsq.solvers import PENALIZED, AlphaSelection, SolverOptions, Termination
 
 
 def pg_solve_reference(A, ydelta, beta, gamma, r, max_iter, step_tol, x0):
@@ -61,3 +65,65 @@ def search_radius_reference(A, ydelta, beta, gamma, mdp, max_iter, step_tol, x0,
             bracketed = True
             break
     return radius, bracketed, path, solve
+
+
+def select_alpha_reference(
+    A,
+    ydelta,
+    delta,
+    eta,
+    solver="hv",
+    opts: SolverOptions = SolverOptions(),
+    alpha_bracket=(1e-8, 1e-1),
+    max_steps=60,
+    band=1.05,
+    x0=None,
+):
+    """Pick alpha so the solve residual lands in [delta, band * delta].
+
+    The residual grows with alpha, so a log-scale bisection applies.  If even
+    the bracket endpoints cannot reach the band (residual above it at the low
+    end, or below it at the high end) the nearer endpoint is returned with
+    bracketed=False.  The inner solves run untraced.  solver is a key of
+    PENALIZED; any other raises ValueError, as do a delta, bracket or band
+    that is not finite, and a band below 1, which no residual can land in.
+    """
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    lo, hi = alpha_bracket
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("alpha_bracket must be positive, increasing and finite")
+    if not 1 <= band < math.inf:
+        raise ValueError("band must be finite and at least 1")
+    if x0 is None:
+        x0 = np.full(A.domain_dim, 0.01)
+    opts = replace(opts, record_trace=False)
+
+    if solver not in PENALIZED:
+        raise ValueError(f"unknown solver {solver!r}")
+
+    def solve_at(alpha):
+        return PENALIZED[solver](A, ydelta, alpha, eta, opts, x0).residual_norm
+
+    res_lo = solve_at(lo)
+    if res_lo > band * delta:
+        return AlphaSelection(lo, res_lo, False)
+    if res_lo >= delta:
+        return AlphaSelection(lo, res_lo, True)
+    res_hi = solve_at(hi)
+    if res_hi < delta:
+        return AlphaSelection(hi, res_hi, False)
+    if res_hi <= band * delta:
+        return AlphaSelection(hi, res_hi, True)
+
+    for _ in range(max_steps):
+        mid = float(np.sqrt(lo * hi))
+        res_mid = solve_at(mid)
+        if delta <= res_mid <= band * delta:
+            return AlphaSelection(mid, res_mid, True)
+        if res_mid < delta:
+            lo = mid
+        else:
+            hi = mid
+    mid = float(np.sqrt(lo * hi))
+    return AlphaSelection(mid, solve_at(mid), False)

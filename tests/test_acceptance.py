@@ -32,7 +32,7 @@ from sparsq.solvers import (
 )
 from sparsq.problems import snr_metric
 from sparsq import cli
-from prox_reference import prox_sq_l1_bisect
+from prox_reference import prox_sq_l1_newton
 
 SEEDS = tuple(range(10))
 
@@ -67,9 +67,9 @@ def test_criterion_1_prox_oracle_equivalence():
 
 
 def test_criterion_2_projection_equivalence(monkeypatch):
-    # The prox-based route runs on the bisection reference prox, so it shares
-    # no code with the sort-and-threshold kernel of project_l1_ball_sort.
-    monkeypatch.setattr(sparsq.proxops, "prox_sq_l1", prox_sq_l1_bisect)
+    # The prox-based route runs on the Newton reference prox, so it shares no
+    # code with the sort-and-threshold kernel of project_l1_ball_sort.
+    monkeypatch.setattr(sparsq.proxops, "prox_sq_l1", prox_sq_l1_newton)
     rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(500):

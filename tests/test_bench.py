@@ -432,6 +432,22 @@ def test_cli_sweep(tmp_path):
     assert len(agg) == 1 + 3
 
 
+def test_cli_sweep_aborts_on_one_bad_cell(tmp_path, capsys):
+    # eta = 0.5 is a valid cell and eta = 2 is not: the whole sweep fails with
+    # a config error and writes no results, manifest or aggregate
+    out = tmp_path / "sweep.csv"
+    code = cli.main(
+        [
+            "sweep", "--experiment", "cs", "--algo", "hv", "--alpha", "1e-3", "--eta", "0",
+            "--axis", "eta", "--values", "0.5,2", "--maxiter", "20", "--seeds", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: hv (alpha=0.001, eta=2.0)")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_radius_search(tmp_path):
     out = tmp_path / "radius.csv"
     code = cli.main(

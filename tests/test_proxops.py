@@ -18,7 +18,7 @@ from sparsq.proxops import (
     psi,
     soft_threshold,
 )
-from prox_reference import prox_sq_l1_bisect, sort_threshold_full
+from prox_reference import prox_sq_l1_bisect, prox_sq_l1_newton, sort_threshold_full
 
 vectors = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=10
@@ -442,6 +442,21 @@ def test_prox_matches_bisection_reference():
         worst_mu = max(worst_mu, abs(out.mu_star - ref.mu_star) / ref.mu_star)
     assert worst_value <= 1e-11
     assert worst_mu <= 1e-11
+
+
+def test_newton_reference_matches_bisection_reference():
+    # The two root-finding references for criterion 2's prox-based projection
+    # agree with each other, apart from the library's kernel
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(1, 40))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        x[rng.random(n) < 0.2] = 0.0
+        alpha = float(10.0 ** rng.uniform(-4, 1))
+        newton, bisect = prox_sq_l1_newton(x, alpha), prox_sq_l1_bisect(x, alpha)
+        scale = max(float(np.max(np.abs(x))), 1e-300)
+        assert np.max(np.abs(newton.value - bisect.value)) <= 1e-11 * scale
+        assert newton.mu_star == pytest.approx(bisect.mu_star, rel=1e-10, abs=0.0)
 
 
 @given(vectors, st.floats(1e-3, 1e2))

@@ -690,8 +690,9 @@ def test_pg_reports_peak_l1():
         {"band": np.nan},
         {"band": 0.5},
         {"band": np.inf},
+        {"max_steps": -3},
     ],
-    ids=["delta-inf", "bracket-inf", "band-nan", "band-half", "band-inf"],
+    ids=["delta-inf", "bracket-inf", "band-nan", "band-half", "band-inf", "steps-negative"],
 )
 def test_select_alpha_rejects_bad_settings(kwargs):
     args = {"delta": 0.1, **kwargs}
@@ -751,6 +752,60 @@ def test_select_alpha_unreachable_band_flags():
         alpha_bracket=(1e-8, 1e-6),
     )
     assert not sel.bracketed
+
+
+@pytest.mark.parametrize("solver", ["hv", "ista", "fista", "st"])
+def test_select_alpha_matches_reference(solver, monkeypatch):
+    # The one bisection loop asks for the reference loop's alphas in its order
+    # and returns its alpha and residual.  Its bracketed flag differs only where
+    # the reference's extra midpoint after its loop landed in the band
+    # unflagged.  Solves are memoized per alpha, so both searches share them.
+    from sparsq.problems import cs_desk_instance
+    from solver_reference import select_alpha_reference
+
+    solve = PENALIZED[solver]
+    brackets = [(1e-8, 1e-1), (1e-8, 1e-6), (1e-2, 1e-1)]
+    for seed in range(3):
+        inst = cs_desk_instance(seed)
+        memo, calls = {}, []
+
+        def memoized(A, y, alpha, *rest):
+            calls.append(alpha)
+            if alpha not in memo:
+                memo[alpha] = solve(A, y, alpha, *rest)
+            return memo[alpha]
+
+        monkeypatch.setitem(PENALIZED, solver, memoized)
+        args = (inst.A, inst.y_delta, inst.delta, 0.5, solver)
+        for bracket in brackets:
+            for max_steps in (3, 0):
+                kwargs = {"alpha_bracket": bracket, "max_steps": max_steps}
+                ref = select_alpha_reference(*args, **kwargs)
+                ref_calls = calls.copy()
+                calls.clear()
+                out = select_alpha_discrepancy(*args, **kwargs)
+                assert calls == ref_calls
+                assert (out.alpha, out.residual_norm) == (ref.alpha, ref.residual_norm)
+                in_band = inst.delta <= ref.residual_norm <= 1.05 * inst.delta
+                assert out.bracketed == (ref.bracketed or in_band)
+                calls.clear()
+
+
+def test_select_alpha_flags_an_in_band_last_midpoint():
+    # With max_steps=0 the one midpoint tried, 6e-5, lands in the band, and
+    # is the last trial: it must still count as bracketed
+    from sparsq.problems import cs_desk_instance
+
+    inst = cs_desk_instance(0)
+    opts = SolverOptions(record_trace=False)
+    x0 = np.full(inst.A.domain_dim, 0.01)
+    delta = solve_fista(inst.A, inst.y_delta, 6e-5, opts, x0).residual_norm / 1.02
+    sel = select_alpha_discrepancy(
+        inst.A, inst.y_delta, delta, 0.0, "fista", opts,
+        alpha_bracket=(6e-6, 6e-4), max_steps=0,
+    )
+    assert sel.alpha == 6e-5 and sel.bracketed
+    assert delta <= sel.residual_norm <= 1.05 * delta
 
 
 @pytest.mark.parametrize("solver", ["pg", "ht", "lasso"])
