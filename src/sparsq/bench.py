@@ -16,7 +16,6 @@ runs are meaningful.
 """
 
 import configparser
-import io
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -282,18 +281,28 @@ def make_instance(cfg, seed):
     return inst, factor
 
 
-def _run_penalized(cfg, inst, spec, opts, x0):
+def _columns(alpha=math.nan, eta=math.nan, radius_sq=math.nan):
+    """A run's report columns; those that do not apply are nan."""
+    return dict(alpha=alpha, eta=eta, radius_sq=radius_sq)
+
+
+def _plan_penalized(cfg, inst, spec, opts, x0):
     alpha, eta = spec.params.get("alpha", math.nan), spec.params.get("eta", 0.0)
     # the weights every penalized solver takes: alpha > 0 and 0 <= eta <= 1
     trial_alpha = 1.0 if alpha == "auto" else alpha
     _checked(f"{spec.kind} (alpha={alpha}, eta={eta})", RegParams, trial_alpha, eta * trial_alpha)
-    if alpha == "auto":
-        alpha = select_alpha_discrepancy(
-            inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
-        ).alpha
-    result = PENALIZED[spec.kind](inst.A, inst.y_delta, alpha, eta, opts, x0, inst.x_true)
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
-    return result, (alpha, eta_column, math.nan)
+
+    def run():
+        chosen = alpha
+        if alpha == "auto":
+            chosen = select_alpha_discrepancy(
+                inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
+            ).alpha
+        result = PENALIZED[spec.kind](inst.A, inst.y_delta, chosen, eta, opts, x0, inst.x_true)
+        return _columns(chosen, eta_column), result
+
+    return run
 
 
 def _pg_weights(spec):
@@ -303,7 +312,8 @@ def _pg_weights(spec):
 
 
 def _search_radius(cfg, inst, spec, opts, x0):
-    """The radius search of a pg spec: radius_sq = auto, and radius_search()."""
+    """The radius search of a pg spec (radius_sq = auto, and radius_search()),
+    checked: a function that runs it and returns its MdpResult."""
     if "r_min" not in cfg.mdp or "r_max" not in cfg.mdp:
         raise ConfigError("radius search needs r_min and r_max (an [mdp] section or flags)")
     if not inst.delta > 0:
@@ -313,43 +323,50 @@ def _search_radius(cfg, inst, spec, opts, x0):
     except ValueError as err:
         raise ConfigError(f"[mdp] {err}") from None
     beta, gamma = _pg_weights(spec)
-    return search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
+    return lambda: search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
 
 
-def _run_pg(cfg, inst, spec, opts, x0):
+def _plan_pg(cfg, inst, spec, opts, x0):
     radius_sq = spec.params.get("radius_sq", math.nan)
     if radius_sq == "auto":
-        out = _search_radius(cfg, inst, spec, opts, x0)
-        return out.result, (math.nan, math.nan, out.radius.radius_sq)
+        search = _search_radius(cfg, inst, spec, opts, x0)
+
+        def run():
+            out = search()
+            return _columns(radius_sq=out.radius.radius_sq), out.result
+
+        return run
     if math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
     beta, gamma = _pg_weights(spec)
     radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
-    result = solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
-    return result, (math.nan, math.nan, radius_sq)
+    return lambda: (_columns(radius_sq=radius_sq),
+                    solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true))
 
 
-def _run_ht(cfg, inst, spec, opts, x0):
+def _plan_ht(cfg, inst, spec, opts, x0):
     lam = spec.params.get("lam", math.nan)
     if not lam > 0:
         raise ConfigError("ht needs a positive lam parameter")
-    result = solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true)
-    return result, (lam, math.nan, math.nan)  # ht's weight reported in the alpha column
+    # ht's weight is reported in the alpha column
+    return lambda: (_columns(lam), solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true))
 
 
 class SolverKind(NamedTuple):
     params: tuple  # the parameters it reads; a sweep axis applies to the kinds listing it
-    run: Callable  # (cfg, inst, spec, opts, x0) -> (SolveResult, (alpha, eta, radius_sq))
+    # (cfg, inst, spec, opts, x0) -> run, after every check of spec's run;
+    # run() -> run_algorithm's (row_fields, SolveResult)
+    plan: Callable
 
 
 # The solver kinds, in report order.  Report columns that do not apply are nan.
 SOLVER_KINDS = {
-    "hv": SolverKind(("alpha", "eta", "l_k"), _run_penalized),
-    "pg": SolverKind(("beta", "gamma", "radius_sq"), _run_pg),
-    "ista": SolverKind(("alpha", "lambda"), _run_penalized),
-    "fista": SolverKind(("alpha", "lambda"), _run_penalized),
-    "st": SolverKind(("alpha", "eta", "lambda"), _run_penalized),
-    "ht": SolverKind(("lam", "lambda"), _run_ht),
+    "hv": SolverKind(("alpha", "eta", "l_k"), _plan_penalized),
+    "pg": SolverKind(("beta", "gamma", "radius_sq"), _plan_pg),
+    "ista": SolverKind(("alpha", "lambda"), _plan_penalized),
+    "fista": SolverKind(("alpha", "lambda"), _plan_penalized),
+    "st": SolverKind(("alpha", "eta", "lambda"), _plan_penalized),
+    "ht": SolverKind(("lam", "lambda"), _plan_ht),
 }
 
 ALGORITHMS = tuple(SOLVER_KINDS)
@@ -371,53 +388,70 @@ def _solver_inputs(cfg, inst, spec, record_trace=False):
     return opts, np.full(inst.A.domain_dim, cfg.x0_value)
 
 
+def _plan(cfg, inst, spec, record_trace=False):
+    """spec's run on inst, checked; see SolverKind.plan."""
+    opts, x0 = _solver_inputs(cfg, inst, spec, record_trace)
+    return SOLVER_KINDS[spec.kind].plan(cfg, inst, spec, opts, x0)
+
+
 def run_algorithm(cfg, inst, spec, record_trace=False):
     """Run one algorithm on one instance.  Returns (row_fields, SolveResult)."""
-    opts, x0 = _solver_inputs(cfg, inst, spec, record_trace)
-    result, (alpha, eta, radius_sq) = SOLVER_KINDS[spec.kind].run(cfg, inst, spec, opts, x0)
-    return dict(alpha=alpha, eta=eta, radius_sq=radius_sq), result
+    return _plan(cfg, inst, spec, record_trace)()
+
+
+def _plan_cells(cfgs, want_traces=False):
+    """Per config of cfgs, its (seed, inst, factor, spec, run) cells in run
+    order.  Every check of every cell is made here, so a ConfigError comes
+    before the first solve; each seed's instance is built once, for its cells."""
+    return [[(seed, inst, factor, spec, _plan(cfg, inst, spec, want_traces))
+             for seed in cfg.seeds for inst, factor in [make_instance(cfg, seed)]
+             for spec in cfg.algorithms] for cfg in cfgs]
+
+
+def _run_cells(cfg, cells):
+    """Run planned cells of cfg, dropping each (and so, after its last cell,
+    its instance) once it has run.  Returns run_experiment's triple."""
+    rows = []
+    traces = {}
+    rescale = cells[0][2]
+    while cells:
+        seed, inst, _, spec, run = cells.pop(0)
+        start = time.perf_counter()
+        columns, result = run()
+        elapsed_ms = 1e3 * (time.perf_counter() - start)
+        x = result.x_final
+        snr_out = snr_metric(x, inst.x_true) if inst.x_true is not None else math.nan
+        rerror = rerror_metric(x, inst.x_true) if inst.x_true is not None else math.nan
+        rows.append(
+            ReportRow(
+                experiment=cfg.experiment,
+                algorithm=spec.kind,
+                seed=seed,
+                n=inst.A.domain_dim,
+                m=inst.A.range_dim,
+                s=int(np.count_nonzero(inst.x_true)) if inst.x_true is not None else 0,
+                snr_db=cfg.snr_db,
+                **columns,
+                iterations=result.iterations,
+                time_ms=elapsed_ms,
+                snr_out_db=snr_out,
+                rerror=rerror,
+                residual_norm=result.residual_norm,
+                termination=str(result.termination.value),
+            )
+        )
+        if result.trace:
+            traces[(spec.kind, seed)] = result.trace
+    rows.sort(key=_row_sort_key)
+    return rows, traces, rescale
 
 
 def run_experiment(cfg, want_traces=False):
-    """Run every (algorithm, seed) cell, building each seed's instance once.
-    Returns (rows, traces, rescale): traces maps (algorithm, seed) to the
-    per-iteration record list, and rescale is make_instance's operator rescale
-    factor for the first seed."""
-    rows = []
-    traces = {}
-    rescale = None
-    for seed in cfg.seeds:
-        inst, factor = make_instance(cfg, seed)
-        rescale = factor if rescale is None else rescale
-        for spec in cfg.algorithms:
-            start = time.perf_counter()
-            columns, result = run_algorithm(cfg, inst, spec, record_trace=want_traces)
-            elapsed_ms = 1e3 * (time.perf_counter() - start)
-            x = result.x_final
-            snr_out = snr_metric(x, inst.x_true) if inst.x_true is not None else math.nan
-            rerror = rerror_metric(x, inst.x_true) if inst.x_true is not None else math.nan
-            rows.append(
-                ReportRow(
-                    experiment=cfg.experiment,
-                    algorithm=spec.kind,
-                    seed=seed,
-                    n=inst.A.domain_dim,
-                    m=inst.A.range_dim,
-                    s=int(np.count_nonzero(inst.x_true)) if inst.x_true is not None else 0,
-                    snr_db=cfg.snr_db,
-                    **columns,
-                    iterations=result.iterations,
-                    time_ms=elapsed_ms,
-                    snr_out_db=snr_out,
-                    rerror=rerror,
-                    residual_norm=result.residual_norm,
-                    termination=str(result.termination.value),
-                )
-            )
-            if want_traces:
-                traces[(spec.kind, seed)] = result.trace
-    rows.sort(key=_row_sort_key)
-    return rows, traces, rescale
+    """Run every (algorithm, seed) cell, after checking them all, building each
+    seed's instance once.  Returns (rows, traces, rescale): traces maps
+    (algorithm, seed) to the per-iteration record list, and rescale is
+    make_instance's operator rescale factor for the first seed."""
+    return _run_cells(cfg, _plan_cells([cfg], want_traces)[0])
 
 
 def sweep(cfg, axis, values, want_traces=False):
@@ -425,9 +459,9 @@ def sweep(cfg, axis, values, want_traces=False):
 
     axis is one of 'eta', 'alpha', 'snr_db'.  Parameter axes require every
     configured algorithm to accept that parameter; the noise axis applies at
-    the instance level.  Returns (rows, aggregate) where aggregate holds one
-    entry per (algorithm, value) with the seed median and mean of the quality
-    metrics.
+    the instance level.  Every cell of every value is checked before the first
+    solve.  Returns (rows, aggregate) where aggregate holds one entry per
+    (algorithm, value) with the seed median and mean of the quality metrics.
     """
     values = list(values)
     if not values:
@@ -438,14 +472,14 @@ def sweep(cfg, axis, values, want_traces=False):
         bad = [a.kind for a in cfg.algorithms if axis not in SOLVER_KINDS[a.kind].params]
         if bad:
             raise ConfigError(f"axis {axis!r} does not apply to algorithms {bad}")
+    if axis == "snr_db":
+        cfgs = [replace(cfg, snr_db=value) for value in values]
+    else:
+        cfgs = [replace(cfg, algorithms=tuple(AlgorithmSpec(a.kind, {**a.params, axis: value})
+                                              for a in cfg.algorithms)) for value in values]
     all_rows = []
-    for value in values:
-        if axis == "snr_db":
-            cfg_v = replace(cfg, snr_db=value)
-        else:
-            specs = (AlgorithmSpec(a.kind, {**a.params, axis: value}) for a in cfg.algorithms)
-            cfg_v = replace(cfg, algorithms=tuple(specs))
-        all_rows.extend(run_experiment(cfg_v, want_traces=want_traces)[0])
+    for cfg_v, cells in zip(cfgs, _plan_cells(cfgs, want_traces)):
+        all_rows.extend(_run_cells(cfg_v, cells)[0])
     return all_rows, aggregate_rows(all_rows, axis)
 
 
@@ -482,7 +516,7 @@ def radius_search(cfg):
     inst, _ = make_instance(cfg, cfg.seeds[0])
     if inst.x_true is None:
         raise ConfigError("radius search needs an instance with ground truth")
-    return _search_radius(cfg, inst, spec, *_solver_inputs(cfg, inst, spec)), inst
+    return _search_radius(cfg, inst, spec, *_solver_inputs(cfg, inst, spec))(), inst
 
 
 def _fmt(value):
@@ -513,40 +547,30 @@ def _row_sort_key(row):
     )
 
 
+def _csv_text(columns, records):
+    """A header line of columns, then one line per record, a sequence of
+    values written with _fmt; a None (an unknown rerror) is written as nan."""
+    lines = [columns] + [[_fmt(math.nan if v is None else v) for v in rec] for rec in records]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def report_csv_text(rows):
-    buf = io.StringIO()
-    buf.write(",".join(REPORT_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(getattr(row, col)) for col in REPORT_COLUMNS) + "\n")
-    return buf.getvalue()
+    return _csv_text(REPORT_COLUMNS, ([getattr(row, c) for c in REPORT_COLUMNS] for row in rows))
 
 
 def agg_csv_text(agg):
     """The aggregate entries of sweep() / aggregate_rows() as CSV text."""
-    buf = io.StringIO()
-    buf.write(",".join(AGG_COLUMNS) + "\n")
-    for entry in agg:
-        buf.write(",".join(_fmt(entry[col]) for col in AGG_COLUMNS) + "\n")
-    return buf.getvalue()
+    return _csv_text(AGG_COLUMNS, ([entry[c] for c in AGG_COLUMNS] for entry in agg))
 
 
 def trace_csv_text(trace):
-    buf = io.StringIO()
-    buf.write(",".join(TRACE_COLUMNS) + "\n")
-    for rec in trace:
-        rerror = math.nan if rec.rerror is None else rec.rerror
-        vals = (rec.k, rec.objective, rec.residual_norm, rec.step_norm, rerror, rec.elapsed_s)
-        buf.write(",".join(_fmt(v) for v in vals) + "\n")
-    return buf.getvalue()
+    return _csv_text(TRACE_COLUMNS, ((r.k, r.objective, r.residual_norm, r.step_norm, r.rerror,
+                                      r.elapsed_s) for r in trace))
 
 
 def mdp_trace_csv_text(trace):
-    buf = io.StringIO()
-    buf.write(",".join(MDP_TRACE_COLUMNS) + "\n")
-    for rec in trace:
-        rerror = math.nan if rec.rerror is None else rec.rerror
-        buf.write(",".join(_fmt(v) for v in (rec.j, rec.radius_sq, rec.residual_norm, rerror)) + "\n")
-    return buf.getvalue()
+    return _csv_text(MDP_TRACE_COLUMNS, ((r.j, r.radius_sq, r.residual_norm, r.rerror)
+                                         for r in trace))
 
 
 def deterministic_view(csv_text):
@@ -554,13 +578,8 @@ def deterministic_view(csv_text):
     lines = csv_text.splitlines()
     if not lines:
         return csv_text
-    header = lines[0].split(",")
-    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
-    out = []
-    for line in lines:
-        cells = line.split(",")
-        out.append(",".join(cells[i] for i in keep))
-    return "\n".join(out) + "\n"
+    keep = [i for i, name in enumerate(lines[0].split(",")) if name not in TIMING_COLUMNS]
+    return "".join(",".join(line.split(",")[i] for i in keep) + "\n" for line in lines)
 
 
 def manifest_text(cfg, notes=()):

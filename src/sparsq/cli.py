@@ -62,9 +62,10 @@ def _add_common_flags(sub, kind):
         sub.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAG_HELP.get(key))
 
 
-def _config_from_args(args, kind):
+def _config_from_args(args):
     """Write the flags over the config file's sections, or over the desk
     defaults without one, and build the config from them."""
+    kind = args.experiment
     if args.config:
         sections = read_config(args.config)
         config_kind = sections["experiment"].get("kind", "cs").strip()
@@ -109,32 +110,22 @@ def _write(path, text):
         fh.write(text)
 
 
-def _run_and_write(cfg, args):
+def _cmd_run(args):
+    cfg = _config_from_args(args)
     out = cfg.out or "results.csv"
-    trace_dir = cfg.trace_dir
-    rows, traces, factor = run_experiment(cfg, want_traces=bool(trace_dir))
+    rows, traces, factor = run_experiment(cfg, want_traces=bool(cfg.trace_dir))
     notes = () if factor == 1.0 else (f"operator_rescale = {factor:.17g}",)
     _write(out, report_csv_text(rows))
     _write(out + ".manifest.txt", manifest_text(cfg, notes=notes))
-    if trace_dir:
-        for (algo, seed), trace in traces.items():
-            path = os.path.join(trace_dir, f"trace_{cfg.experiment}_{algo}_seed{seed}.csv")
-            _write(path, trace_csv_text(trace))
+    for (algo, seed), trace in traces.items():  # none without a trace_dir
+        path = os.path.join(cfg.trace_dir, f"trace_{cfg.experiment}_{algo}_seed{seed}.csv")
+        _write(path, trace_csv_text(trace))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def _cmd_cs(args):
-    return _run_and_write(_config_from_args(args, "cs"), args)
-
-
-def _cmd_deblur(args):
-    return _run_and_write(_config_from_args(args, "deblur"), args)
-
-
 def _cmd_sweep(args):
-    kind = args.experiment
-    cfg = _config_from_args(args, kind)
+    cfg = _config_from_args(args)
     out = cfg.out or "results.csv"
     values = [parse_number(t, "values") for t in args.values.replace(",", " ").split()]
     rows, agg = sweep(cfg, args.axis, values)
@@ -146,8 +137,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_radius_search(args):
-    kind = args.experiment
-    cfg = _config_from_args(args, kind)
+    cfg = _config_from_args(args)
     out_path = cfg.out or "results.csv"
     out, inst = radius_search(cfg)
     _write(out_path, mdp_trace_csv_text(out.trace))
@@ -285,13 +275,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"sparsq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    cs = subs.add_parser("cs", help="compressive sensing experiment")
-    _add_common_flags(cs, "cs")
-    cs.set_defaults(func=_cmd_cs)
-
-    deblur = subs.add_parser("deblur", help="image deblurring experiment")
-    _add_common_flags(deblur, "deblur")
-    deblur.set_defaults(func=_cmd_deblur)
+    for kind, about in (("cs", "compressive sensing"), ("deblur", "image deblurring")):
+        run = subs.add_parser(kind, help=f"{about} experiment")
+        _add_common_flags(run, kind)
+        run.set_defaults(func=_cmd_run, experiment=kind)  # no --experiment flag
 
     sw = subs.add_parser("sweep", help="parameter sweep over eta, alpha, or snr_db")
     sw.add_argument("--experiment", choices=("cs", "deblur"), default="cs")

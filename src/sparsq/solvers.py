@@ -15,17 +15,19 @@ passes.  The radius search runs untraced trials, records one MdpRecord per
 trial, and reuses an earlier solve that did not project for a trial that
 would not project either, since neither depends on the radius.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
-(ISTA, which is FISTA without momentum, FISTA, a soft-threshold l1-minus-l2
-iteration, and iterative half thresholding) are comparison baselines.
+(ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
+thresholding) are comparison baselines.  FISTA is ISTA's step taken from an
+extrapolated point, which the iteration engine _iterate forms.
 
 Every solver is deterministic given its inputs, stops when the step norm
-falls below opts.step_tol, turns non-finite, or hits the iteration cap, and
-can record a per-iteration trace.  The gradient step uses the descent sign
-x - t * A*(Ax - y) throughout, with the gradient formed as N x - A*y from the
-operator's normal operator N = A*A: one operator call per iteration.  The
-engine forms the residual Ax - y only for a traced record and once at the
-end, for SolveResult.residual_norm.  The gradient and the step x_next - x
-are written into arrays made once per solve, never into a result.
+falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
+hits the iteration cap, and can record a per-iteration trace.  The gradient
+step uses the descent sign x - t * A*(Ax - y) throughout, with the gradient
+formed as N x - A*y from the operator's normal operator N = A*A: one
+operator call per iteration.  The engine forms the residual Ax - y only for
+a traced record and once at the end, for SolveResult.residual_norm.  The
+gradient and the step x_next - x are written into arrays made once per
+solve, never into a result.
 """
 
 import math
@@ -178,21 +180,35 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None):
-    """Run x <- step_fn(x) from x0.  The residual r = Ax - y is formed for each
-    traced record, which gets objective_fn(x, r) and ||r||, and once at the end
-    for the result's residual_norm."""
+def fista_momentum_next(t):
+    """Momentum update t -> (1 + sqrt(1 + 4 t^2)) / 2."""
+    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+
+
+def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=False):
+    """Run x <- step_fn(z) from x0, with z = x, or with momentum FISTA's
+    extrapolated point z = x + ((t_k - 1) / t_{k+1}) (x - x_prev) from the
+    second step on (t_1 = 1, t_{k+1} = fista_momentum_next(t_k)).  The step
+    norm is ||x_next - x||.  The residual r = Ax - y is formed for each traced
+    record, which gets objective_fn(x, r) and ||r||, and once at the end for
+    the result's residual_norm."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     rerror = _rerror_fn(x_true)
     trace = []
-    diff = np.empty_like(x)  # x_next - x
+    diff = np.empty_like(x)  # x_next - x, which is x - x_prev at the next step
+    t_k = 1.0
     start = time.perf_counter()
     termination = Termination.MAX_ITER
     k = 0
     for k in range(1, opts.max_iter + 1):
-        x_next = step_fn(x)
+        z = x
+        if momentum and k > 1:
+            t_next = fista_momentum_next(t_k)
+            z = x + ((t_k - 1.0) / t_next) * diff
+            t_k = t_next
+        x_next = step_fn(z)
         step_norm = _norm(np.subtract(x_next, x, out=diff))
         x = x_next
         if opts.record_trace:
@@ -420,20 +436,13 @@ def select_alpha_discrepancy(
 
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
-    """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1: FISTA with
-    the momentum sequence held at 1."""
+    """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1."""
     return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum=False)
 
 
-def fista_momentum_next(t):
-    """Momentum update t -> (1 + sqrt(1 + 4 t^2)) / 2."""
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-
-
-def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None, momentum=True):
-    """ISTA with extrapolation.  momentum=False freezes the momentum sequence
-    at 1, which is plain ISTA."""
-    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum)
+def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
+    """ISTA's step taken from FISTA's extrapolated point, which the engine forms."""
+    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum=True)
 
 
 def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
@@ -442,19 +451,14 @@ def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
         raise ValueError("alpha must be positive")
     t = 1.0 / opts.lambda_st
     grad = _gradient(A, ydelta)
-    state = {"t": 1.0, "x_prev": None}
 
-    def step(x):  # a prox-gradient step from the extrapolated point z
-        z = x
-        if momentum and state["x_prev"] is not None:
-            t_k = state["t"]
-            t_next = fista_momentum_next(t_k)
-            z = x + ((t_k - 1.0) / t_next) * (x - state["x_prev"])
-            state["t"] = t_next
-        state["x_prev"] = x
+    def step(z):
         return soft_threshold(z - t * grad(z), alpha * t)
 
-    return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)
+    def objective(x, r):
+        return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
+
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
 
 
 def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
@@ -463,10 +467,7 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     The l2 term enters through x / ||x||_2, so the iterate norm is floored at
     1e-12 to keep the step defined; beta = 0 reduces the step to ISTA's.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not 0 <= beta <= alpha:
-        raise ValueError("beta must satisfy 0 <= beta <= alpha")
+    RegParams(alpha, beta)  # checks alpha > 0 and 0 <= beta <= alpha
     gamma = opts.lambda_st
     grad = _gradient(A, ydelta)
 
@@ -499,13 +500,6 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
         return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))
 
     return _iterate(A, ydelta, x0, step, objective, opts, x_true)
-
-
-def _l1_objective(alpha):
-    def objective(x, r):
-        return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
-
-    return objective
 
 
 # Penalized solvers by kind, each called as (A, ydelta, alpha, eta, opts, x0[, x_true]).

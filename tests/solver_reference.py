@@ -9,6 +9,10 @@ unprojected trials must return the same bits.  select_alpha_reference is the
 alpha search written as its own loop, with one more midpoint solved after it;
 the library's alpha search must return its alpha and residual, and its
 bracketed flag wherever that last midpoint's residual misses the band.
+_soft_threshold_iteration is the ISTA/FISTA body, with its objective
+_l1_objective, that kept FISTA's extrapolation in a state dict of its step
+closure and ran the engine without momentum; solve_ista and solve_fista,
+whose engine forms that point, must return its bits.
 """
 
 import math
@@ -16,8 +20,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from sparsq.proxops import RadiusSpec, project_l1_ball_sort
-from sparsq.solvers import PENALIZED, AlphaSelection, SolverOptions, Termination
+from sparsq.proxops import RadiusSpec, project_l1_ball_sort, soft_threshold
+from sparsq.solvers import (
+    PENALIZED,
+    AlphaSelection,
+    SolverOptions,
+    Termination,
+    _gradient,
+    _iterate,
+    fista_momentum_next,
+)
 
 
 def pg_solve_reference(A, ydelta, beta, gamma, r, max_iter, step_tol, x0):
@@ -127,3 +139,31 @@ def select_alpha_reference(
             hi = mid
     mid = float(np.sqrt(lo * hi))
     return AlphaSelection(mid, solve_at(mid), False)
+
+
+def _l1_objective(alpha):
+    def objective(x, r):
+        return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
+
+    return objective
+
+
+def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
+    """Body of both, so neither public solver calls the other."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    t = 1.0 / opts.lambda_st
+    grad = _gradient(A, ydelta)
+    state = {"t": 1.0, "x_prev": None}
+
+    def step(x):  # a prox-gradient step from the extrapolated point z
+        z = x
+        if momentum and state["x_prev"] is not None:
+            t_k = state["t"]
+            t_next = fista_momentum_next(t_k)
+            z = x + ((t_k - 1.0) / t_next) * (x - state["x_prev"])
+            state["t"] = t_next
+        state["x_prev"] = x
+        return soft_threshold(z - t * grad(z), alpha * t)
+
+    return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)

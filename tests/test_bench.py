@@ -448,6 +448,51 @@ def test_cli_sweep_aborts_on_one_bad_cell(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _count_solves(monkeypatch):
+    """A list that gets one entry per solve: every solver runs solvers._iterate."""
+    import sparsq.solvers
+
+    solves = []
+    real = sparsq.solvers._iterate
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparsq.solvers, "_iterate", counting)
+    return solves
+
+
+def test_cli_sweep_checks_every_cell_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    # the bad value comes last: the 9 cells before it must not run
+    solves = _count_solves(monkeypatch)
+    code = cli.main(
+        [
+            "sweep", "--experiment", "cs", "--algo", "hv", "--alpha", "6e-5", "--eta", "0",
+            "--axis", "eta", "--values", "0,0.5,1,2", "--seeds", "0,1,2", "--maxiter", "20",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: hv (alpha=6e-05, eta=2.0)")
+    assert len(solves) == 0
+
+
+def test_run_checks_every_algorithm_before_the_first_solve(tmp_path, monkeypatch):
+    # pg's radius search comes before st's out-of-range eta, on every seed
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[experiment]\nkind = cs\nn = 40\nm = 16\ns = 4\nscale = 0.1\nsnr_db = 40\n"
+        "seeds = 0, 1\nmaxiter = 20\n[algorithm:pg]\nradius_sq = auto\n"
+        "[algorithm:st]\nalpha = 1e-3\neta = 2.0\n[mdp]\nr_min = 1\nr_max = 200\n"
+    )
+    cfg = load_config(str(path))
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(ConfigError, match=r"st \(alpha=0.001, eta=2.0\)"):
+        run_experiment(cfg)
+    assert len(solves) == 0
+
+
 def test_cli_radius_search(tmp_path):
     out = tmp_path / "radius.csv"
     code = cli.main(
