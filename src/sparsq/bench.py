@@ -291,6 +291,8 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
     # the weights every penalized solver takes: alpha > 0 and 0 <= eta <= 1
     trial_alpha = 1.0 if alpha == "auto" else alpha
     _checked(f"{spec.kind} (alpha={alpha}, eta={eta})", RegParams, trial_alpha, eta * trial_alpha)
+    if alpha == "auto" and not inst.delta > 0:
+        raise ConfigError("alpha = auto needs noisy data (delta > 0)")
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
 
     def run():
@@ -454,7 +456,7 @@ def run_experiment(cfg, want_traces=False):
     return _run_cells(cfg, _plan_cells([cfg], want_traces)[0])
 
 
-def sweep(cfg, axis, values, want_traces=False):
+def sweep(cfg, axis, values):
     """Cross-product run over a parameter axis.
 
     axis is one of 'eta', 'alpha', 'snr_db'.  Parameter axes require every
@@ -478,7 +480,7 @@ def sweep(cfg, axis, values, want_traces=False):
         cfgs = [replace(cfg, algorithms=tuple(AlgorithmSpec(a.kind, {**a.params, axis: value})
                                               for a in cfg.algorithms)) for value in values]
     all_rows = []
-    for cfg_v, cells in zip(cfgs, _plan_cells(cfgs, want_traces)):
+    for cfg_v, cells in zip(cfgs, _plan_cells(cfgs)):
         all_rows.extend(_run_cells(cfg_v, cells)[0])
     return all_rows, aggregate_rows(all_rows, axis)
 
@@ -583,8 +585,7 @@ def deterministic_view(csv_text):
 
 
 def manifest_text(cfg, notes=()):
-    cs = cfg.experiment == "cs"
-    shape = ("n", "m", "s", "scale", "amp_scale") if cs else ("n", "band", "sigma")
+    shape = ("n",) + tuple(k for k in EXPERIMENT_KEYS[cfg.experiment] if k not in _COMMON_KEYS)
     lines = [f"sparsq {__version__}", "[config]", f"experiment = {cfg.experiment}"]
     lines += [f"{k} = {_fmt(getattr(cfg, k))}" for k in shape + ("snr_db", "maxiter", "step_tol")]
     lines += [f"x0 = {_fmt(cfg.x0_value)}", "[algorithms]"]

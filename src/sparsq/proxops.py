@@ -10,9 +10,10 @@ the optimality condition in the paper's variable mu = tau^2 / (4 alpha): the
 prox's mu* is its root.
 
 Two l1-ball projections are provided.  The sort-based one is the exact
-O(n log n) method and is used on solver hot paths; the prox-based one obtains
-the projection by tuning alpha until the prox output has the requested l1
-norm, and exists as an independent cross-check of the first.  The solvers call
+O(n log n) method and is used on solver hot paths; the prox-based one finds
+the alpha at which the prox output has the requested l1 norm by exact Newton
+steps, at most nnz(x) + 1 prox calls and no tolerance, and exists as an
+independent cross-check of the first.  The solvers call
 the sort-based one through its private body, which also returns the threshold
 and ||x||_1 and takes a guess at the threshold (a cut) that narrows the sort:
 an iterate's threshold moves little from one step to the next.  The guess
@@ -268,45 +269,38 @@ def _project_l1_ball(x, radius, cut=None):
     return np.copysign(absx, x, out=absx), theta, l1
 
 
-def project_l1_ball_hv(x, r, tol=1e-10, max_iters=200):
-    """l1-ball projection computed through prox_sq_l1.
+def project_l1_ball_hv(x, r):
+    """l1-ball projection computed through prox_sq_l1, by exact Newton steps on alpha.
 
-    The l1 norm of the prox output is continuous and decreasing in alpha, from
-    ||x||_1 at alpha -> 0 down to 0, so when ||x||_1 exceeds the radius there is
-    an alpha at which the prox output lands on the sphere ||.||_1 = radius and
-    that output is the projection.  alpha is located by bisection on its
-    logarithm until | ||value||_1 - radius | <= tol.  Inputs already inside the
-    ball are returned unchanged.
+    While the support of prox_alpha(x) stays fixed, with rho entries summing
+    to S in |x|, its l1 norm is S / (1 + 2 alpha rho): 1 / ||prox_alpha(x)||_1
+    is piecewise linear, increasing and concave in alpha (the support and the
+    slope 2 rho / S shrink as alpha grows).  A Newton step solves the current
+    piece for the radius r: alpha = (S - r) / r / (2 rho), positive whenever
+    S > r, with no 2 rho r to overflow.  The first piece, on the full support,
+    lies above the whole function, so the steps start at or below the root
+    and climb until alpha stops increasing (the support stops changing) or the
+    support is empty.  Each support is met once: at most nnz(x) + 1 prox calls
+    and no tolerance.  Returns the last prox output; inside the ball, a copy
+    of x.  ValueError if x has a NaN or infinite entry or ||x||_1 overflows.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=float)
     radius = r.radius_l1
-    if np.sum(np.abs(x)) <= radius:
-        return x.copy()
-
-    def excess(alpha):
+    absx = np.abs(x)
+    s = _l1(absx)
+    if not math.isfinite(s):
+        if not np.all(np.isfinite(absx)):
+            raise ValueError("x must be finite")
+        raise ValueError("||x||_1 overflows: scale x and the radius down together")
+    if radius < 1e-300 * s:
+        # alpha would overflow in prox_sq_l1; 0 is within r of the projection
+        return np.zeros_like(x)
+    alpha, value, support = 0.0, x.copy(), absx != 0.0
+    while np.any(support):
+        step = (_l1(absx[support]) - radius) / radius / (2.0 * np.count_nonzero(support))
+        if not step > alpha:
+            break
+        alpha = step
         value = prox_sq_l1(x, alpha).value
-        return float(np.sum(np.abs(value))) - radius
-
-    lo = 1e-14
-    while excess(lo) <= 0.0:
-        lo *= 0.01
-        if lo < 1e-300:
-            raise RuntimeError("failed to bracket the projection weight from below")
-    hi = 1.0
-    while excess(hi) >= 0.0:
-        hi *= 100.0
-        if hi > 1e300:
-            raise RuntimeError("failed to bracket the projection weight from above")
-
-    for _ in range(max_iters):
-        mid = float(np.sqrt(lo * hi))
-        e = excess(mid)
-        if abs(e) <= tol:
-            return prox_sq_l1(x, mid).value
-        if e > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("projection bisection did not reach the requested tolerance")
+        support = value != 0.0
+    return value

@@ -70,10 +70,23 @@ def eval_surrogate(A, ydelta, omega, x, beta, gamma):
     )
 
 
+def _gradient(A, ydelta):
+    """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A.
+
+    Every solver builds its gradient here once per solve, so this is where a
+    non-finite ydelta is rejected.  Each call writes its value into the same
+    array, which the next call overwrites."""
+    if not np.all(np.isfinite(ydelta)):
+        raise ValueError("ydelta must be finite")
+    normal, aty = A.normal, A.apply_adjoint(ydelta)
+    out = np.empty(A.domain_dim)
+    return lambda x: np.subtract(normal.apply(x), aty, out=out)
+
+
 def grad_f(A, ydelta, x, beta):
-    """Gradient of the smooth part: A*(Ax - y) - 2 * beta * x."""
+    """Gradient of the smooth part: A*(Ax - y) - 2 * beta * x, from _gradient."""
     x = np.asarray(x, dtype=float)
-    return A.apply_adjoint(A.apply(x) - ydelta) - 2.0 * beta * x
+    return _gradient(A, ydelta)(x) - 2.0 * beta * x
 
 
 def phi(s, t):

@@ -48,7 +48,7 @@ from .proxops import (
     prox_sq_l1,
     soft_threshold,
 )
-from .regfun import RegParams, eval_D, eval_J
+from .regfun import RegParams, _gradient, eval_D, eval_J, grad_f
 
 # solve_pg_sf passes this multiple of the last step's l1-ball threshold to the
 # next projection as a lower-bound guess (proxops._sort_threshold's cut).  On
@@ -160,19 +160,6 @@ def _rerror_fn(x_true):
     if not norm:
         return lambda x: None
     return lambda x: float(np.linalg.norm(x - x_true)) / norm
-
-
-def _gradient(A, ydelta):
-    """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A.
-
-    Every solver builds its gradient here once per solve, so this is where a
-    non-finite ydelta is rejected.  Each call writes its value into the same
-    array, which the next call overwrites."""
-    if not np.all(np.isfinite(ydelta)):
-        raise ValueError("ydelta must be finite")
-    normal, aty = A.normal, A.apply_adjoint(ydelta)
-    out = np.empty(A.domain_dim)
-    return lambda x: np.subtract(normal.apply(x), aty, out=out)
 
 
 def _norm(v):
@@ -306,9 +293,12 @@ def _pg_denominator(beta, gamma):
 
 
 def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
-    """Norm of x minus one projected-gradient step from x (stationarity check)."""
-    denom = _pg_denominator(beta, gamma)
-    u = (gamma * np.asarray(x, float) - A.apply_adjoint(A.apply(x) - ydelta)) / denom
+    """Norm of x minus one projected-gradient step from x (stationarity check).
+
+    The step projects x - grad_f(x) / (gamma - 2 beta), which is solve_pg_sf's
+    (gamma x - A*(Ax - y)) / (gamma - 2 beta)."""
+    x = np.asarray(x, dtype=float)
+    u = x - grad_f(A, ydelta, x, beta) / _pg_denominator(beta, gamma)
     return float(np.linalg.norm(x - project_l1_ball_sort(u, r)))
 
 

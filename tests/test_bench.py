@@ -478,6 +478,22 @@ def test_cli_sweep_checks_every_cell_before_the_first_solve(tmp_path, capsys, mo
     assert len(solves) == 0
 
 
+def test_cli_alpha_auto_on_noise_free_data_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the discrepancy principle needs a noise level, as the radius search does
+    solves = _count_solves(monkeypatch)
+    out = tmp_path / "r.csv"
+    code = cli.main(
+        [
+            "cs", "--algo", "fista", "--alpha", "auto", "--snr-db", "inf", "--n", "30",
+            "--m", "12", "--s", "3", "--scale", "0.1", "--seeds", "0", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: alpha = auto needs noisy data")
+    assert len(solves) == 0
+    assert not out.exists()
+
+
 def test_run_checks_every_algorithm_before_the_first_solve(tmp_path, monkeypatch):
     # pg's radius search comes before st's out-of-range eta, on every seed
     path = tmp_path / "exp.ini"
@@ -634,6 +650,23 @@ def test_cli_deblur_custom_image_file(tmp_path):
     header, row = out.read_text().strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["s"] == "4"  # nnz of the supplied image
+
+
+def test_manifest_echoes_every_key_of_its_experiment_kind(tmp_path):
+    image = np.zeros((6, 6))
+    image[2:4, 2:4] = 2.0
+    img_path = tmp_path / "img.csv"
+    np.savetxt(img_path, image, delimiter=",")
+    out = tmp_path / "d.csv"
+    code = cli.main(
+        [
+            "deblur", "--algo", "hv", "--alpha", "1e-4", "--n", "6", "--snr-db", "40",
+            "--seeds", "0", "--maxiter", "5", "--image", str(img_path), "--out", str(out),
+        ]
+    )
+    assert code == 0
+    manifest = (tmp_path / "d.csv.manifest.txt").read_text()
+    assert f"n = 6\nband = 3\nsigma = 0.69999999999999996\nimage = {img_path}\nsnr_db = 40\n" in manifest
 
 
 def test_cli_manifest_notes_rescale(tmp_path):

@@ -502,7 +502,7 @@ def test_project_single_coordinate():
     r = RadiusSpec(1.0)
     out = project_l1_ball_sort(np.array([3.0, 0.0]), r)
     assert np.allclose(out, [1.0, 0.0])
-    out_hv = project_l1_ball_hv(np.array([3.0, 0.0]), r, tol=1e-10)
+    out_hv = project_l1_ball_hv(np.array([3.0, 0.0]), r)
     assert np.allclose(out_hv, [1.0, 0.0], atol=1e-9)
     # the radius is below the precision of the entry, so the shift rounds to it
     out_far = project_l1_ball_sort(np.array([1e20]), r)
@@ -531,19 +531,78 @@ def test_projection_routes_agree():
         radius = float(rng.uniform(0.2, 0.9) * max(np.sum(np.abs(x)), 0.5))
         r = RadiusSpec(radius)
         a = project_l1_ball_sort(x, r)
-        b = project_l1_ball_hv(x, r, tol=1e-10)
+        b = project_l1_ball_hv(x, r)
         assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_projection_nonexpansive_both_routes():
     rng = np.random.default_rng(8)
     r = RadiusSpec(1.5)
-    for project in (project_l1_ball_sort, lambda x, r: project_l1_ball_hv(x, r, 1e-10)):
+    for project in (project_l1_ball_sort, project_l1_ball_hv):
         for _ in range(25):
             x = 3.0 * rng.standard_normal(6)
             z = 3.0 * rng.standard_normal(6)
             lhs = np.linalg.norm(project(x, r) - project(z, r))
             assert lhs <= np.linalg.norm(x - z) + 1e-9
+
+
+@pytest.mark.parametrize("mag", [1e5, 1e8])
+def test_project_hv_matches_sort_at_large_magnitudes(mag):
+    for seed in range(20):
+        x = mag * np.random.default_rng(seed).standard_normal(20)
+        r = RadiusSpec(float(np.sum(np.abs(x))) / 2)
+        expected = project_l1_ball_sort(x, r)
+        gap = np.max(np.abs(project_l1_ball_hv(x, r) - expected))
+        assert gap <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_project_hv_at_a_tiny_radius():
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(20)
+        r = RadiusSpec(1e-8 * float(np.sum(np.abs(x))))
+        gap = np.max(np.abs(project_l1_ball_hv(x, r) - project_l1_ball_sort(x, r)))
+        assert gap <= 1e-6 * r.radius_l1
+    # below ||x||_1 * 1e-300 the prox's alpha would overflow: the result is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_l1_ball_hv(np.arange(1.0, 21.0), RadiusSpec(1e-307))
+    assert np.array_equal(out, np.zeros(20))
+
+
+@pytest.mark.parametrize("prox", [prox_sq_l1, prox_sq_l1_newton])
+def test_project_hv_prox_calls_at_most_nnz_plus_one(monkeypatch, prox):
+    calls = []
+
+    def counting_prox(x, alpha):
+        calls.append(alpha)
+        return prox(x, alpha)
+
+    monkeypatch.setattr(proxops, "prox_sq_l1", counting_prox)
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        n = int(rng.integers(1, 30))
+        x = 3.0 * rng.standard_normal(n)
+        if trial % 2:  # tied magnitudes and zeros
+            x = np.round(x)
+        if not np.any(x):
+            continue
+        r = RadiusSpec(float(rng.uniform(0.01, 0.99)) * float(np.sum(np.abs(x))))
+        calls.clear()
+        out = project_l1_ball_hv(x, r)
+        assert 1 <= len(calls) <= np.count_nonzero(x) + 1
+        assert calls == sorted(calls)
+        assert np.max(np.abs(out - project_l1_ball_sort(x, r))) <= 1e-10 * r.radius_l1
+
+
+def test_project_hv_rejects_nonfinite_input_and_an_overflowing_sum():
+    with pytest.raises(ValueError, match="finite"):
+        project_l1_ball_hv(np.array([1.0, np.nan]), RadiusSpec(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        project_l1_ball_hv(np.array([np.inf, 1.0]), RadiusSpec(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            project_l1_ball_hv(np.array([1e308, 1e308]), RadiusSpec(1.0))
 
 
 def test_projection_variational_characterization():

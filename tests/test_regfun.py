@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsq.linops import DenseMatrix, estimate_opnorm_sq
+from sparsq.linops import DenseMatrix, KroneckerBlur, ScaledOperator, estimate_opnorm_sq
 from sparsq.regfun import (
     RegParams,
     eval_D,
@@ -139,6 +139,22 @@ def test_grad_f_matches_finite_differences():
         g = grad_f(A, y, x, beta)
         fd = _finite_difference_gradient(A, y, x, beta)
         assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(g), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [KroneckerBlur(8, 3, 0.7), ScaledOperator(KroneckerBlur(8, 3, 0.7), 0.4),
+     ScaledOperator(DenseMatrix(np.random.default_rng(3).standard_normal((6, 9))), 2.5)],
+    ids=["blur", "scaled_blur", "scaled_dense"],
+)
+def test_grad_f_matches_finite_differences_on_special_normal_forms(A):
+    # these operators apply their own normal operator, not A* after A
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(A.range_dim)
+    x = rng.standard_normal(A.domain_dim)
+    g = grad_f(A, y, x, 0.3)
+    fd = _finite_difference_gradient(A, y, x, 0.3)
+    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
 
 
 def test_phi_table():
