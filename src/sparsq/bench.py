@@ -257,7 +257,10 @@ def _generate(cfg, seed):
     else:
         image = None
         if cfg.image:
-            image = np.loadtxt(cfg.image, delimiter=",")
+            try:
+                image = np.loadtxt(cfg.image, delimiter=",")
+            except OSError as err:
+                raise ValueError(f"cannot read image: {err}") from None
         inst = gen_blur_instance(cfg.n, cfg.band, cfg.sigma, image=image)
     return add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
 

@@ -213,7 +213,11 @@ def save_instance(inst, path):
 
 
 def load_instance(path):
-    """Read back a file produced by save_instance."""
+    """Read back a file produced by save_instance.
+
+    A malformed file raises ValueError that names the missing header key or
+    section, or the vector whose length does not fit the operator.
+    """
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != "sparsq-instance v1":
@@ -221,8 +225,10 @@ def load_instance(path):
     header = {}
     i = 1
     while i < len(raw) and not raw[i].startswith("["):
-        key, value = raw[i].split(maxsplit=1)
-        header[key] = value
+        parts = raw[i].split(maxsplit=1)
+        if len(parts) != 2:
+            raise ValueError(f"instance file line {i + 1} needs a header key and a value")
+        header[parts[0]] = parts[1]
         i += 1
     sections = {}
     current = None
@@ -233,18 +239,36 @@ def load_instance(path):
         elif current is not None and line:
             sections[current].append(np.array([float(t) for t in line.split(",")]))
 
-    if header["kind"] == "blur":
-        A = KroneckerBlur(int(header["n"]), int(header["band"]), float(header["sigma"]))
-    elif header["kind"] == "dense":
-        A = DenseMatrix(np.vstack(sections["matrix"]), float(header["scale"]))
+    def key(name):
+        if name not in header:
+            raise ValueError(f"instance header has no {name!r} line")
+        return header[name]
+
+    def rows(name):
+        if name not in sections:
+            raise ValueError(f"instance file has no [{name}] section")
+        return sections[name]
+
+    def vector(name, size):
+        lines = rows(name)
+        if len(lines) != 1 or lines[0].size != size:
+            found = sum(v.size for v in lines)
+            raise ValueError(f"[{name}] needs one line of {size} entries, found {found}")
+        return lines[0]
+
+    kind = key("kind")
+    if kind == "blur":
+        A = KroneckerBlur(int(key("n")), int(key("band")), float(key("sigma")))
+    elif kind == "dense":
+        A = DenseMatrix(np.vstack(rows("matrix")), float(key("scale")))
     else:
-        raise ValueError(f"unknown instance kind {header['kind']!r}")
-    x_true = sections["x_true"][0] if int(header["has_x_true"]) else None
+        raise ValueError(f"unknown instance kind {kind!r}")
+    x_true = vector("x_true", A.domain_dim) if int(key("has_x_true")) else None
     return ProblemInstance(
         A,
-        sections["y_true"][0],
-        sections["y_delta"][0],
+        vector("y_true", A.range_dim),
+        vector("y_delta", A.range_dim),
         x_true,
-        float(header["delta"]),
-        int(header["seed"]),
+        float(key("delta")),
+        int(key("seed")),
     )

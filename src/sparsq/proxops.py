@@ -202,10 +202,10 @@ def prox_sq_l1(x, alpha):
     sum of the rho largest |x_i| and rho is the last index at which the sorted
     magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
     of psi, and lambda_i = [2 alpha (|x_i| / tau - 1)]_+.  Raises ValueError
-    if x has a NaN or infinite entry.
+    if alpha is not positive and finite or x has a NaN or infinite entry.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     ridge = 0.5 / float(alpha)
     if not math.isfinite(ridge):
         raise ValueError(f"alpha = {alpha!r} is too small: 0.5 / alpha overflows")
@@ -216,10 +216,11 @@ def prox_sq_l1(x, alpha):
         zeros = np.zeros_like(x)
         return ProxResult(zeros, 0.0, zeros.copy())
 
-    # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, and the
-    # l1 sum of a huge finite x overflows; the prox is positively homogeneous,
-    # so in both cases redo the step on x / max|x|
-    tau = _sort_threshold(absx, 0.0, ridge, l1) if math.isfinite(l1) else 0.0
+    # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, and on
+    # a huge finite x the l1 sum or the kernel's u_k (k + ridge), which
+    # l1 (1 + ridge) bounds, overflows; the prox is positively homogeneous, so
+    # in these cases redo the step on x / max|x|
+    tau = _sort_threshold(absx, 0.0, ridge, l1) if math.isfinite(l1 * (1.0 + ridge)) else 0.0
     scale = 1.0
     if not tau >= _TINY:
         if not np.all(np.isfinite(absx)):

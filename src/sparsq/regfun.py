@@ -10,7 +10,8 @@ import numpy as np
 class RegParams:
     """Regularization weights: alpha on the squared l1 term, beta on the squared l2 term.
 
-    Requires alpha > 0 and 0 <= beta <= alpha, so eta = beta / alpha lies in [0, 1].
+    Requires a finite alpha > 0 and 0 <= beta <= alpha, so eta = beta / alpha
+    lies in [0, 1].
     beta = 0 gives the pure squared-l1 penalty.
     """
 
@@ -18,8 +19,8 @@ class RegParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0 <= self.beta <= self.alpha:
             raise ValueError("beta must satisfy 0 <= beta <= alpha")
 

@@ -16,8 +16,9 @@ trial, and reuses an earlier solve that did not project for a trial that
 would not project either, since neither depends on the radius.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
-thresholding) are comparison baselines.  FISTA is ISTA's step taken from an
-extrapolated point, which the iteration engine _iterate forms.
+thresholding) are comparison baselines that share one thresholded-gradient
+body.  FISTA is ISTA's step taken from an extrapolated point, which the
+iteration engine _iterate forms.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
@@ -80,10 +81,10 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
         if not self.step_tol > 0:
             raise ValueError("step_tol must be positive")
-        if not self.L_k > 0:
-            raise ValueError("L_k must be positive")
-        if not self.lambda_st > 0:
-            raise ValueError("lambda_st must be positive")
+        if not 0 < self.L_k < math.inf:
+            raise ValueError("L_k must be positive and finite")
+        if not 0 < self.lambda_st < math.inf:
+            raise ValueError("lambda_st must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -284,9 +285,9 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
 
 def _pg_denominator(beta, gamma):
     """gamma - 2 beta, the pg step's divisor; ValueError unless beta >= 0 and
-    gamma > 2 beta."""
-    if not gamma > 2.0 * beta:
-        raise ValueError("gamma must exceed 2 * beta")
+    a finite gamma > 2 beta."""
+    if not 2.0 * beta < gamma < math.inf:
+        raise ValueError("gamma must be finite and exceed 2 * beta")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     return gamma - 2.0 * beta
@@ -427,28 +428,12 @@ def select_alpha_discrepancy(
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1."""
-    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum=False)
+    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true)
 
 
 def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """ISTA's step taken from FISTA's extrapolated point, which the engine forms."""
-    return _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum=True)
-
-
-def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
-    """Body of both, so neither public solver calls the other."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    t = 1.0 / opts.lambda_st
-    grad = _gradient(A, ydelta)
-
-    def step(z):
-        return soft_threshold(z - t * grad(z), alpha * t)
-
-    def objective(x, r):
-        return 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x)))
-
-    return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
+    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true, momentum=True)
 
 
 def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
@@ -457,39 +442,48 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     The l2 term enters through x / ||x||_2, so the iterate norm is floored at
     1e-12 to keep the step defined; beta = 0 reduces the step to ISTA's.
     """
-    RegParams(alpha, beta)  # checks alpha > 0 and 0 <= beta <= alpha
-    gamma = opts.lambda_st
-    grad = _gradient(A, ydelta)
-
-    def step(x):
-        norm_x = max(float(np.linalg.norm(x)), 1e-12)
-        u = x + (beta / (gamma * norm_x)) * x - grad(x) / gamma
-        return soft_threshold(u, alpha / gamma)
-
-    def objective(x, r):
-        return (
-            0.5 * float(r @ r)
-            + alpha * float(np.sum(np.abs(x)))
-            - beta * float(np.linalg.norm(x))
-        )
-
-    return _iterate(A, ydelta, x0, step, objective, opts, x_true)
+    RegParams(alpha, beta)  # checks 0 < alpha < inf and 0 <= beta <= alpha
+    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true, beta=beta)
 
 
 def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
     """Iterative half thresholding for 0.5||Ax-y||^2 + lam * sum_i |x_i|^(1/2)."""
     if not lam > 0:
         raise ValueError("lam must be positive")
+    return _threshold_iteration(A, ydelta, lambda u, t: half_threshold(u, lam, t),
+                                lambda x: lam * float(np.sum(np.sqrt(np.abs(x)))),
+                                opts, x0, x_true)
+
+
+def _l1_terms(alpha):
+    """(shrink, penalty) of alpha ||x||_1 for _threshold_iteration; alpha > 0."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    return (lambda u, t: soft_threshold(u, alpha * t),
+            lambda x: alpha * float(np.sum(np.abs(x))))
+
+
+def _threshold_iteration(A, ydelta, shrink, penalty, opts, x0, x_true, beta=0.0, momentum=False):
+    """Body of the four baselines above, so no public solver calls another.
+
+    A step is x <- shrink(w - t A*(Az - y), t), t = 1 / opts.lambda_st, from
+    the engine's point z, with w = z + (beta t / max(||z||_2, 1e-12)) z when
+    beta > 0 and w = z otherwise.  A record's objective is 0.5||r||^2 +
+    penalty(x), less beta ||x||_2 when beta > 0.  The shrinks look their
+    threshold up in this module when called, so a patched one is used.
+    """
     t = 1.0 / opts.lambda_st
     grad = _gradient(A, ydelta)
 
-    def step(x):
-        return half_threshold(x - t * grad(x), lam, t)
+    def step(z):
+        w = z + (beta * t / max(float(np.linalg.norm(z)), 1e-12)) * z if beta else z
+        return shrink(w - t * grad(z), t)
 
     def objective(x, r):
-        return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))
+        value = 0.5 * float(r @ r) + penalty(x)
+        return value - beta * float(np.linalg.norm(x)) if beta else value
 
-    return _iterate(A, ydelta, x0, step, objective, opts, x_true)
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
 
 
 # Penalized solvers by kind, each called as (A, ydelta, alpha, eta, opts, x0[, x_true]).

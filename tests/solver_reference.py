@@ -12,7 +12,11 @@ bracketed flag wherever that last midpoint's residual misses the band.
 _soft_threshold_iteration is the ISTA/FISTA body, with its objective
 _l1_objective, that kept FISTA's extrapolation in a state dict of its step
 closure and ran the engine without momentum; solve_ista and solve_fista,
-whose engine forms that point, must return its bits.
+whose engine forms that point, must return its bits.  solve_st_l1_l2 and
+solve_ht_half are those solvers as they were before they shared the ISTA body:
+the library's ht must return their bits at every step constant and its st at
+lambda_st = 1, where dividing by lambda_st and multiplying by its inverse
+agree.
 """
 
 import math
@@ -20,7 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from sparsq.proxops import RadiusSpec, project_l1_ball_sort, soft_threshold
+from sparsq.proxops import RadiusSpec, half_threshold, project_l1_ball_sort, soft_threshold
+from sparsq.regfun import RegParams
 from sparsq.solvers import (
     PENALIZED,
     AlphaSelection,
@@ -167,3 +172,44 @@ def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
         return soft_threshold(z - t * grad(z), alpha * t)
 
     return _iterate(A, ydelta, x0, step, _l1_objective(alpha), opts, x_true)
+
+
+def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
+    """Soft-threshold iteration for 0.5||Ax-y||^2 + alpha||x||_1 - beta||x||_2.
+
+    The l2 term enters through x / ||x||_2, so the iterate norm is floored at
+    1e-12 to keep the step defined; beta = 0 reduces the step to ISTA's.
+    """
+    RegParams(alpha, beta)  # checks alpha > 0 and 0 <= beta <= alpha
+    gamma = opts.lambda_st
+    grad = _gradient(A, ydelta)
+
+    def step(x):
+        norm_x = max(float(np.linalg.norm(x)), 1e-12)
+        u = x + (beta / (gamma * norm_x)) * x - grad(x) / gamma
+        return soft_threshold(u, alpha / gamma)
+
+    def objective(x, r):
+        return (
+            0.5 * float(r @ r)
+            + alpha * float(np.sum(np.abs(x)))
+            - beta * float(np.linalg.norm(x))
+        )
+
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true)
+
+
+def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
+    """Iterative half thresholding for 0.5||Ax-y||^2 + lam * sum_i |x_i|^(1/2)."""
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    t = 1.0 / opts.lambda_st
+    grad = _gradient(A, ydelta)
+
+    def step(x):
+        return half_threshold(x - t * grad(x), lam, t)
+
+    def objective(x, r):
+        return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))
+
+    return _iterate(A, ydelta, x0, step, objective, opts, x_true)

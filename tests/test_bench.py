@@ -589,6 +589,43 @@ def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cs --algo hv --alpha inf --eta 1",
+        "cs --algo hv --alpha inf --eta 0",
+        "cs --algo st --alpha inf --eta 0",
+        "cs --algo hv --alpha 6e-5 --l-k inf",
+        "cs --algo pg --beta 0 --gamma inf --radius-sq 30",
+        "cs --algo ista --alpha 1e-3 --lambda inf",
+    ],
+)
+def test_cli_non_finite_weights_and_step_constants_are_config_errors(argv, tmp_path, capsys):
+    # an infinite alpha, L_k, gamma or lambda parses as a number; the check
+    # pass, not a traceback from inside a solve, reports it
+    out = tmp_path / "r.csv"
+    assert cli.main(shlex.split(argv) + ["--seeds", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert not out.exists()
+
+
+def test_cli_unreadable_image_is_a_config_error(tmp_path, capsys, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    out = tmp_path / "d.csv"
+    for image in (tmp_path / "missing.csv", tmp_path):  # no file; a directory
+        code = cli.main(
+            [
+                "deblur", "--algo", "hv", "--alpha", "1e-5", "--eta", "1", "--n", "6",
+                "--seeds", "0", "--image", str(image), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: deblur instance: cannot read image")
+    assert len(solves) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
     bad = tmp_path / "typo.ini"
     bad.write_text(CONFIG_TEXT.replace("alpha = 1e-3\neta = 1.0", "alhpa = 1e-3\neta = 1.0"))

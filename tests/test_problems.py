@@ -239,3 +239,46 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not an instance\n")
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+def _saved_lines(tmp_path, inst):
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[: lines.index("[matrix]")] + lines[lines.index("[x_true]"):],
+         r"\[matrix\]"),
+        (lambda lines: [l for l in lines if l != "[matrix]"], "line 9 needs a header key"),
+        (lambda lines: ["kind" if l == "kind dense" else l for l in lines],
+         "line 2 needs a header key"),
+        (lambda lines: [l for l in lines if l != "kind dense"], "'kind'"),
+        (lambda lines: [l for l in lines if not l.startswith("scale ")], "'scale'"),
+        (lambda lines: lines[: lines.index("[y_delta]")], r"\[y_delta\]"),
+        (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+         r"\[y_delta\].* 6 entries, found 5"),
+        (lambda lines: [l + ",1" if i == lines.index("[x_true]") + 1 else l
+                        for i, l in enumerate(lines)], r"\[x_true\].* 12 entries, found 13"),
+    ],
+    ids=["no-matrix", "no-matrix-line", "bare-kind", "no-kind", "no-scale", "no-y-delta",
+         "short-y-delta", "long-x-true"],
+)
+def test_load_names_what_a_malformed_file_lacks(tmp_path, edit, message):
+    inst = add_awgn(gen_cs_instance(12, 6, 2, 0.3, seed=4), NoiseSpec(35.0, seed=4))
+    path, lines = _saved_lines(tmp_path, inst)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)
+
+
+def test_load_checks_blur_vector_lengths(tmp_path):
+    inst = add_awgn(gen_blur_instance(4, 3, 0.7), NoiseSpec(50.0, seed=2))
+    path, lines = _saved_lines(tmp_path, inst)
+    y_true = lines.index("[y_true]") + 1
+    lines[y_true] = lines[y_true].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"\[y_true\].* 16 entries, found 15"):
+        load_instance(path)

@@ -257,6 +257,28 @@ def test_prox_finite_input_whose_sum_overflows():
     assert out.lam == pytest.approx([0.5, 0.5], rel=1e-15)
 
 
+def test_prox_near_overflow_with_a_small_alpha():
+    # the sum fits, but the kernel's u_k (k + ridge), here 33 * 1.6e308, would
+    # not: the step is redone on x / max|x|.  On (a, b) with both in the
+    # support the threshold is (a + b) / (2 + ridge) = 5e306.
+    x = np.array([1.6e308, 1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_sq_l1(x, 0.015625)
+        projected = project_l1_ball_hv(x, RadiusSpec(1.6e308))
+    assert out.value == pytest.approx([1.55e308, 5e306], rel=1e-15)
+    assert projected == pytest.approx([1.55e308, 5e306], rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
+def test_prox_rejects_alpha_that_is_not_positive_and_finite(alpha):
+    # 0.5 / inf is 0, a finite ridge, but the weights would be nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            prox_sq_l1(np.array([1.0, 2.0]), alpha)
+
+
 def test_sort_threshold_matches_full_sort():
     # The prefilter and the cut drop only entries outside the support, so the
     # kernel's threshold equals the full sort's bit for bit, in both modes, on

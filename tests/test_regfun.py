@@ -29,6 +29,9 @@ def test_regparams_validation():
         RegParams(1.0, 2.0)
     assert RegParams(2.0, 1.0).eta == 0.5
     assert RegParams(1.0, 0.0).eta == 0.0  # pure squared-l1 limit allowed
+    for beta in (0.0, 1.0, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            RegParams(np.inf, beta)
 
 
 def test_eval_R_zero():

@@ -208,6 +208,42 @@ def test_soft_threshold_solvers_match_reference(momentum):
                     [getattr(rec, f) for f in fields] for rec in ref.trace]
 
 
+def _outputs(res):
+    """A solve's result and its trace fields, everything but the timings."""
+    fields = ("k", "objective", "residual_norm", "step_norm", "rerror")
+    return (res.x_final.tobytes(), res.iterations, res.termination, res.residual_norm,
+            [[getattr(rec, f) for f in fields] for rec in res.trace])
+
+
+@pytest.mark.parametrize("kind", ["st", "ht"])
+def test_st_and_ht_match_their_own_bodies(kind):
+    # st and ht run the ISTA body now.  ht keeps its bits at every step
+    # constant.  st multiplies by t = 1 / lambda_st where it divided by
+    # lambda_st, so it keeps them at lambda_st = 1 and stays within rounding
+    # elsewhere.
+    import solver_reference
+
+    from sparsq.problems import cs_desk_instance
+
+    solve = {"st": solve_st_l1_l2, "ht": solve_ht_half}[kind]
+    reference = getattr(solver_reference, solve.__name__)
+    weights = (1e-3, 5e-4) if kind == "st" else (1e-3,)
+    for seed in (0, 1):
+        inst = cs_desk_instance(seed)
+        x0 = np.full(inst.A.domain_dim, 0.01)
+        for record_trace in (True, False):
+            for lambda_st in (1.0, 1.3):
+                opts = SolverOptions(max_iter=300, lambda_st=lambda_st, record_trace=record_trace)
+                args = (inst.A, inst.y_delta, *weights, opts, x0, inst.x_true)
+                out, ref = solve(*args), reference(*args)
+                if kind == "ht" or lambda_st == 1.0:
+                    assert _outputs(out) == _outputs(ref)
+                else:
+                    assert (out.iterations, out.termination) == (ref.iterations, ref.termination)
+                    gap = np.max(np.abs(out.x_final - ref.x_final))
+                    assert gap <= 1e-12 * np.max(np.abs(ref.x_final))
+
+
 @pytest.mark.parametrize("name, other", [("solve_fista", "solve_ista"),
                                          ("solve_ista", "solve_fista")])
 def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
@@ -222,6 +258,20 @@ def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
     rng = np.random.default_rng(8)
     A, y = _random_instance(rng)
     assert solve(A, y, 1e-3, SolverOptions(max_iter=20), np.full(8, 0.01)).iterations >= 1
+
+
+@pytest.mark.parametrize("name, weights", [("solve_ista", (1e-3,)), ("solve_fista", (1e-3,)),
+                                           ("solve_st_l1_l2", (1e-3, 5e-4)),
+                                           ("solve_ht_half", (1e-3,))])
+def test_threshold_baselines_call_no_other_public_solver(name, weights, monkeypatch):
+    # the four share one private body; perfbench counts each public call once
+    import sparsq.solvers
+
+    solve = getattr(sparsq.solvers, name)
+    for other in ("solve_ista", "solve_fista", "solve_st_l1_l2", "solve_ht_half", "solve_hv"):
+        monkeypatch.setattr(sparsq.solvers, other, None)
+    A, y = _random_instance(np.random.default_rng(8))
+    assert solve(A, y, *weights, SolverOptions(max_iter=20), np.full(8, 0.01)).iterations >= 1
 
 
 def test_fista_faster_than_ista_on_desk_instance():
@@ -245,12 +295,14 @@ def test_fista_faster_than_ista_on_desk_instance():
 
 
 def test_st_beta_zero_reduces_to_ista():
+    # at every step constant, not only at lambda_st = 1
     rng = np.random.default_rng(9)
     A, y = _random_instance(rng)
-    opts = SolverOptions(max_iter=40)
-    a = solve_ista(A, y, 2e-3, opts, np.full(8, 0.01))
-    b = solve_st_l1_l2(A, y, 2e-3, 0.0, opts, np.full(8, 0.01))
-    assert np.array_equal(a.x_final, b.x_final)
+    for lambda_st in (1.0, 1.3):
+        opts = SolverOptions(max_iter=40, lambda_st=lambda_st)
+        a = solve_ista(A, y, 2e-3, opts, np.full(8, 0.01))
+        b = solve_st_l1_l2(A, y, 2e-3, 0.0, opts, np.full(8, 0.01))
+        assert np.array_equal(a.x_final, b.x_final)
 
 
 def test_st_scalar_hand_computed_step():
@@ -291,6 +343,17 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(step_tol=0.0)
+    for name in ("L_k", "lambda_st"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SolverOptions(**{name: np.inf})
+
+
+def test_pg_gamma_must_be_finite():
+    from sparsq.solvers import _pg_denominator
+
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        _pg_denominator(0.0, np.inf)
+    assert _pg_denominator(0.25, 1.0) == 0.5
 
 
 def test_deterministic_traces():
