@@ -351,8 +351,8 @@ def _plan_pg(cfg, inst, spec, opts, x0):
 
 def _plan_ht(cfg, inst, spec, opts, x0):
     lam = spec.params.get("lam", math.nan)
-    if not lam > 0:
-        raise ConfigError("ht needs a positive lam parameter")
+    if not 0 < lam < math.inf:
+        raise ConfigError("ht needs a positive, finite lam parameter")
     # ht's weight is reported in the alpha column
     return lambda: (_columns(lam), solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true))
 

@@ -16,9 +16,12 @@ trial, and reuses an earlier solve that did not project for a trial that
 would not project either, since neither depends on the radius.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
-thresholding) are comparison baselines that share one thresholded-gradient
-body.  FISTA is ISTA's step taken from an extrapolated point, which the
-iteration engine _iterate forms.
+thresholding) are comparison baselines.  They and solve_hv run one
+proximal-gradient body, _prox_gradient: a gradient step on the penalty's
+concave part where it has one, a gradient step on the data term, then the
+prox of the rest of the penalty.  FISTA is ISTA's step taken from an
+extrapolated point, which the iteration engine _iterate forms.  solve_pg_sf
+keeps its own step, which works in place and warm-starts its projection.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
@@ -79,8 +82,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.step_tol > 0:
-            raise ValueError("step_tol must be positive")
+        if not 0 < self.step_tol < math.inf:
+            raise ValueError("step_tol must be positive and finite")
         if not 0 < self.L_k < math.inf:
             raise ValueError("L_k must be positive and finite")
         if not 0 < self.lambda_st < math.inf:
@@ -241,16 +244,9 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
             RuntimeWarning,
             stacklevel=2,
         )
-
-    grad = _gradient(A, ydelta)
-
-    def step(x):
-        u = x + (2.0 * beta / lk) * x - grad(x) / lk
-        return prox_sq_l1(u, alpha / lk).value
-
-    return _iterate(
-        A, ydelta, x0, step, lambda x, r: eval_J(A, ydelta, x, p, r), opts, x_true
-    )
+    return _prox_gradient(A, ydelta, lambda u, t: prox_sq_l1(u, alpha * t).value,
+                          lambda x, r: eval_J(A, ydelta, x, p, r), 1.0 / lk, opts, x0, x_true,
+                          lift=lambda z, t: 2.0 * beta * t)
 
 
 def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, x_true=None):
@@ -428,12 +424,13 @@ def select_alpha_discrepancy(
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1."""
-    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true)
+    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 1.0 / opts.lambda_st, opts, x0, x_true)
 
 
 def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """ISTA's step taken from FISTA's extrapolated point, which the engine forms."""
-    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true, momentum=True)
+    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 1.0 / opts.lambda_st, opts, x0, x_true,
+                          momentum=True)
 
 
 def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
@@ -443,45 +440,45 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     1e-12 to keep the step defined; beta = 0 reduces the step to ISTA's.
     """
     RegParams(alpha, beta)  # checks 0 < alpha < inf and 0 <= beta <= alpha
-    return _threshold_iteration(A, ydelta, *_l1_terms(alpha), opts, x0, x_true, beta=beta)
+    shrink, l1_objective = _l1_terms(alpha)
+    return _prox_gradient(A, ydelta, shrink,
+                          lambda x, r: l1_objective(x, r) - beta * float(np.linalg.norm(x)),
+                          1.0 / opts.lambda_st, opts, x0, x_true,
+                          lift=lambda z, t: beta * t / max(float(np.linalg.norm(z)), 1e-12))
 
 
 def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
     """Iterative half thresholding for 0.5||Ax-y||^2 + lam * sum_i |x_i|^(1/2)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return _threshold_iteration(A, ydelta, lambda u, t: half_threshold(u, lam, t),
-                                lambda x: lam * float(np.sum(np.sqrt(np.abs(x)))),
-                                opts, x0, x_true)
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    return _prox_gradient(A, ydelta, lambda u, t: half_threshold(u, lam, t),
+                          lambda x, r: 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x)))),
+                          1.0 / opts.lambda_st, opts, x0, x_true)
 
 
 def _l1_terms(alpha):
-    """(shrink, penalty) of alpha ||x||_1 for _threshold_iteration; alpha > 0."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    """(shrink, objective) of alpha ||x||_1 for _prox_gradient; 0 < alpha < inf."""
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return (lambda u, t: soft_threshold(u, alpha * t),
-            lambda x: alpha * float(np.sum(np.abs(x))))
+            lambda x, r: 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x))))
 
 
-def _threshold_iteration(A, ydelta, shrink, penalty, opts, x0, x_true, beta=0.0, momentum=False):
-    """Body of the four baselines above, so no public solver calls another.
+def _prox_gradient(A, ydelta, shrink, objective, t, opts, x0, x_true, lift=None, momentum=False):
+    """Body of solve_hv and the four baselines above, so no public solver
+    calls another.
 
-    A step is x <- shrink(w - t A*(Az - y), t), t = 1 / opts.lambda_st, from
-    the engine's point z, with w = z + (beta t / max(||z||_2, 1e-12)) z when
-    beta > 0 and w = z otherwise.  A record's objective is 0.5||r||^2 +
-    penalty(x), less beta ||x||_2 when beta > 0.  The shrinks look their
-    threshold up in this module when called, so a patched one is used.
+    A step is x <- shrink(w - t A*(Az - y), t) from the engine's point z, with
+    w = z + lift(z, t) z, the gradient step on the penalty's concave part, or
+    w = z without a lift.  A record's objective is objective(x, r).  The
+    callers' shrinks and objectives look their prox, thresholds and eval_J up
+    in this module when called, so a patched one is used.
     """
-    t = 1.0 / opts.lambda_st
     grad = _gradient(A, ydelta)
 
     def step(z):
-        w = z + (beta * t / max(float(np.linalg.norm(z)), 1e-12)) * z if beta else z
+        w = z if lift is None else z + lift(z, t) * z
         return shrink(w - t * grad(z), t)
-
-    def objective(x, r):
-        value = 0.5 * float(r @ r) + penalty(x)
-        return value - beta * float(np.linalg.norm(x)) if beta else value
 
     return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
 

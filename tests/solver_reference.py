@@ -16,16 +16,27 @@ whose engine forms that point, must return its bits.  solve_st_l1_l2 and
 solve_ht_half are those solvers as they were before they shared the ISTA body:
 the library's ht must return their bits at every step constant and its st at
 lambda_st = 1, where dividing by lambda_st and multiplying by its inverse
-agree.
+agree.  solve_hv is the paper's solver as it was before it ran that body,
+then named _prox_gradient: the library's hv must return its bits at L_k = 1,
+where dividing by L_k and multiplying by its inverse agree, and stay within
+rounding of it elsewhere.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from sparsq.proxops import RadiusSpec, half_threshold, project_l1_ball_sort, soft_threshold
-from sparsq.regfun import RegParams
+from sparsq.linops import opnorm_sq_cached
+from sparsq.proxops import (
+    RadiusSpec,
+    half_threshold,
+    project_l1_ball_sort,
+    prox_sq_l1,
+    soft_threshold,
+)
+from sparsq.regfun import RegParams, eval_J
 from sparsq.solvers import (
     PENALIZED,
     AlphaSelection,
@@ -213,3 +224,34 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
         return 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x))))
 
     return _iterate(A, ydelta, x0, step, objective, opts, x_true)
+
+
+def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
+    """Prox-gradient solve of 0.5||Ax-y||^2 + alpha||x||_1^2 - beta||x||_2^2.
+
+    One step maps x to the squared-l1 prox (weight alpha/L_k) of
+    x + (2 beta / L_k) x - (1/L_k) A*(Ax - y).  A step constant L_k at or below
+    half the gradient Lipschitz bound forfeits the descent guarantee; that
+    case is reported as a warning, not an error.
+    """
+    alpha, beta = p.alpha, p.beta
+    lk = opts.L_k
+    r_hat = opnorm_sq_cached(A)
+    if lk <= 0.5 * r_hat + beta:
+        warnings.warn(
+            f"L_k={lk:g} is not above half the smoothness bound "
+            f"({0.5 * (r_hat + 2 * beta):g}); descent is not guaranteed",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    grad = _gradient(A, ydelta)
+
+    def step(x):
+        u = x + (2.0 * beta / lk) * x - grad(x) / lk
+        return prox_sq_l1(u, alpha / lk).value
+
+    return _iterate(
+        A, ydelta, x0, step, lambda x, r: eval_J(A, ydelta, x, p, r), opts, x_true
+    )
+

@@ -598,10 +598,12 @@ def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
         "cs --algo hv --alpha 6e-5 --l-k inf",
         "cs --algo pg --beta 0 --gamma inf --radius-sq 30",
         "cs --algo ista --alpha 1e-3 --lambda inf",
+        "cs --algo ht --lam inf",
+        "cs --algo hv --alpha 6e-5 --step-tol inf",
     ],
 )
 def test_cli_non_finite_weights_and_step_constants_are_config_errors(argv, tmp_path, capsys):
-    # an infinite alpha, L_k, gamma or lambda parses as a number; the check
+    # an infinite alpha, lam, L_k, gamma, lambda or step_tol parses as a number; the check
     # pass, not a traceback from inside a solve, reports it
     out = tmp_path / "r.csv"
     assert cli.main(shlex.split(argv) + ["--seeds", "0", "--out", str(out)]) == 1

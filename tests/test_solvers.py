@@ -244,6 +244,33 @@ def test_st_and_ht_match_their_own_bodies(kind):
                     assert gap <= 1e-12 * np.max(np.abs(ref.x_final))
 
 
+@pytest.mark.parametrize("lk", [1.0, 1.3])
+def test_hv_matches_its_own_body(lk):
+    # hv runs the baselines' body now.  It multiplies by t = 1 / L_k where it
+    # divided by L_k, so it keeps its bits at L_k = 1 and stays within
+    # rounding elsewhere.
+    from solver_reference import solve_hv as reference
+
+    from sparsq.problems import blur_desk_instance, cs_desk_instance
+
+    cases = [(cs_desk_instance(seed), 6e-5) for seed in (0, 1)]
+    cases.append((blur_desk_instance(n=16), 1e-5))
+    for inst, alpha in cases:
+        x0 = np.full(inst.A.domain_dim, 0.01)
+        for eta in (0.0, 0.5, 1.0):
+            p = RegParams(alpha, eta * alpha)
+            for record_trace in (True, False):
+                opts = SolverOptions(max_iter=300, L_k=lk, record_trace=record_trace)
+                args = (inst.A, inst.y_delta, p, opts, x0, inst.x_true)
+                out, ref = solve_hv(*args), reference(*args)
+                if lk == 1.0:
+                    assert _outputs(out) == _outputs(ref)
+                else:
+                    assert (out.iterations, out.termination) == (ref.iterations, ref.termination)
+                    gap = np.max(np.abs(out.x_final - ref.x_final))
+                    assert gap <= 1e-12 * np.max(np.abs(ref.x_final))
+
+
 @pytest.mark.parametrize("name, other", [("solve_fista", "solve_ista"),
                                          ("solve_ista", "solve_fista")])
 def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
@@ -262,13 +289,15 @@ def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
 
 @pytest.mark.parametrize("name, weights", [("solve_ista", (1e-3,)), ("solve_fista", (1e-3,)),
                                            ("solve_st_l1_l2", (1e-3, 5e-4)),
-                                           ("solve_ht_half", (1e-3,))])
+                                           ("solve_ht_half", (1e-3,)),
+                                           ("solve_hv", (RegParams(1e-3, 5e-4),))])
 def test_threshold_baselines_call_no_other_public_solver(name, weights, monkeypatch):
-    # the four share one private body; perfbench counts each public call once
+    # the five share one private body; perfbench counts each public call once
     import sparsq.solvers
 
     solve = getattr(sparsq.solvers, name)
-    for other in ("solve_ista", "solve_fista", "solve_st_l1_l2", "solve_ht_half", "solve_hv"):
+    for other in ("solve_ista", "solve_fista", "solve_st_l1_l2", "solve_ht_half", "solve_hv",
+                  "solve_pg_sf"):
         monkeypatch.setattr(sparsq.solvers, other, None)
     A, y = _random_instance(np.random.default_rng(8))
     assert solve(A, y, *weights, SolverOptions(max_iter=20), np.full(8, 0.01)).iterations >= 1
@@ -321,6 +350,16 @@ def test_st_zero_iterate_guard():
     assert np.all(np.isfinite(res.x_final))
 
 
+@pytest.mark.parametrize("solve, args", [(solve_ista, (np.inf,)), (solve_fista, (np.inf,)),
+                                         (solve_st_l1_l2, (np.inf, 0.0)),
+                                         (solve_ht_half, (np.inf,))])
+def test_baselines_reject_infinite_weights(solve, args):
+    # an infinite weight zeroes every step, but its trace objective is inf * 0
+    A, y = _random_instance(np.random.default_rng(10))
+    with pytest.raises(ValueError, match="finite"):
+        solve(A, y, *args, SolverOptions(max_iter=3), np.full(8, 0.01))
+
+
 def test_ht_huge_lam_collapses():
     rng = np.random.default_rng(10)
     A, y = _random_instance(rng)
@@ -343,7 +382,7 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(step_tol=0.0)
-    for name in ("L_k", "lambda_st"):
+    for name in ("step_tol", "L_k", "lambda_st"):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SolverOptions(**{name: np.inf})
 
