@@ -36,16 +36,7 @@ from .proxops import (
     psi,
     soft_threshold,
 )
-from .regfun import (
-    RegParams,
-    eval_D,
-    eval_J,
-    eval_R,
-    eval_surrogate,
-    grad_f,
-    optimal_lambda,
-    phi,
-)
+from .regfun import RegParams, eval_D, eval_J, eval_R, grad_f
 from .solvers import (
     AlphaSelection,
     IterateRecord,

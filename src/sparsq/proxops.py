@@ -2,12 +2,13 @@
 
 The central primitive is the proximal operator of alpha * ||.||_1^2.  Its
 value at x is soft thresholding at tau = 2 alpha ||prox||_1, written as the
-coordinatewise rescaling x_i -> lambda_i x_i / (lambda_i + 2 alpha) with
-weights lambda_i = [2 alpha (|x_i| / tau - 1)]_+ that sum to one.  tau is
-found exactly in O(n log n) by sorting |x|, the same sort-and-threshold step
-as the exact l1-ball projection; both call one private kernel.  psi below is
-the optimality condition in the paper's variable mu = tau^2 / (4 alpha): the
-prox's mu* is its root.
+coordinatewise rescaling x_i -> lambda_i x_i / (lambda_i + 2 alpha) with the
+weights lambda = |prox| / ||prox||_1 that attain ||prox||_1^2 = min over the
+simplex of sum_i prox_i^2 / lambda_i.  tau is found exactly in O(n log n) by
+sorting |x|, the same sort-and-threshold step as the exact l1-ball
+projection; both call one private kernel.  psi below is the optimality
+condition in the paper's variable mu = tau^2 / (4 alpha): the prox's mu* is
+its root.
 
 Two l1-ball projections are provided.  The sort-based one is the exact
 O(n log n) method and is used on solver hot paths; the prox-based one finds
@@ -201,7 +202,8 @@ def prox_sq_l1(x, alpha):
     thresholding at tau = 2 alpha S_rho / (1 + 2 alpha rho), where S_rho is the
     sum of the rho largest |x_i| and rho is the last index at which the sorted
     magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
-    of psi, and lambda_i = [2 alpha (|x_i| / tau - 1)]_+.  Raises ValueError
+    of psi, and lambda = |prox| / ||prox||_1, or 1/k on each of the k largest
+    |x_i| (the limit in alpha) when the prox rounds to 0.  Raises ValueError
     if alpha is not positive and finite or x has a NaN or infinite entry.
     """
     if not 0 < alpha < math.inf:
@@ -228,8 +230,17 @@ def prox_sq_l1(x, alpha):
         scale = float(np.max(absx))
         absx = absx / scale
         tau = _sort_threshold(absx, 0.0, ridge, _l1(absx))
-    lam = np.maximum(2.0 * alpha * (absx / tau - 1.0), 0.0)
-    value = lam * x / (lam + 2.0 * alpha)
+    absx -= tau  # the operations of copysign(maximum(absx - tau, 0), x)
+    np.maximum(absx, 0.0, out=absx)
+    total = float(absx.sum())  # no overflow: at most l1, or n after rescaling
+    if total > 0.0:
+        lam = absx / total
+    else:  # tau rounded up to max|x|
+        peak = np.abs(x) == np.max(np.abs(x))
+        lam = peak / float(np.count_nonzero(peak))
+    if scale != 1.0:
+        absx *= scale
+    value = np.copysign(absx, x, out=absx)
     return ProxResult(value, float(tau * tau / (4.0 * alpha)) * scale * scale, lam)
 
 

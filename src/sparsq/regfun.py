@@ -1,4 +1,5 @@
-"""Penalty, objective, surrogate, and gradient evaluations shared by all solvers."""
+"""Penalty, objective and gradient evaluations shared by all solvers.  The
+half-variation identity and the pg surrogate are test oracles, in tests/."""
 
 import math
 from dataclasses import dataclass
@@ -51,26 +52,6 @@ def eval_D(A, ydelta, x, beta, r=None):
     return 0.5 * float(r @ r) - beta * float(x @ x)
 
 
-def eval_surrogate(A, ydelta, omega, x, beta, gamma):
-    """Quadratic majorizer of eval_D around x, evaluated at omega.
-
-    Equals eval_D(omega) plus (gamma/2)*||x - omega||^2 - 0.5*||A(x - omega)||^2,
-    so it coincides with eval_D(omega) when x == omega.  Requires gamma > 2*beta
-    for strict convexity in omega.
-    """
-    if not gamma > 2.0 * beta:
-        raise ValueError("gamma must exceed 2 * beta")
-    omega = np.asarray(omega, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = x - omega
-    ad = A.apply(x) - A.apply(omega)
-    return (
-        eval_D(A, ydelta, omega, beta)
-        + 0.5 * gamma * float(d @ d)
-        - 0.5 * float(ad @ ad)
-    )
-
-
 def _gradient(A, ydelta):
     """x -> A*(Ax - y), computed as N x - A*y with the normal operator N = A*A.
 
@@ -88,24 +69,3 @@ def grad_f(A, ydelta, x, beta):
     """Gradient of the smooth part: A*(Ax - y) - 2 * beta * x, from _gradient."""
     x = np.asarray(x, dtype=float)
     return _gradient(A, ydelta)(x) - 2.0 * beta * x
-
-
-def phi(s, t):
-    """Quotient s^2 / t extended to the closure: 0 at (0, 0), +inf elsewhere off t > 0."""
-    if t > 0:
-        return s * s / t
-    if s == 0 and t == 0:
-        return 0.0
-    return math.inf
-
-
-def optimal_lambda(x):
-    """Simplex weights |x_i| / ||x||_1 attaining sum_i phi(x_i, lambda_i) = ||x||_1^2.
-
-    Returns the uniform vector 1/n when x is the zero vector.
-    """
-    x = np.asarray(x, dtype=float)
-    l1 = np.sum(np.abs(x))
-    if l1 == 0.0:
-        return np.full(x.shape, 1.0 / x.size)
-    return np.abs(x) / l1

@@ -2,7 +2,7 @@
 
 One test per acceptance criterion, each printing a PASS line with the
 measured quantities when it succeeds (run with -s to see them).  Tolerances
-are pinned here and nowhere else.  The reproduction criteria (5-9) are
+are pinned here and nowhere else.  The reproduction criteria (5-9, 11) are
 tolerance-band or trend checks over seeded instances; the property criteria
 (1-4, 10) are exact-tolerance checks.
 """
@@ -298,3 +298,34 @@ def test_criterion_10_selftest_determinism(tmp_path):
         "ACCEPTANCE 10 PASS: two selftest runs produced byte-identical "
         f"deterministic sections for {len(out1)} output files"
     )
+
+
+def test_criterion_11_a_priori_rate():
+    # The paper's a priori rule alpha ~ delta gives ||x - x_true||_2 = O(delta).
+    # Pinned on the medians over CS desk seeds 0-3: the log-log slope of the
+    # error against delta, and the spread of err / delta across noise levels.
+    # Seed blocks 0-3, 4-7, 8-11 and 12-15 gave slopes 0.908-0.964 and ratios
+    # 1.15-1.38 at both etas.
+    opts = SolverOptions(max_iter=20000, step_tol=1e-7, record_trace=False)
+    levels = (20.0, 30.0, 40.0, 50.0)
+    insts = [[cs_desk_instance(seed=seed, snr_db=db) for seed in range(4)] for db in levels]
+    deltas = np.array([np.median([inst.delta for inst in row]) for row in insts])
+    report = []
+    for eta in (0.5, 1.0):
+        errors = []
+        for row in insts:
+            level = []
+            for inst in row:
+                alpha = 6.8e-4 * inst.delta
+                res = solve_hv(inst.A, inst.y_delta, RegParams(alpha, eta * alpha), opts,
+                               np.full(200, 0.01))
+                level.append(np.linalg.norm(res.x_final - inst.x_true))
+            errors.append(np.median(level))
+        slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])
+        per_delta = np.array(errors) / deltas
+        ratio = float(per_delta.max() / per_delta.min())
+        assert slope >= 0.85
+        assert ratio <= 1.6
+        report.append(f"eta={eta}: slope {slope:.3f} (>= 0.85), err/delta max/min {ratio:.3f} "
+                      f"(<= 1.6)")
+    print("ACCEPTANCE 11 PASS: a priori alpha = 6.8e-4 * delta, 20-50 dB; " + "; ".join(report))

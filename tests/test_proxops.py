@@ -18,6 +18,7 @@ from sparsq.proxops import (
     psi,
     soft_threshold,
 )
+from paper_reference import optimal_lambda, phi
 from prox_reference import prox_sq_l1_bisect, prox_sq_l1_newton, sort_threshold_full
 
 vectors = st.lists(
@@ -500,6 +501,46 @@ def test_prox_properties(x, alpha):
     for step in (1e-3, 1e-2, 0.1, 1.0):
         perturbed = out.value + step * scale * rng.standard_normal((50, x.size))
         assert np.min(objective(perturbed)) >= base - 1e-9 * max(1.0, base)
+
+
+def _check_half_variation_weights(x, alpha, rng):
+    """The prox weights against the paper's identity at u = prox_sq_l1(x).value:
+    they are optimal_lambda(u) and attain ||u||_1^2 = sum_i phi(u_i, lambda_i),
+    and no Dirichlet point of the simplex does better.  When u rounds to 0 the
+    weights are optimal_lambda's limit in alpha, on the largest |x_i|."""
+    out = prox_sq_l1(x, alpha)
+    absx = np.abs(x)
+    u = out.value if np.any(out.value) else (absx == np.max(absx)).astype(float)
+    assert np.max(np.abs(out.lam - optimal_lambda(u))) <= 1e-12
+    # phi is homogeneous of degree 2 in u: on u / max|u| no square underflows
+    u = u / np.max(np.abs(u))
+    l1sq = np.sum(np.abs(u)) ** 2
+    total = sum(phi(s, t) for s, t in zip(u, out.lam))
+    assert abs(total - l1sq) <= 1e-12 * l1sq
+    for other in rng.dirichlet(np.ones(u.size), size=10):
+        assert sum(phi(s, t) for s, t in zip(u, other)) >= l1sq - 1e-9 * l1sq
+
+
+def test_prox_weights_attain_the_half_variation_identity():
+    rng = np.random.default_rng(17)
+    # tau rounds up to max|x| here, so the prox rounds to 0
+    _check_half_variation_weights(np.arange(1.0, 21.0), 1e300, rng)
+    for trial in range(500):
+        n = int(rng.integers(1, 30))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.random(n) < 0.2] = 0.0
+        if trial % 4 == 0:  # tied magnitudes
+            x = np.round(x * 2.0 / np.max(np.abs(x) + 1e-300)) * 3.0
+        if not np.any(x):
+            x[0] = 1.0
+        alpha = float(10.0 ** rng.uniform(-4, 300))
+        _check_half_variation_weights(x, alpha, rng)
+
+
+@given(vectors.filter(np.any), st.floats(1e-4, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_prox_weights_half_variation_properties(x, alpha):
+    _check_half_variation_weights(x, alpha, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- projection

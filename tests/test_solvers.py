@@ -13,7 +13,7 @@ from sparsq.linops import (
     estimate_opnorm_sq,
     opnorm_sq_cached,
 )
-from sparsq.proxops import RadiusSpec, soft_threshold
+from sparsq.proxops import RadiusSpec, project_l1_ball_sort, soft_threshold
 from sparsq.regfun import RegParams, eval_D, eval_J
 from sparsq.solvers import (
     PENALIZED,
@@ -32,6 +32,7 @@ from sparsq.solvers import (
     solve_st_l1_l2,
     _gradient,
 )
+from paper_reference import eval_surrogate
 
 
 def _random_instance(rng, m=6, n=8, scale=0.2):
@@ -144,10 +145,32 @@ def test_pg_iterates_feasible_after_first():
     x = np.full(8, 0.01)
     for _ in range(25):
         u = (gamma * x - A.apply_adjoint(A.apply(x) - y)) / (gamma - 2 * beta)
-        from sparsq.proxops import project_l1_ball_sort
-
         x = project_l1_ball_sort(u, r)
         assert np.sum(np.abs(x)) <= r.radius_l1 + 1e-9
+
+
+def test_pg_step_minimizes_the_surrogate_over_the_ball():
+    # one step from x is the minimizer over the ball of the paper's quadratic
+    # surrogate of eval_D around x
+    rng = np.random.default_rng(6)
+    opts = SolverOptions(max_iter=1, record_trace=False)
+    for _ in range(100):
+        A = DenseMatrix(rng.standard_normal((6, 9)), scale=float(rng.uniform(0.1, 1.0)))
+        y = rng.standard_normal(6)
+        gamma = estimate_opnorm_sq(A).value * float(rng.uniform(1.0, 2.0))
+        beta = float(rng.uniform(0.0, 0.45)) * gamma
+        x = rng.standard_normal(9) * float(rng.uniform(0.1, 3.0))
+        r = RadiusSpec(float(rng.uniform(0.2, 2.0)) * np.sum(np.abs(x)))
+        step = solve_pg_sf(A, y, beta, gamma, r, opts, x).x_final
+        best = eval_surrogate(A, y, step, x, beta, gamma)
+        tol = 1e-12 * max(1.0, abs(best))
+        directions = rng.standard_normal((50, 9))
+        for k, d in enumerate(directions):
+            if k % 2:  # anywhere in the ball
+                w = d * (r.radius_l1 * rng.uniform() / np.sum(np.abs(d)))
+            else:  # near the step, projected back onto the ball
+                w = project_l1_ball_sort(step + 10.0 ** rng.uniform(-4, 0) * d, r)
+            assert best <= eval_surrogate(A, y, w, x, beta, gamma) + tol
 
 
 # -------------------------------------------------------------------- baselines
