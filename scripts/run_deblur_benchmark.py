@@ -1,83 +1,36 @@
 #!/usr/bin/env python3
-"""Deblurring benchmark: noise-level table at n=16 and the large n=125 run."""
+"""Deblurring through the sparsq CLI: the noise table (one CSV per level) and
+an eta sweep at n=16, and the comparison of deblur_n125.ini.  Each entry of
+RUNS is one command's arguments; results go to results/deblur/."""
 
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from sparsq.bench import (  # noqa: E402
-    AlgorithmSpec,
-    ExperimentConfig,
-    report_csv_text,
-    run_experiment,
-    sweep,
-)
+from sparsq import cli  # noqa: E402
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "results", "deblur")
+OUT = os.path.join(ROOT, "results", "deblur")
 
-# per-noise-level regularization weights for the eta=1 column
-NOISE_TABLE = [(float("inf"), 1e-5), (50.0, 4e-5), (40.0, 1.4e-4), (30.0, 4.5e-4), (20.0, 1.6e-3)]
+# snr_db: alpha, each noise level's regularization weight at eta = 1
+NOISE_TABLE = {"inf": "1e-5", "50": "4e-5", "40": "1.4e-4", "30": "4.5e-4", "20": "1.6e-3"}
 
-
-def write(name, text):
-    os.makedirs(OUT_DIR, exist_ok=True)
-    path = os.path.join(OUT_DIR, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+RUNS = [
+    *(["deblur", "--algo", "hv", "--alpha", alpha, "--eta", "1", "--snr-db", snr,
+       "--seeds", "0,1,2", "--out", f"{OUT}/noise_table_n16_snr{snr}.csv"]
+      for snr, alpha in NOISE_TABLE.items()),
+    ["sweep", "--experiment", "deblur", "--axis", "eta", "--values", "0,0.2,0.4,0.6,0.8,1",
+     "--algo", "hv", "--alpha", "1.4e-4", "--snr-db", "40", "--seeds", "0,1,2",
+     "--out", f"{OUT}/eta_sweep_n16.csv"],
+    ["deblur", "--config", f"{ROOT}/scripts/deblur_n125.ini",
+     "--out", f"{OUT}/comparison_n125.csv"],
+]
 
 
 def main():
-    all_rows = []
-    for snr_db, alpha in NOISE_TABLE:
-        cfg = ExperimentConfig(
-            experiment="deblur",
-            n=16,
-            band=3,
-            sigma=0.7,
-            snr_db=snr_db,
-            seeds=(0, 1, 2),
-            maxiter=1500,
-            algorithms=(AlgorithmSpec("hv", {"alpha": alpha, "eta": 1.0}),),
-        )
-        rows, _, _ = run_experiment(cfg)
-        all_rows.extend(rows)
-    write("noise_table_n16.csv", report_csv_text(all_rows))
-
-    # eta sweep at a fixed weight, n=16, 40 dB
-    cfg = ExperimentConfig(
-        experiment="deblur",
-        n=16,
-        band=3,
-        sigma=0.7,
-        snr_db=40.0,
-        seeds=(0, 1, 2),
-        maxiter=1500,
-        algorithms=(AlgorithmSpec("hv", {"alpha": 1.4e-4, "eta": 0.0}),),
-    )
-    rows, _ = sweep(cfg, "eta", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-    write("eta_sweep_n16.csv", report_csv_text(rows))
-
-    # large image, solver comparison
-    big = ExperimentConfig(
-        experiment="deblur",
-        n=125,
-        band=3,
-        sigma=0.7,
-        snr_db=60.0,
-        seeds=(0,),
-        maxiter=1500,
-        algorithms=(
-            AlgorithmSpec("hv", {"alpha": 1e-5, "eta": 1.0}),
-            AlgorithmSpec("ht", {"lam": 1e-5}),
-            AlgorithmSpec("pg", {"beta": 1e-5, "gamma": 1.0, "radius_sq": "auto"}),
-        ),
-        mdp={"r_min": 1.0, "r_max": 5e7},
-    )
-    rows, _, _ = run_experiment(big)
-    write("comparison_n125.csv", report_csv_text(rows))
+    return max(cli.main(argv) for argv in RUNS)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

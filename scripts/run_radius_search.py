@@ -1,73 +1,30 @@
 #!/usr/bin/env python3
-"""Discrepancy-principle radius selection on both benchmark instances."""
+"""Radius selection through the sparsq CLI, with the pg weights and [mdp] of
+cs_desk.ini (seed 0) and deblur_n125.ini.  Each entry of RUNS is one command's
+arguments; the traces go to results/radius/, each manifest records
+final_radius_sq next to x_true_l1_sq."""
 
 import os
 import sys
 
-import numpy as np
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from sparsq import cli  # noqa: E402
 
-from sparsq.bench import (  # noqa: E402
-    AlgorithmSpec,
-    ExperimentConfig,
-    mdp_trace_csv_text,
-    radius_search,
-)
+OUT = os.path.join(ROOT, "results", "radius")
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "results", "radius")
-
-
-def write(name, text):
-    os.makedirs(OUT_DIR, exist_ok=True)
-    path = os.path.join(OUT_DIR, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-
-
-def report(label, out, inst):
-    true_rsq = float(np.sum(np.abs(inst.x_true)) ** 2)
-    rec = out.radius.radius_sq
-    print(
-        f"{label}: recovered radius_sq = {rec:.6g}, ||x_true||_1^2 = {true_rsq:.6g} "
-        f"({100 * abs(rec - true_rsq) / true_rsq:.2f}% off), "
-        f"bracketed = {out.bracketed}, outer iterations = {len(out.trace)}"
-    )
+RUNS = [
+    ["radius-search", "--experiment", "cs", "--config", f"{ROOT}/scripts/cs_desk.ini",
+     "--seeds", "0", "--out", f"{OUT}/cs_radius_trace.csv"],
+    ["radius-search", "--experiment", "deblur", "--config", f"{ROOT}/scripts/deblur_n125.ini",
+     "--out", f"{OUT}/deblur_radius_trace.csv"],
+]
 
 
 def main():
-    cs_cfg = ExperimentConfig(
-        experiment="cs",
-        n=200,
-        m=80,
-        s=16,
-        scale=0.04,
-        snr_db=40.0,
-        seeds=(0,),
-        maxiter=1500,
-        algorithms=(AlgorithmSpec("pg", {"beta": 6e-5, "gamma": 1.0}),),
-        mdp={"r_min": 1.0, "r_max": 1e5, "tau1": 1.01, "tau2": 1.1, "max_outer": 40},
-    )
-    out, inst = radius_search(cs_cfg)
-    write("cs_radius_trace.csv", mdp_trace_csv_text(out.trace))
-    report("cs", out, inst)
-
-    db_cfg = ExperimentConfig(
-        experiment="deblur",
-        n=125,
-        band=3,
-        sigma=0.7,
-        snr_db=60.0,
-        seeds=(0,),
-        maxiter=1500,
-        algorithms=(AlgorithmSpec("pg", {"beta": 1e-5, "gamma": 1.0}),),
-        mdp={"r_min": 1.0, "r_max": 5e7, "tau1": 1.01, "tau2": 1.1, "max_outer": 40},
-    )
-    out, inst = radius_search(db_cfg)
-    write("deblur_radius_trace.csv", mdp_trace_csv_text(out.trace))
-    report("deblur", out, inst)
+    return max(cli.main(argv) for argv in RUNS)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

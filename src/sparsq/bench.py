@@ -252,25 +252,44 @@ def _checked(where, build, *args, **kwargs):
 
 
 def _generate(cfg, seed):
-    if cfg.experiment == "cs":
-        inst = gen_cs_instance(cfg.n, cfg.m, cfg.s, cfg.scale, seed, cfg.amp_scale)
-    else:
-        image = None
-        if cfg.image:
-            try:
-                image = np.loadtxt(cfg.image, delimiter=",")
-            except OSError as err:
-                raise ValueError(f"cannot read image: {err}") from None
-        inst = gen_blur_instance(cfg.n, cfg.band, cfg.sigma, image=image)
-    return add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
+    """The configured noisy instance and ||A||^2, checked in O(n) with no
+    operator apply: ||x_true||^2 positive and finite, ||y_delta||^2 and ||A||^2
+    finite.  Extreme settings overflow while the instance is built; numpy's
+    warnings are off there, and the checks catch what overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.experiment == "cs":
+            inst = gen_cs_instance(cfg.n, cfg.m, cfg.s, cfg.scale, seed, cfg.amp_scale)
+        else:
+            image = None
+            if cfg.image:
+                try:
+                    image = np.loadtxt(cfg.image, delimiter=",")
+                except OSError as err:
+                    raise ValueError(f"cannot read image: {err}") from None
+            inst = gen_blur_instance(cfg.n, cfg.band, cfg.sigma, image=image)
+        inst = add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
+        truth_sq = float(inst.x_true @ inst.x_true)
+        data_sq = float(inst.y_delta @ inst.y_delta)
+    if not truth_sq < math.inf:
+        raise ValueError("||x_true||^2 is not finite")
+    if truth_sq == 0.0:  # the SNR and rerror columns divide by it
+        raise ValueError("||x_true||^2 is 0")
+    if not data_sq < math.inf:
+        raise ValueError("||y_delta||^2 is not finite")
+    try:
+        r_hat = opnorm_sq_cached(inst.A)
+    except OverflowError:  # squaring a huge Python float raises
+        r_hat = math.inf
+    if not r_hat < math.inf:
+        raise ValueError("||A||^2 overflows")
+    return inst, r_hat
 
 
 def make_instance(cfg, seed):
     """Generate the configured instance, add noise, rescale if the normal
     operator's norm is at or above one.  Returns (instance, rescale_factor).
-    Settings the generators reject are ConfigErrors."""
-    inst = _checked(f"{cfg.experiment} instance", _generate, cfg, seed)
-    r_hat = opnorm_sq_cached(inst.A)
+    Settings the generators or _generate's checks reject are ConfigErrors."""
+    inst, r_hat = _checked(f"{cfg.experiment} instance", _generate, cfg, seed)
     factor = 1.0
     if r_hat >= 1.0:
         factor = float(np.sqrt(r_hat) * 1.01)

@@ -198,7 +198,8 @@ def _l1(absx):
 def prox_sq_l1(x, alpha):
     """Proximal operator of alpha * ||.||_1^2, i.e. argmin 0.5||u - x||^2 + alpha ||u||_1^2.
 
-    For x = 0 the prox is 0 and mu* = 0.  Otherwise the prox is soft
+    For x = 0 the prox is 0, mu* = 0 and lambda is 1/n on each entry (all n
+    tie at the largest |x_i|).  Otherwise the prox is soft
     thresholding at tau = 2 alpha S_rho / (1 + 2 alpha rho), where S_rho is the
     sum of the rho largest |x_i| and rho is the last index at which the sorted
     magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
@@ -216,7 +217,7 @@ def prox_sq_l1(x, alpha):
     l1 = _l1(absx)
     if l1 == 0.0:
         zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, zeros.copy())
+        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(x.size, 1)))
 
     # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, and on
     # a huge finite x the l1 sum or the kernel's u_k (k + ridge), which

@@ -628,6 +628,49 @@ def test_cli_unreadable_image_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+_CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, pixel, error",
+    [
+        (f"{_CS_HV} --amp-scale nan", None, "cs instance: ||x_true||^2 is not finite"),
+        (f"{_CS_HV} --amp-scale inf", None, "cs instance: ||x_true||^2 is not finite"),
+        (f"{_CS_HV} --amp-scale 1e308", None, "cs instance: ||x_true||^2 is not finite"),
+        (f"{_CS_HV} --scale inf", None, "cs instance: ||y_delta||^2 is not finite"),
+        (f"{_CS_HV} --scale 1e153", None, "cs instance: ||y_delta||^2 is not finite"),
+        (f"{_CS_HV} --scale 1e200", None, "cs instance: ||y_delta||^2 is not finite"),
+        # finite data, but ||A||^2 is inf, or squaring the scale raises OverflowError
+        (f"{_CS_HV} --scale 1e153 --amp-scale 1e-153", None, "cs instance: ||A||^2 overflows"),
+        (f"{_CS_HV} --scale 1e200 --amp-scale 1e-150", None, "cs instance: ||A||^2 overflows"),
+        (f"{_CS_HV} --snr-db inf --amp-scale 0", None, "cs instance: ||x_true||^2 is 0"),
+        ("deblur --algo hv --alpha 1e-4", math.nan, "deblur instance: ||x_true||^2 is not finite"),
+        ("deblur --algo hv --alpha 1e-4", math.inf, "deblur instance: ||x_true||^2 is not finite"),
+        ("deblur --algo hv --alpha 1e-4 --snr-db inf", 0.0, "deblur instance: ||x_true||^2 is 0"),
+    ],
+    ids=["amp-nan", "amp-inf", "amp-1e308", "scale-inf", "scale-1e153", "scale-1e200",
+         "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "image-nan", "image-inf",
+         "image-zero-noise-free"],
+)
+def test_cli_bad_instance_settings_are_config_errors(argv, pixel, error, tmp_path, capsys,
+                                                     monkeypatch):
+    # settings that give a ground truth whose square norm is not finite or is
+    # 0, data whose square norm is not finite, or an infinite ||A||^2, caught
+    # when the instance is built
+    solves = _count_solves(monkeypatch)
+    argv = shlex.split(argv) + ["--seeds", "0", "--out", str(tmp_path / "r.csv")]
+    if pixel is not None:  # a 6x6 image of ones, one pixel set, or all zero
+        image = np.full((6, 6), 0.0 if pixel == 0.0 else 1.0)
+        image[2, 3] = pixel
+        np.savetxt(tmp_path / "image.csv", image, delimiter=",")
+        argv += ["--n", "6", "--image", str(tmp_path / "image.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert len(solves) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ([] if pixel is None else ["image.csv"])
+
+
 def test_cli_rejects_unknown_algorithm_key(tmp_path, capsys):
     bad = tmp_path / "typo.ini"
     bad.write_text(CONFIG_TEXT.replace("alpha = 1e-3\neta = 1.0", "alhpa = 1e-3\neta = 1.0"))

@@ -136,6 +136,10 @@ def test_prox_zero_input():
     out = prox_sq_l1(np.zeros(4), 0.7)
     assert np.array_equal(out.value, np.zeros(4))
     assert out.mu_star == 0.0
+    # all four |x_i| tie at the largest, so each gets 1/4, a point of the simplex
+    assert np.array_equal(out.lam, np.full(4, 0.25))
+    empty = prox_sq_l1(np.zeros(0), 0.7)
+    assert empty.value.shape == empty.lam.shape == (0,)
 
 
 def test_prox_scalar_closed_form():
@@ -487,9 +491,8 @@ def test_newton_reference_matches_bisection_reference():
 def test_prox_properties(x, alpha):
     out = prox_sq_l1(x, alpha)
     scale = max(1.0, float(np.max(np.abs(x))))
-    if np.any(x):
-        assert np.all(out.lam >= 0)
-        assert np.sum(out.lam) == pytest.approx(1.0, abs=1e-9)
+    assert np.all(out.lam >= 0)
+    assert np.sum(out.lam) == pytest.approx(1.0, abs=1e-9)
     shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * out.mu_star))
     assert np.max(np.abs(out.value - shrunk)) <= 1e-10 * scale
 
@@ -506,8 +509,9 @@ def test_prox_properties(x, alpha):
 def _check_half_variation_weights(x, alpha, rng):
     """The prox weights against the paper's identity at u = prox_sq_l1(x).value:
     they are optimal_lambda(u) and attain ||u||_1^2 = sum_i phi(u_i, lambda_i),
-    and no Dirichlet point of the simplex does better.  When u rounds to 0 the
-    weights are optimal_lambda's limit in alpha, on the largest |x_i|."""
+    and no Dirichlet point of the simplex does better.  When u is 0 (x = 0, or
+    u rounded to 0) the weights are optimal_lambda's limit in alpha, on the
+    largest |x_i|."""
     out = prox_sq_l1(x, alpha)
     absx = np.abs(x)
     u = out.value if np.any(out.value) else (absx == np.max(absx)).astype(float)
@@ -531,13 +535,11 @@ def test_prox_weights_attain_the_half_variation_identity():
         x[rng.random(n) < 0.2] = 0.0
         if trial % 4 == 0:  # tied magnitudes
             x = np.round(x * 2.0 / np.max(np.abs(x) + 1e-300)) * 3.0
-        if not np.any(x):
-            x[0] = 1.0
         alpha = float(10.0 ** rng.uniform(-4, 300))
         _check_half_variation_weights(x, alpha, rng)
 
 
-@given(vectors.filter(np.any), st.floats(1e-4, 1e300))
+@given(vectors, st.floats(1e-4, 1e300))
 @settings(max_examples=200, deadline=None)
 def test_prox_weights_half_variation_properties(x, alpha):
     _check_half_variation_weights(x, alpha, np.random.default_rng(0))
