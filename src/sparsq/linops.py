@@ -104,12 +104,15 @@ class DenseMatrix(LinearOperator):
         self.range_dim, self.domain_dim = entries.shape
 
     def apply(self, x):
-        x = self._check_domain(x)
-        return self.scale * (self.entries @ x)
+        # the gemv of scale * (entries @ x), scaled in place: one array, same bits
+        out = np.dot(self.entries, self._check_domain(x))
+        out *= self.scale
+        return out
 
     def apply_adjoint(self, y):
-        y = self._check_range(y)
-        return self.scale * (self.entries.T @ y)
+        out = np.dot(self.entries.T, self._check_range(y))
+        out *= self.scale
+        return out
 
     @cached_property
     def normal(self):

@@ -62,10 +62,12 @@ def gen_cs_instance(n, m, s, scale, seed, amp_scale=1.0):
 
     A is scale times an m-by-n standard normal matrix; the ground truth has
     exactly s nonzeros on a uniformly drawn support, with normal amplitudes
-    of standard deviation amp_scale.
+    of standard deviation amp_scale, which must not be 0.
     """
     if not 0 < s <= m <= n:
         raise ValueError("need 0 < s <= m <= n")
+    if amp_scale == 0:
+        raise ValueError("amp_scale must be nonzero: the ground truth would be 0")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     entries = np.random.default_rng([seed, _STREAM_MATRIX]).standard_normal((m, n))
@@ -115,13 +117,17 @@ def add_awgn(inst, spec, measured=False):
     With the default reference-power convention the per-sample noise standard
     deviation is 10^(-snr_db/20); with measured=True it is scaled by the root
     mean square of y_true.  delta records the realized noise norm exactly.
-    An infinite snr_db is the noise-free sentinel.
+    An infinite snr_db is the noise-free sentinel; one whose noise level
+    overflows raises ValueError.
     """
     if math.isinf(spec.snr_db):
         return replace(inst, y_delta=inst.y_true.copy(), delta=0.0, seed=spec.seed)
     if not np.any(inst.y_true):
         raise ValueError("cannot add finite-SNR noise to an all-zero signal")
-    sigma = 10.0 ** (-spec.snr_db / 20.0)
+    try:
+        sigma = 10.0 ** (-spec.snr_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"snr_db = {spec.snr_db:g}: the noise level overflows") from None
     if measured:
         sigma *= float(np.sqrt(np.mean(inst.y_true**2)))
     noise = sigma * np.random.default_rng(

@@ -20,13 +20,16 @@ and ||x||_1 and takes a guess at the threshold (a cut) that narrows the sort:
 an iterate's threshold moves little from one step to the next.  The guess
 only changes the work, never the bits of the result.
 
-Per call the kernel builds the sorted survivors, their cumulative sum, one
-product and one comparison.  The projection's ranks 1..n are a view of one
-cached read-only vector, and rho, the last index where the comparison holds,
-comes from an argmax over the reversed comparison, so no index array is
-built.  On a radius search's large-support projections (5,000 to 13,000 of
-15,625 entries survive) the sort and the cumulative sum, whose order fixes
-the bits, take most of the time.
+Its callers sort the survivors; per call the kernel builds their cumulative
+sum, one product and one comparison.  The projection's ranks 1..n are a view
+of one cached read-only vector, the prox's ranks shifted by 1 / (2 alpha) come
+from a one-entry cache (a solve's prox calls share n and alpha), and rho, the
+last index where the comparison holds, comes from an argmax over the reversed
+comparison, so no index array is built.  Below the prefilter's size the prox
+skips the l1 sum wherever n max|x| bounds it far from overflow.  On a radius
+search's large-support projections (5,000 to 13,000 of 15,625 entries
+survive) the sort and the cumulative sum, whose order fixes the bits, take
+most of the time.
 """
 
 import math
@@ -42,6 +45,8 @@ _PREFILTER_MIN_SIZE = 512
 # Rounding margin of the prefilter, relative to |sum| + |offset|: it covers the
 # error of a sum over the entries and of one candidate t_k.
 _MARGIN_EPS = 64 * np.finfo(float).eps
+# prox_sq_l1 skips the l1 sum's overflow check while max|x| n (1 + ridge) is below this.
+_SUM_BOUND = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -152,20 +157,20 @@ def _sort_threshold(absx, offset, ridge, total, cut=None):
         if cut is not None:
             top = absx.compress(absx > cut)
             if top.size:
-                threshold = _sorted_threshold(top, offset, ridge)
+                threshold = _sorted_threshold(np.sort(top)[::-1], offset, ridge)
                 if threshold > cut + margin:
                     return threshold
         absx = absx.compress(absx > (total - offset) / (absx.size + ridge) - margin)
-    return _sorted_threshold(absx, offset, ridge)
+    return _sorted_threshold(np.sort(absx)[::-1], offset, ridge)
 
 
-def _sorted_threshold(absx, offset, ridge):
-    """t_rho over all of absx (nonempty), by one sort and one cumsum."""
-    n = absx.size
-    u = np.sort(absx)[::-1]
+def _sorted_threshold(u, offset, ridge):
+    """t_rho over all of u (nonempty, sorted in descending order), by one cumsum."""
+    n = u.size
     partial = u.cumsum()  # the method: np.cumsum's wrapper costs 1-2 us a call
-    partial -= offset
-    k = _ranks(n) if ridge == 0.0 else _ranks(n) + ridge
+    if offset:
+        partial -= offset
+    k = _ranks(n) if ridge == 0.0 else _shifted_ranks(n, ridge)
     above = u * k > partial
     # Exact for rho = 1, but lost in rounding when offset or ridge * u_1 is
     # below the precision of u_1.
@@ -189,6 +194,21 @@ def _ranks(n):
     return ranks[:n]
 
 
+_shifted_cache = (0, 0.0, _rank_cache)
+
+
+def _shifted_ranks(n, ridge):
+    """_ranks(n) + ridge, read-only, from a one-entry cache keyed on (n, ridge):
+    the prox calls of one solve share both."""
+    global _shifted_cache
+    cached_n, cached_ridge, k = _shifted_cache  # read once, as in _ranks
+    if cached_n != n or cached_ridge != ridge:
+        k = _ranks(n) + ridge
+        k.flags.writeable = False
+        _shifted_cache = (n, ridge, k)
+    return k
+
+
 def _l1(absx):
     """sum(absx), inf when it overflows.  np.einsum, unlike np.sum, emits no
     overflow warning, so the callers' fallbacks run under warnings-as-errors."""
@@ -204,8 +224,10 @@ def prox_sq_l1(x, alpha):
     sum of the rho largest |x_i| and rho is the last index at which the sorted
     magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
     of psi, and lambda = |prox| / ||prox||_1, or 1/k on each of the k largest
-    |x_i| (the limit in alpha) when the prox rounds to 0.  Raises ValueError
-    if alpha is not positive and finite or x has a NaN or infinite entry.
+    |x_i| (the limit in alpha) when the prox rounds to 0.  mu* is computed in
+    Python floats: inf, with no warning, where it is beyond the float range.
+    Raises ValueError if alpha is not positive and finite or x has a NaN or
+    infinite entry.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -214,16 +236,27 @@ def prox_sq_l1(x, alpha):
         raise ValueError(f"alpha = {alpha!r} is too small: 0.5 / alpha overflows")
     x = np.asarray(x, dtype=float)
     absx = np.abs(x)
-    l1 = _l1(absx)
-    if l1 == 0.0:
+    n = absx.size
+    u = np.sort(absx)[::-1] if 0 < n < _PREFILTER_MIN_SIZE else None
+    # On a huge finite x the l1 sum or the kernel's u_k (k + ridge), which
+    # l1 (1 + ridge) bounds, overflows.  Since l1 <= n max|x|, neither can when
+    # the product below (in Python floats: no warning) is under 2**1000, and
+    # the l1 sum is not needed.
+    if u is not None and float(u[0]) * n * (1.0 + ridge) < _SUM_BOUND:
+        nonzero = u[0] > 0.0
+        tau = _sorted_threshold(u, 0.0, ridge) if nonzero else 0.0
+    else:
+        l1 = _l1(absx)
+        nonzero = l1 != 0.0
+        summable = nonzero and math.isfinite(l1 * (1.0 + ridge))
+        tau = _sort_threshold(absx, 0.0, ridge, l1) if summable else 0.0
+    if not nonzero:
         zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(x.size, 1)))
+        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(n, 1)))
 
-    # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, and on
-    # a huge finite x the l1 sum or the kernel's u_k (k + ridge), which
-    # l1 (1 + ridge) bounds, overflows; the prox is positively homogeneous, so
-    # in these cases redo the step on x / max|x|
-    tau = _sort_threshold(absx, 0.0, ridge, l1) if math.isfinite(l1 * (1.0 + ridge)) else 0.0
+    # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, or 0
+    # where the sum overflowed; the prox is positively homogeneous, so in
+    # these cases redo the step on x / max|x|
     scale = 1.0
     if not tau >= _TINY:
         if not np.all(np.isfinite(absx)):
@@ -242,7 +275,8 @@ def prox_sq_l1(x, alpha):
     if scale != 1.0:
         absx *= scale
     value = np.copysign(absx, x, out=absx)
-    return ProxResult(value, float(tau * tau / (4.0 * alpha)) * scale * scale, lam)
+    tau = float(tau)
+    return ProxResult(value, tau * tau / (4.0 * float(alpha)) * scale * scale, lam)
 
 
 def project_l1_ball_sort(x, r):

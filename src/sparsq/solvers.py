@@ -265,8 +265,11 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         # u and the projection are computed in place, with the operations of
         # project_l1_ball_sort((gamma * x - grad(x)) / denom, r)
         nonlocal cut, peak_l1
-        u = gamma * x
-        u -= grad(x)
+        if gamma == 1.0:  # the same bits as 1.0 * x - grad(x), one multiply fewer
+            u = x - grad(x)
+        else:
+            u = gamma * x
+            u -= grad(x)
         u /= denom
         value, threshold, l1 = _project_l1_ball(u, r.radius_l1, cut)
         cut = _CUT_FACTOR * threshold
@@ -477,8 +480,11 @@ def _prox_gradient(A, ydelta, shrink, objective, t, opts, x0, x_true, lift=None,
     grad = _gradient(A, ydelta)
 
     def step(z):
-        w = z if lift is None else z + lift(z, t) * z
-        return shrink(w - t * grad(z), t)
+        # a zero lift and t = 1 are skipped: for a finite z the bits are the same
+        c = 0.0 if lift is None else lift(z, t)
+        w = z + c * z if c else z
+        g = grad(z)
+        return shrink(w - (g if t == 1.0 else t * g), t)
 
     return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
 

@@ -8,8 +8,15 @@ bisection, and the prox-based l1-ball projection run through the Newton form
 is an independent check of the sort-based projection.
 
 sort_threshold_full is that kernel with a full sort of every entry, the form
-the library's prefiltered kernel must match bit for bit.
+the library's prefiltered kernel must match bit for bit.  prox_sq_l1_plain is
+the library's prox written plainly on that kernel: one l1 sum and one full
+sort per call, no cached ranks, and mu* in numpy arithmetic.  The library's
+prox, which skips the sum where it cannot overflow, sorts before its kernel
+and caches the shifted ranks, must return its value, mu* and weights bit for
+bit.
 """
+
+import math
 
 import numpy as np
 
@@ -115,3 +122,36 @@ def sort_threshold_full(absx, offset, ridge):
     above[0] = True
     rho = np.nonzero(above)[0][-1]
     return partial[rho] / k[rho]
+
+
+def prox_sq_l1_plain(x, alpha):
+    """prox_sq_l1 for a finite x and a positive alpha whose 0.5 / alpha is
+    finite: tau from sort_threshold_full when ||x||_1 (1 + 1 / (2 alpha)) is
+    finite and tau is normal, else from the same step on x / max|x|."""
+    ridge = 0.5 / float(alpha)
+    x = np.asarray(x, dtype=float)
+    absx = np.abs(x)
+    l1 = float(np.einsum("i->", absx.ravel()))  # inf, with no warning, on overflow
+    if l1 == 0.0:
+        zeros = np.zeros_like(x)
+        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(x.size, 1)))
+    tau = sort_threshold_full(absx, 0.0, ridge) if math.isfinite(l1 * (1.0 + ridge)) else 0.0
+    scale = 1.0
+    if not tau >= np.finfo(float).tiny:
+        scale = float(np.max(absx))
+        absx = absx / scale
+        tau = sort_threshold_full(absx, 0.0, ridge)
+    absx -= tau
+    np.maximum(absx, 0.0, out=absx)
+    total = float(absx.sum())
+    if total > 0.0:
+        lam = absx / total
+    else:
+        peak = np.abs(x) == np.max(np.abs(x))
+        lam = peak / float(np.count_nonzero(peak))
+    if scale != 1.0:
+        absx *= scale
+    value = np.copysign(absx, x, out=absx)
+    with np.errstate(over="ignore"):  # tau^2 may overflow to inf
+        mu_star = float(tau * tau / (4.0 * alpha)) * scale * scale
+    return ProxResult(value, mu_star, lam)

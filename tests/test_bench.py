@@ -644,14 +644,16 @@ _CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
         # finite data, but ||A||^2 is inf, or squaring the scale raises OverflowError
         (f"{_CS_HV} --scale 1e153 --amp-scale 1e-153", None, "cs instance: ||A||^2 overflows"),
         (f"{_CS_HV} --scale 1e200 --amp-scale 1e-150", None, "cs instance: ||A||^2 overflows"),
-        (f"{_CS_HV} --snr-db inf --amp-scale 0", None, "cs instance: ||x_true||^2 is 0"),
+        (f"{_CS_HV} --snr-db inf --amp-scale 0", None,
+         "cs instance: amp_scale must be nonzero: the ground truth would be 0"),
+        (f"{_CS_HV} --snr-db -7000", None, "cs instance: snr_db = -7000: the noise level overflows"),
         ("deblur --algo hv --alpha 1e-4", math.nan, "deblur instance: ||x_true||^2 is not finite"),
         ("deblur --algo hv --alpha 1e-4", math.inf, "deblur instance: ||x_true||^2 is not finite"),
         ("deblur --algo hv --alpha 1e-4 --snr-db inf", 0.0, "deblur instance: ||x_true||^2 is 0"),
     ],
     ids=["amp-nan", "amp-inf", "amp-1e308", "scale-inf", "scale-1e153", "scale-1e200",
-         "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "image-nan", "image-inf",
-         "image-zero-noise-free"],
+         "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "noise-overflow", "image-nan",
+         "image-inf", "image-zero-noise-free"],
 )
 def test_cli_bad_instance_settings_are_config_errors(argv, pixel, error, tmp_path, capsys,
                                                      monkeypatch):

@@ -31,6 +31,20 @@ def test_dense_scale_applied_at_evaluation():
     assert np.allclose(op.apply([1.0, -1.0, 0.0]), [2.5, -2.5, 0.0])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_apply_has_the_bits_of_the_scaled_product(order):
+    # apply and apply_adjoint scale the product in place; the bits stay those
+    # of scale * (entries @ x) and scale * (entries.T @ y)
+    rng = np.random.default_rng(31)
+    for m, n in ((80, 200), (200, 200), (1, 7), (9, 1)):
+        entries = np.asarray(rng.standard_normal((m, n)), order=order)
+        for scale in (1.0, 0.04, 0.0016, 3.7):
+            op = DenseMatrix(entries, scale)
+            x, y = rng.standard_normal(n), rng.standard_normal(m)
+            assert op.apply(x).tobytes() == (scale * (entries @ x)).tobytes()
+            assert op.apply_adjoint(y).tobytes() == (scale * (entries.T @ y)).tobytes()
+
+
 def test_dense_dimension_mismatch():
     op = DenseMatrix(np.ones((3, 2)))
     with pytest.raises(ValueError):

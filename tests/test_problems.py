@@ -52,6 +52,13 @@ def test_cs_rejects_bad_shapes():
         gen_cs_instance(10, 8, 0, 1.0, seed=0)
 
 
+def test_cs_rejects_zero_amplitude_scale():
+    # every amplitude would be 0, so x_true would not have s nonzeros
+    with pytest.raises(ValueError, match="amp_scale"):
+        gen_cs_instance(10, 8, 3, 1.0, seed=0, amp_scale=0.0)
+    assert np.count_nonzero(gen_cs_instance(10, 8, 3, 1.0, seed=0, amp_scale=-2.0).x_true) == 3
+
+
 def test_cs_operator_norms_match_reported_values():
     inst = gen_cs_instance(200, 80, 16, 1.0, seed=0)
     sv = np.linalg.svd(inst.A.entries, compute_uv=False)
@@ -141,6 +148,12 @@ def test_awgn_rejects_zero_signal():
     inst = gen_cs_instance(10, 10, 10, 0.0, seed=0)
     with pytest.raises(ValueError):
         add_awgn(inst, NoiseSpec(40.0, seed=0))
+
+
+def test_awgn_rejects_a_noise_level_that_overflows():
+    inst = gen_cs_instance(10, 8, 3, 1.0, seed=0)
+    with pytest.raises(ValueError, match="noise level overflows"):
+        add_awgn(inst, NoiseSpec(-7000.0, seed=0))
 
 
 def test_awgn_noise_power_calibration():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsq import proxops
@@ -19,7 +19,12 @@ from sparsq.proxops import (
     soft_threshold,
 )
 from paper_reference import optimal_lambda, phi
-from prox_reference import prox_sq_l1_bisect, prox_sq_l1_newton, sort_threshold_full
+from prox_reference import (
+    prox_sq_l1_bisect,
+    prox_sq_l1_newton,
+    prox_sq_l1_plain,
+    sort_threshold_full,
+)
 
 vectors = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=10
@@ -504,6 +509,59 @@ def test_prox_properties(x, alpha):
     for step in (1e-3, 1e-2, 0.1, 1.0):
         perturbed = out.value + step * scale * rng.standard_normal((50, x.size))
         assert np.min(objective(perturbed)) >= base - 1e-9 * max(1.0, base)
+
+
+def _same_bits(out, want):
+    """value, mu_star and lam of two ProxResults are byte-equal."""
+    assert out.value.tobytes() == want.value.tobytes()
+    assert np.float64(out.mu_star).tobytes() == np.float64(want.mu_star).tobytes()
+    assert out.lam.tobytes() == want.lam.tobytes()
+
+
+def test_prox_tau_squared_overflow_gives_an_infinite_mu_star():
+    # tau is about 2.6e192: tau^2 / (4 alpha) is beyond the float range, the
+    # value and the weights are not
+    x = np.array([1e200, 3e199, -2e199])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_sq_l1(x, 1e-8)
+    assert out.mu_star == np.inf
+    assert np.all(np.isfinite(out.value)) and np.sum(out.lam) == pytest.approx(1.0)
+    _same_bits(out, prox_sq_l1_plain(x, 1e-8))
+
+
+@given(
+    st.one_of(st.integers(0, 40), st.integers(_PREFILTER_MIN_SIZE - 2, _PREFILTER_MIN_SIZE + 90)),
+    st.integers(0, 2**32 - 1),
+    st.floats(-320.0, 300.0),
+    st.sampled_from(["normal", "ties", "sparse", "zero"]),
+    st.floats(-300.0, 300.0),
+)
+@settings(max_examples=300, deadline=None)
+@example(0, 0, 0.0, "normal", 0.0)  # empty
+@example(200, 0, 0.0, "zero", -4.0)  # all zero
+@example(_PREFILTER_MIN_SIZE, 1, 0.0, "ties", -4.0)  # ties at the maximum, at the size cut
+@example(_PREFILTER_MIN_SIZE - 1, 2, 0.0, "ties", 2.0)
+@example(200, 3, 295.0, "normal", -8.0)  # max|x| n (1 + ridge) >= 2**1000, a finite sum
+@example(600, 3, 295.0, "normal", -8.0)
+@example(200, 4, 307.0, "normal", -4.0)  # the sum overflows
+@example(200, 3, 300.0, "normal", -8.0)  # l1 (1 + ridge) overflows, max|x| (1 + ridge) does not
+@example(30, 5, -315.0, "normal", -4.0)  # subnormal x: tau below tiny
+@example(600, 5, -315.0, "sparse", 2.0)
+def test_prox_keeps_the_plain_forms_bits(n, seed, log_mag, shape, log_alpha):
+    # The library's prox skips the l1 sum below 2**1000, sorts before its
+    # kernel and caches the shifted ranks; none of it moves a bit of the
+    # value, mu_star or the weights
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0**log_mag
+    if shape == "ties" and n:
+        x[rng.random(n) < 0.3] = np.copysign(np.max(np.abs(x)), rng.standard_normal())
+    elif shape == "sparse":
+        x[rng.random(n) < 0.8] = 0.0
+    elif shape == "zero":
+        x[:] = 0.0
+    alpha = 10.0**log_alpha
+    _same_bits(prox_sq_l1(x, alpha), prox_sq_l1_plain(x, alpha))
 
 
 def _check_half_variation_weights(x, alpha, rng):

@@ -268,13 +268,18 @@ def test_st_and_ht_match_their_own_bodies(kind):
 
 
 @pytest.mark.parametrize("lk", [1.0, 1.3])
-def test_hv_matches_its_own_body(lk):
+def test_hv_matches_its_own_body(lk, monkeypatch):
     # hv runs the baselines' body now.  It multiplies by t = 1 / L_k where it
     # divided by L_k, so it keeps its bits at L_k = 1 and stays within
-    # rounding elsewhere.
+    # rounding elsewhere.  The reference steps through the plain prox, so the
+    # library's prox is pinned along the whole solve too.
+    import solver_reference
+    from prox_reference import prox_sq_l1_plain
     from solver_reference import solve_hv as reference
 
     from sparsq.problems import blur_desk_instance, cs_desk_instance
+
+    monkeypatch.setattr(solver_reference, "prox_sq_l1", prox_sq_l1_plain)
 
     cases = [(cs_desk_instance(seed), 6e-5) for seed in (0, 1)]
     cases.append((blur_desk_instance(n=16), 1e-5))
