@@ -27,7 +27,6 @@ from .problems import (
     snr_metric,
 )
 from .proxops import (
-    ProxResult,
     RadiusSpec,
     half_threshold,
     project_l1_ball_hv,

@@ -152,11 +152,15 @@ def _whole_number(text):
     return int(value)
 
 
+# The parameters that may be "auto": those with a selection rule.
+AUTO_KEYS = ("alpha", "radius_sq")
+
+
 def _number(key):
     """parse_number for key; "auto" only where a selection rule exists."""
     def parse(text):
         value = parse_number(text, key)
-        if value == "auto" and key not in ("alpha", "radius_sq"):
+        if value == "auto" and key not in AUTO_KEYS:
             raise ValueError(f"no selection rule for {key}")
         return value
     return parse
@@ -492,6 +496,8 @@ def sweep(cfg, axis, values):
         raise ConfigError("sweep needs at least one value")
     if axis not in ("eta", "alpha", "snr_db"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if "auto" in values and axis not in AUTO_KEYS:
+        raise ConfigError(f"sweep axis {axis!r} takes no 'auto' value: no selection rule for {axis}")
     if axis != "snr_db":
         bad = [a.kind for a in cfg.algorithms if axis not in SOLVER_KINDS[a.kind].params]
         if bad:

@@ -236,10 +236,10 @@ def _quick_checks():
     v = rng.standard_normal(6)
     alpha = 0.3
     prox = prox_sq_l1(v, alpha)
-    obj = 0.5 * np.sum((prox.value - v) ** 2) + alpha * np.sum(np.abs(prox.value)) ** 2
+    obj = 0.5 * np.sum((prox - v) ** 2) + alpha * np.sum(np.abs(prox)) ** 2
     ok = True
     for _ in range(200):
-        u = prox.value + 0.1 * rng.standard_normal(6)
+        u = prox + 0.1 * rng.standard_normal(6)
         if 0.5 * np.sum((u - v) ** 2) + alpha * np.sum(np.abs(u)) ** 2 < obj - 1e-9:
             ok = False
             break

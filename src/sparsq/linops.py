@@ -15,6 +15,7 @@ power-iteration estimate otherwise.
 """
 
 import math
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -149,6 +150,8 @@ class KroneckerBlur(LinearOperator):
             raise ValueError("band must satisfy 1 <= band <= n")
         if not sigma > 0:
             raise ValueError("sigma must be positive")
+        if not 2.0 * math.pi * sigma * sigma > 1.0 / sys.float_info.max:
+            raise ValueError(f"sigma = {sigma!r} is too small: 1 / (2 pi sigma^2) overflows")
         self.n = n
         self.band = band
         self.sigma = float(sigma)

@@ -1,14 +1,11 @@
 """Thresholding, proximal, and projection operators.
 
-The central primitive is the proximal operator of alpha * ||.||_1^2.  Its
-value at x is soft thresholding at tau = 2 alpha ||prox||_1, written as the
-coordinatewise rescaling x_i -> lambda_i x_i / (lambda_i + 2 alpha) with the
-weights lambda = |prox| / ||prox||_1 that attain ||prox||_1^2 = min over the
-simplex of sum_i prox_i^2 / lambda_i.  tau is found exactly in O(n log n) by
-sorting |x|, the same sort-and-threshold step as the exact l1-ball
-projection; both call one private kernel.  psi below is the optimality
-condition in the paper's variable mu = tau^2 / (4 alpha): the prox's mu* is
-its root.
+The central primitive is the proximal operator of alpha * ||.||_1^2, which
+returns only its value: soft thresholding of x at tau = 2 alpha ||prox||_1.
+tau is found exactly in O(n log n) by sorting |x|, the same
+sort-and-threshold step as the exact l1-ball projection; both call one
+private kernel.  psi below is the optimality condition in the paper's
+variable mu = tau^2 / (4 alpha): its root is alpha ||prox||_1^2.
 
 Two l1-ball projections are provided.  The sort-based one is the exact
 O(n log n) method and is used on solver hot paths; the prox-based one finds
@@ -70,15 +67,6 @@ class RadiusSpec:
         return cls(float(np.sqrt(radius_sq)))
 
 
-@dataclass(frozen=True)
-class ProxResult:
-    """Output of prox_sq_l1: the prox value, the root mu*, and the weights lambda."""
-
-    value: np.ndarray
-    mu_star: float
-    lam: np.ndarray
-
-
 def soft_threshold(x, t):
     """Entrywise sign(x) * max(|x| - t, 0)."""
     if not t >= 0:
@@ -114,8 +102,8 @@ def half_threshold(x, lam, step):
 def psi(mu, x, alpha):
     """sum_i [sqrt(alpha)|x_i|/sqrt(mu) - 2 alpha]_+ - 1, nonincreasing in mu.
 
-    This is the optimality condition of the prox of alpha * ||.||_1^2: the
-    mu_star that prox_sq_l1 returns for x != 0 is its root.
+    This is the optimality condition of the prox of alpha * ||.||_1^2: for
+    x != 0 its root is alpha * ||prox_sq_l1(x, alpha)||_1^2.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
@@ -218,16 +206,11 @@ def _l1(absx):
 def prox_sq_l1(x, alpha):
     """Proximal operator of alpha * ||.||_1^2, i.e. argmin 0.5||u - x||^2 + alpha ||u||_1^2.
 
-    For x = 0 the prox is 0, mu* = 0 and lambda is 1/n on each entry (all n
-    tie at the largest |x_i|).  Otherwise the prox is soft
-    thresholding at tau = 2 alpha S_rho / (1 + 2 alpha rho), where S_rho is the
-    sum of the rho largest |x_i| and rho is the last index at which the sorted
-    magnitude exceeds that ratio.  It returns mu* = tau^2 / (4 alpha), the root
-    of psi, and lambda = |prox| / ||prox||_1, or 1/k on each of the k largest
-    |x_i| (the limit in alpha) when the prox rounds to 0.  mu* is computed in
-    Python floats: inf, with no warning, where it is beyond the float range.
-    Raises ValueError if alpha is not positive and finite or x has a NaN or
-    infinite entry.
+    For x = 0 the prox is 0.  Otherwise it is soft thresholding at
+    tau = 2 alpha S_rho / (1 + 2 alpha rho), where S_rho is the sum of the rho
+    largest |x_i| and rho is the last index at which the sorted magnitude
+    exceeds that ratio.  Raises ValueError if alpha is not positive and
+    finite, or x is not a vector or has a NaN or infinite entry.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -235,6 +218,8 @@ def prox_sq_l1(x, alpha):
     if not math.isfinite(ridge):
         raise ValueError(f"alpha = {alpha!r} is too small: 0.5 / alpha overflows")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a vector, not an array of shape {x.shape}")
     absx = np.abs(x)
     n = absx.size
     u = np.sort(absx)[::-1] if 0 < n < _PREFILTER_MIN_SIZE else None
@@ -251,8 +236,7 @@ def prox_sq_l1(x, alpha):
         summable = nonzero and math.isfinite(l1 * (1.0 + ridge))
         tau = _sort_threshold(absx, 0.0, ridge, l1) if summable else 0.0
     if not nonzero:
-        zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(n, 1)))
+        return np.zeros_like(x)
 
     # tau is subnormal or 0 on tiny x, where |x| / tau loses precision, or 0
     # where the sum overflowed; the prox is positively homogeneous, so in
@@ -266,17 +250,9 @@ def prox_sq_l1(x, alpha):
         tau = _sort_threshold(absx, 0.0, ridge, _l1(absx))
     absx -= tau  # the operations of copysign(maximum(absx - tau, 0), x)
     np.maximum(absx, 0.0, out=absx)
-    total = float(absx.sum())  # no overflow: at most l1, or n after rescaling
-    if total > 0.0:
-        lam = absx / total
-    else:  # tau rounded up to max|x|
-        peak = np.abs(x) == np.max(np.abs(x))
-        lam = peak / float(np.count_nonzero(peak))
     if scale != 1.0:
         absx *= scale
-    value = np.copysign(absx, x, out=absx)
-    tau = float(tau)
-    return ProxResult(value, tau * tau / (4.0 * float(alpha)) * scale * scale, lam)
+    return np.copysign(absx, x, out=absx)
 
 
 def project_l1_ball_sort(x, r):
@@ -348,6 +324,6 @@ def project_l1_ball_hv(x, r):
         if not step > alpha:
             break
         alpha = step
-        value = prox_sq_l1(x, alpha).value
+        value = prox_sq_l1(x, alpha)
         support = value != 0.0
     return value

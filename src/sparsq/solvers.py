@@ -244,7 +244,7 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    return _prox_gradient(A, ydelta, lambda u, t: prox_sq_l1(u, alpha * t).value,
+    return _prox_gradient(A, ydelta, lambda u, t: prox_sq_l1(u, alpha * t),
                           lambda x, r: eval_J(A, ydelta, x, p, r), 1.0 / lk, opts, x0, x_true,
                           lift=lambda z, t: 2.0 * beta * t)
 

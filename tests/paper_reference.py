@@ -2,8 +2,9 @@
 
 phi and optimal_lambda state the half-variation identity
 ||x||_1^2 = min over the simplex of sum_i phi(x_i, lambda_i), with
-phi(s, t) = s^2 / t, attained at lambda = |x| / ||x||_1.  The weights that
-sparsq.proxops.prox_sq_l1 returns are tested against them.
+phi(s, t) = s^2 / t, attained at lambda = |x| / ||x||_1.  The value u that
+sparsq.proxops.prox_sq_l1 returns is tested against them: it is the rescaling
+lambda_i x_i / (lambda_i + 2 alpha) of x with lambda = optimal_lambda(u).
 
 eval_surrogate is the quadratic majorizer of eval_D that a projected-gradient
 step of sparsq.solvers.solve_pg_sf minimizes over the l1 ball; the step is

@@ -5,22 +5,33 @@ prox_sq_l1_newton the same prox by Newton's method on psi in s = mu^(-1/2).
 Both find mu* by root-finding and share no code with the library's
 sort-and-threshold kernel, so tests compare the library's prox against the
 bisection, and the prox-based l1-ball projection run through the Newton form
-is an independent check of the sort-based projection.
+is an independent check of the sort-based projection.  Both return a
+RootProx: the prox value, the root mu* and the weights lambda_i =
+[sqrt(alpha) |x_i| / sqrt(mu*) - 2 alpha]_+ of the rescaling
+value_i = lambda_i x_i / (lambda_i + 2 alpha).
 
 sort_threshold_full is that kernel with a full sort of every entry, the form
 the library's prefiltered kernel must match bit for bit.  prox_sq_l1_plain is
 the library's prox written plainly on that kernel: one l1 sum and one full
-sort per call, no cached ranks, and mu* in numpy arithmetic.  The library's
-prox, which skips the sum where it cannot overflow, sorts before its kernel
-and caches the shifted ranks, must return its value, mu* and weights bit for
-bit.
+sort per call, and no cached ranks.  The library's prox, which skips the sum
+where it cannot overflow, sorts before its kernel and caches the shifted
+ranks, must return its value bit for bit.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from sparsq.proxops import ProxResult, psi
+from sparsq.proxops import psi
+
+
+class RootProx(NamedTuple):
+    """A root-finding reference's prox value, root mu* of psi and weights lambda."""
+
+    value: np.ndarray
+    mu_star: float
+    lam: np.ndarray
 
 
 def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
@@ -38,7 +49,7 @@ def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, zeros.copy())
+        return RootProx(zeros, 0.0, zeros.copy())
 
     absx = np.abs(x)
     l1 = float(np.sum(absx))
@@ -71,7 +82,7 @@ def prox_sq_l1_bisect(x, alpha, tol=1e-12, max_iters=200):
 
     lam = np.maximum(np.sqrt(alpha) * absx / np.sqrt(root) - 2.0 * alpha, 0.0)
     value = lam * x / (lam + 2.0 * alpha)
-    return ProxResult(value, root, lam)
+    return RootProx(value, root, lam)
 
 
 def prox_sq_l1_newton(x, alpha):
@@ -90,7 +101,7 @@ def prox_sq_l1_newton(x, alpha):
     x = np.asarray(x, dtype=float)
     if not np.any(x):
         zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, zeros.copy())
+        return RootProx(zeros, 0.0, zeros.copy())
 
     a = np.sqrt(alpha) * np.abs(x)
     s = (1.0 + 2.0 * alpha * x.size) / float(np.min(a[a > 0]))
@@ -107,7 +118,7 @@ def prox_sq_l1_newton(x, alpha):
 
     lam = np.maximum(a * s - 2.0 * alpha, 0.0)
     value = lam * x / (lam + 2.0 * alpha)
-    return ProxResult(value, 1.0 / (s * s), lam)
+    return RootProx(value, 1.0 / (s * s), lam)
 
 
 def sort_threshold_full(absx, offset, ridge):
@@ -125,16 +136,15 @@ def sort_threshold_full(absx, offset, ridge):
 
 
 def prox_sq_l1_plain(x, alpha):
-    """prox_sq_l1 for a finite x and a positive alpha whose 0.5 / alpha is
-    finite: tau from sort_threshold_full when ||x||_1 (1 + 1 / (2 alpha)) is
+    """prox_sq_l1 for a finite vector x and a positive alpha whose 0.5 / alpha
+    is finite: tau from sort_threshold_full when ||x||_1 (1 + 1 / (2 alpha)) is
     finite and tau is normal, else from the same step on x / max|x|."""
     ridge = 0.5 / float(alpha)
     x = np.asarray(x, dtype=float)
     absx = np.abs(x)
     l1 = float(np.einsum("i->", absx.ravel()))  # inf, with no warning, on overflow
     if l1 == 0.0:
-        zeros = np.zeros_like(x)
-        return ProxResult(zeros, 0.0, np.full_like(zeros, 1.0 / max(x.size, 1)))
+        return np.zeros_like(x)
     tau = sort_threshold_full(absx, 0.0, ridge) if math.isfinite(l1 * (1.0 + ridge)) else 0.0
     scale = 1.0
     if not tau >= np.finfo(float).tiny:
@@ -143,15 +153,6 @@ def prox_sq_l1_plain(x, alpha):
         tau = sort_threshold_full(absx, 0.0, ridge)
     absx -= tau
     np.maximum(absx, 0.0, out=absx)
-    total = float(absx.sum())
-    if total > 0.0:
-        lam = absx / total
-    else:
-        peak = np.abs(x) == np.max(np.abs(x))
-        lam = peak / float(np.count_nonzero(peak))
     if scale != 1.0:
         absx *= scale
-    value = np.copysign(absx, x, out=absx)
-    with np.errstate(over="ignore"):  # tau^2 may overflow to inf
-        mu_star = float(tau * tau / (4.0 * alpha)) * scale * scale
-    return ProxResult(value, mu_star, lam)
+    return np.copysign(absx, x, out=absx)

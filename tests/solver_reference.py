@@ -249,7 +249,7 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
 
     def step(x):
         u = x + (2.0 * beta / lk) * x - grad(x) / lk
-        return prox_sq_l1(u, alpha / lk).value
+        return prox_sq_l1(u, alpha / lk)
 
     return _iterate(
         A, ydelta, x0, step, lambda x, r: eval_J(A, ydelta, x, p, r), opts, x_true

@@ -47,16 +47,18 @@ def test_criterion_1_prox_oracle_equivalence():
         alpha = float(rng.uniform(0.01, 4.0))
         out = prox_sq_l1(x, alpha)
 
-        base = 0.5 * np.sum((out.value - x) ** 2) + alpha * np.sum(np.abs(out.value)) ** 2
+        base = 0.5 * np.sum((out - x) ** 2) + alpha * np.sum(np.abs(out)) ** 2
         scales = np.repeat([1e-3, 1e-2, 0.1, 1.0], 250)
-        perturbed = out.value[None, :] + scales[:, None] * rng.standard_normal((1000, n))
+        perturbed = out[None, :] + scales[:, None] * rng.standard_normal((1000, n))
         vals = 0.5 * np.sum((perturbed - x) ** 2, axis=1) + alpha * np.sum(
             np.abs(perturbed), axis=1
         ) ** 2
         worst_gap = max(worst_gap, base - float(np.min(vals)))
 
-        shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * out.mu_star))
-        worst_reparam = max(worst_reparam, float(np.max(np.abs(out.value - shrunk))))
+        # mu* from an independent root of psi, not from the prox's own tau
+        mu_star = prox_sq_l1_newton(x, alpha).mu_star
+        shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * mu_star))
+        worst_reparam = max(worst_reparam, float(np.max(np.abs(out - shrunk))))
 
     assert worst_gap <= 1e-9
     assert worst_reparam <= 1e-10
@@ -69,7 +71,7 @@ def test_criterion_1_prox_oracle_equivalence():
 def test_criterion_2_projection_equivalence(monkeypatch):
     # The prox-based route runs on the Newton reference prox, so it shares no
     # code with the sort-and-threshold kernel of project_l1_ball_sort.
-    monkeypatch.setattr(sparsq.proxops, "prox_sq_l1", prox_sq_l1_newton)
+    monkeypatch.setattr(sparsq.proxops, "prox_sq_l1", lambda x, a: prox_sq_l1_newton(x, a).value)
     rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(500):

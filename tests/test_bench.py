@@ -478,6 +478,29 @@ def test_cli_sweep_checks_every_cell_before_the_first_solve(tmp_path, capsys, mo
     assert len(solves) == 0
 
 
+@pytest.mark.parametrize(
+    "axis, values",
+    [("snr_db", "auto,40"), ("eta", "auto")],
+    ids=["snr_db", "eta"],
+)
+def test_cli_sweep_auto_on_an_axis_without_a_rule_is_a_config_error(axis, values, tmp_path,
+                                                                    capsys, monkeypatch):
+    # only alpha has a selection rule among the sweep axes
+    solves = _count_solves(monkeypatch)
+    code = cli.main(
+        [
+            "sweep", "--experiment", "cs", "--axis", axis, "--values", values, "--algo", "hv",
+            "--alpha", "6e-5", "--seeds", "0", "--out", str(tmp_path / "sweep.csv"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: sweep axis {axis!r} takes no 'auto' value: no selection rule for {axis}\n"
+    )
+    assert len(solves) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_alpha_auto_on_noise_free_data_is_a_config_error(tmp_path, capsys, monkeypatch):
     # the discrepancy principle needs a noise level, as the radius search does
     solves = _count_solves(monkeypatch)
@@ -650,10 +673,13 @@ _CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
         ("deblur --algo hv --alpha 1e-4", math.nan, "deblur instance: ||x_true||^2 is not finite"),
         ("deblur --algo hv --alpha 1e-4", math.inf, "deblur instance: ||x_true||^2 is not finite"),
         ("deblur --algo hv --alpha 1e-4 --snr-db inf", 0.0, "deblur instance: ||x_true||^2 is 0"),
+        # sigma^2 underflows to 0: the blur's scale 1 / (2 pi sigma^2) divided by it
+        ("deblur --algo ht --lam 2e-2 --n 24 --sigma 1e-320", None,
+         "deblur instance: sigma = 1e-320 is too small: 1 / (2 pi sigma^2) overflows"),
     ],
     ids=["amp-nan", "amp-inf", "amp-1e308", "scale-inf", "scale-1e153", "scale-1e200",
          "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "noise-overflow", "image-nan",
-         "image-inf", "image-zero-noise-free"],
+         "image-inf", "image-zero-noise-free", "sigma-underflow"],
 )
 def test_cli_bad_instance_settings_are_config_errors(argv, pixel, error, tmp_path, capsys,
                                                      monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -137,24 +138,35 @@ def test_psi_nonincreasing():
 # ---------------------------------------------------------------------- prox
 
 
+def _half_variation_rescaling(x, alpha, value):
+    """The paper's rescaling lambda_i x_i / (lambda_i + 2 alpha) with the simplex
+    weights lambda = optimal_lambda(value), and those weights: the prox value
+    is its own fixed point."""
+    lam = optimal_lambda(value)
+    return lam * x / (lam + 2.0 * alpha), lam
+
+
 def test_prox_zero_input():
     out = prox_sq_l1(np.zeros(4), 0.7)
-    assert np.array_equal(out.value, np.zeros(4))
-    assert out.mu_star == 0.0
+    assert np.array_equal(out, np.zeros(4))
+    # psi's root alpha ||prox||_1^2 is 0, as the root-finding reference's mu*
+    assert 0.7 * np.sum(np.abs(out)) ** 2 == prox_sq_l1_newton(np.zeros(4), 0.7).mu_star == 0.0
     # all four |x_i| tie at the largest, so each gets 1/4, a point of the simplex
-    assert np.array_equal(out.lam, np.full(4, 0.25))
+    rescaled, lam = _half_variation_rescaling(np.zeros(4), 0.7, out)
+    assert np.array_equal(lam, np.full(4, 0.25))
+    assert np.array_equal(out, rescaled)
     empty = prox_sq_l1(np.zeros(0), 0.7)
-    assert empty.value.shape == empty.lam.shape == (0,)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_prox_scalar_closed_form():
     out = prox_sq_l1(np.array([2.0, 0.0, 0.0]), 0.5)
-    assert np.allclose(out.value, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_prox_symmetric_closed_form():
     out = prox_sq_l1(np.array([1.0, 1.0]), 0.25)
-    assert np.allclose(out.value, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_prox_lambda_simplex_property():
@@ -163,9 +175,10 @@ def test_prox_lambda_simplex_property():
         x = rng.standard_normal(rng.integers(1, 8))
         alpha = float(rng.uniform(0.01, 5.0))
         out = prox_sq_l1(x, alpha)
-        assert np.all(out.lam >= 0)
-        assert np.sum(out.lam) == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(out.value, out.lam * x / (out.lam + 2 * alpha))
+        rescaled, lam = _half_variation_rescaling(x, alpha, out)
+        assert np.all(lam >= 0)
+        assert np.sum(lam) == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(out, rescaled)
 
 
 def test_prox_soft_threshold_reparametrization():
@@ -174,8 +187,10 @@ def test_prox_soft_threshold_reparametrization():
         x = rng.standard_normal(rng.integers(1, 8))
         alpha = float(rng.uniform(0.01, 5.0))
         out = prox_sq_l1(x, alpha)
-        shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * out.mu_star))
-        assert np.max(np.abs(out.value - shrunk)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+        # mu* from an independent root of psi
+        mu_star = prox_sq_l1_newton(x, alpha).mu_star
+        shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * mu_star))
+        assert np.max(np.abs(out - shrunk)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 def test_prox_optimality_against_perturbations():
@@ -189,9 +204,9 @@ def test_prox_optimality_against_perturbations():
         def objective(u):
             return 0.5 * np.sum((u - x) ** 2) + alpha * np.sum(np.abs(u)) ** 2
 
-        base = objective(out.value)
+        base = objective(out)
         for scale in (1e-3, 1e-2, 0.1, 1.0):
-            perturbed = out.value[None, :] + scale * rng.standard_normal((100, n))
+            perturbed = out[None, :] + scale * rng.standard_normal((100, n))
             vals = 0.5 * np.sum((perturbed - x) ** 2, axis=1) + alpha * np.sum(
                 np.abs(perturbed), axis=1
             ) ** 2
@@ -202,11 +217,11 @@ def test_prox_l1_norm_monotone_in_alpha_with_limits():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(8)
     alphas = np.logspace(-4, 3, 15)
-    norms = [np.sum(np.abs(prox_sq_l1(x, a).value)) for a in alphas]
+    norms = [np.sum(np.abs(prox_sq_l1(x, a))) for a in alphas]
     assert all(a >= b - 1e-10 for a, b in zip(norms, norms[1:]))
     l1 = np.sum(np.abs(x))
-    assert np.sum(np.abs(prox_sq_l1(x, 1e-8).value)) == pytest.approx(l1, rel=1e-4)
-    assert np.sum(np.abs(prox_sq_l1(x, 1e8).value)) <= 1e-3 * l1
+    assert np.sum(np.abs(prox_sq_l1(x, 1e-8))) == pytest.approx(l1, rel=1e-4)
+    assert np.sum(np.abs(prox_sq_l1(x, 1e8))) <= 1e-3 * l1
 
 
 def test_prox_rejects_bad_params():
@@ -238,12 +253,14 @@ def test_prox_subnormal_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = prox_sq_l1(np.array([5e-324, 0.0]), 1e-6)
-    assert np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.lam))
-    assert np.sum(out.lam) == 1.0
+        rescaled, lam = _half_variation_rescaling(np.array([5e-324, 0.0]), 1e-6, out)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(lam))
+    assert np.sum(lam) == 1.0
+    assert np.array_equal(out, rescaled)
 
 
 def test_prox_rejects_alpha_whose_ridge_overflows():
-    # 0.5 / alpha is inf for a subnormal alpha, which would make lam inf and value nan
+    # 0.5 / alpha is inf for a subnormal alpha, which would make the value nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
@@ -254,17 +271,21 @@ def test_prox_subnormal_threshold():
     # tau = 2 alpha S_2 / (1 + 4 alpha) is about 6e-320 here, and |x| / tau
     # loses precision in the subnormal range
     out = prox_sq_l1(np.array([1e-300, 2e-300]), 1e-20)
-    assert abs(np.sum(out.lam) - 1.0) <= 1e-12
-    assert np.all(np.isfinite(out.value))
+    rescaled, lam = _half_variation_rescaling(np.array([1e-300, 2e-300]), 1e-20, out)
+    assert abs(np.sum(lam) - 1.0) <= 1e-12
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out, rescaled, rtol=1e-12, atol=0.0)
 
 
 def test_prox_finite_input_whose_sum_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = prox_sq_l1(np.array([1e308, 1e308]), 1.0)
+        rescaled, lam = _half_variation_rescaling(np.array([1e308, 1e308]), 1.0, out)
     # on c * (1, 1) the prox is c / (1 + 4 alpha) * (1, 1), with lambda = (1/2, 1/2)
-    assert out.value == pytest.approx([2e307, 2e307], rel=1e-15)
-    assert out.lam == pytest.approx([0.5, 0.5], rel=1e-15)
+    assert out == pytest.approx([2e307, 2e307], rel=1e-15)
+    assert lam == pytest.approx([0.5, 0.5], rel=1e-15)
+    assert rescaled == pytest.approx(out, rel=1e-15)
 
 
 def test_prox_near_overflow_with_a_small_alpha():
@@ -276,13 +297,21 @@ def test_prox_near_overflow_with_a_small_alpha():
         warnings.simplefilter("error")
         out = prox_sq_l1(x, 0.015625)
         projected = project_l1_ball_hv(x, RadiusSpec(1.6e308))
-    assert out.value == pytest.approx([1.55e308, 5e306], rel=1e-15)
+    assert out == pytest.approx([1.55e308, 5e306], rel=1e-15)
     assert projected == pytest.approx([1.55e308, 5e306], rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [3.0, np.ones((2, 3)), np.ones((1, 600))], ids=["0-d", "2-d", "2-d-large"])
+def test_prox_rejects_an_input_that_is_not_a_vector(x):
+    # on either side of the prefilter's size
+    with pytest.raises(ValueError, match=re.escape(f"not an array of shape {np.shape(x)}")):
+        prox_sq_l1(x, 0.1)
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
 def test_prox_rejects_alpha_that_is_not_positive_and_finite(alpha):
-    # 0.5 / inf is 0, a finite ridge, but the weights would be nan
+    # 0.5 / inf is 0, a finite ridge, but the prox of a finite alpha is not
+    # the identity
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
@@ -466,12 +495,14 @@ def test_prox_matches_bisection_reference():
         alpha = float(10.0 ** rng.uniform(-6, 2))
         out = prox_sq_l1(x, alpha)
         ref = prox_sq_l1_bisect(x, alpha)
+        # psi's root is alpha ||prox||_1^2: the value's mu* against the bisection's
+        mu_star = alpha * float(np.sum(np.abs(out))) ** 2
         if not np.any(x):
-            assert np.array_equal(out.value, ref.value) and out.mu_star == ref.mu_star == 0.0
+            assert np.array_equal(out, ref.value) and mu_star == ref.mu_star == 0.0
             continue
-        gap = float(np.max(np.abs(out.value - ref.value))) / float(np.max(np.abs(x)))
+        gap = float(np.max(np.abs(out - ref.value))) / float(np.max(np.abs(x)))
         worst_value = max(worst_value, gap)
-        worst_mu = max(worst_mu, abs(out.mu_star - ref.mu_star) / ref.mu_star)
+        worst_mu = max(worst_mu, abs(mu_star - ref.mu_star) / ref.mu_star)
     assert worst_value <= 1e-11
     assert worst_mu <= 1e-11
 
@@ -496,37 +527,40 @@ def test_newton_reference_matches_bisection_reference():
 def test_prox_properties(x, alpha):
     out = prox_sq_l1(x, alpha)
     scale = max(1.0, float(np.max(np.abs(x))))
-    assert np.all(out.lam >= 0)
-    assert np.sum(out.lam) == pytest.approx(1.0, abs=1e-9)
-    shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * out.mu_star))
-    assert np.max(np.abs(out.value - shrunk)) <= 1e-10 * scale
+    lam = _half_variation_rescaling(x, alpha, out)[1]
+    assert np.all(lam >= 0)
+    assert np.sum(lam) == pytest.approx(1.0, abs=1e-9)
+    # soft thresholding at 2 sqrt(alpha mu*), with psi's root mu* = alpha ||prox||_1^2
+    mu_star = alpha * float(np.sum(np.abs(out))) ** 2
+    shrunk = soft_threshold(x, 2.0 * np.sqrt(alpha * mu_star))
+    assert np.max(np.abs(out - shrunk)) <= 1e-10 * scale
 
     def objective(u):
         return 0.5 * np.sum((u - x) ** 2, axis=-1) + alpha * np.sum(np.abs(u), axis=-1) ** 2
 
-    base = objective(out.value)
+    base = objective(out)
     rng = np.random.default_rng(0)
     for step in (1e-3, 1e-2, 0.1, 1.0):
-        perturbed = out.value + step * scale * rng.standard_normal((50, x.size))
+        perturbed = out + step * scale * rng.standard_normal((50, x.size))
         assert np.min(objective(perturbed)) >= base - 1e-9 * max(1.0, base)
 
 
 def _same_bits(out, want):
-    """value, mu_star and lam of two ProxResults are byte-equal."""
-    assert out.value.tobytes() == want.value.tobytes()
-    assert np.float64(out.mu_star).tobytes() == np.float64(want.mu_star).tobytes()
-    assert out.lam.tobytes() == want.lam.tobytes()
+    """Two prox values are arrays of one shape, byte-equal."""
+    assert isinstance(out, np.ndarray) and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
 
 
-def test_prox_tau_squared_overflow_gives_an_infinite_mu_star():
-    # tau is about 2.6e192: tau^2 / (4 alpha) is beyond the float range, the
-    # value and the weights are not
+def test_prox_value_is_finite_where_tau_squared_overflows():
+    # tau is about 2.6e192: psi's root tau^2 / (4 alpha) is beyond the float
+    # range, the value and its weights are not
     x = np.array([1e200, 3e199, -2e199])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = prox_sq_l1(x, 1e-8)
-    assert out.mu_star == np.inf
-    assert np.all(np.isfinite(out.value)) and np.sum(out.lam) == pytest.approx(1.0)
+        rescaled, lam = _half_variation_rescaling(x, 1e-8, out)
+    assert np.all(np.isfinite(out)) and np.sum(lam) == pytest.approx(1.0)
+    assert rescaled == pytest.approx(out, rel=1e-15)
     _same_bits(out, prox_sq_l1_plain(x, 1e-8))
 
 
@@ -551,7 +585,7 @@ def test_prox_tau_squared_overflow_gives_an_infinite_mu_star():
 def test_prox_keeps_the_plain_forms_bits(n, seed, log_mag, shape, log_alpha):
     # The library's prox skips the l1 sum below 2**1000, sorts before its
     # kernel and caches the shifted ranks; none of it moves a bit of the
-    # value, mu_star or the weights
+    # value
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0**log_mag
     if shape == "ties" and n:
@@ -565,19 +599,21 @@ def test_prox_keeps_the_plain_forms_bits(n, seed, log_mag, shape, log_alpha):
 
 
 def _check_half_variation_weights(x, alpha, rng):
-    """The prox weights against the paper's identity at u = prox_sq_l1(x).value:
-    they are optimal_lambda(u) and attain ||u||_1^2 = sum_i phi(u_i, lambda_i),
-    and no Dirichlet point of the simplex does better.  When u is 0 (x = 0, or
-    u rounded to 0) the weights are optimal_lambda's limit in alpha, on the
-    largest |x_i|."""
+    """The prox value against the paper's identity: with the weights
+    lambda = optimal_lambda(u) at u = prox_sq_l1(x), u is the rescaling
+    lambda_i x_i / (lambda_i + 2 alpha) of x, and lambda attains
+    ||u||_1^2 = sum_i phi(u_i, lambda_i), which no Dirichlet point of the
+    simplex beats.  When u is 0 (x = 0, or u rounded to 0) the weights are
+    optimal_lambda's limit in alpha, on the largest |x_i|."""
     out = prox_sq_l1(x, alpha)
     absx = np.abs(x)
-    u = out.value if np.any(out.value) else (absx == np.max(absx)).astype(float)
-    assert np.max(np.abs(out.lam - optimal_lambda(u))) <= 1e-12
+    u = out if np.any(out) else (absx == np.max(absx)).astype(float)
+    lam = optimal_lambda(u)
+    assert np.max(np.abs(out - lam * x / (lam + 2.0 * alpha))) <= 1e-12 * np.max(absx)
     # phi is homogeneous of degree 2 in u: on u / max|u| no square underflows
     u = u / np.max(np.abs(u))
     l1sq = np.sum(np.abs(u)) ** 2
-    total = sum(phi(s, t) for s, t in zip(u, out.lam))
+    total = sum(phi(s, t) for s, t in zip(u, lam))
     assert abs(total - l1sq) <= 1e-12 * l1sq
     for other in rng.dirichlet(np.ones(u.size), size=10):
         assert sum(phi(s, t) for s, t in zip(u, other)) >= l1sq - 1e-9 * l1sq
@@ -692,7 +728,11 @@ def test_project_hv_at_a_tiny_radius():
     assert np.array_equal(out, np.zeros(20))
 
 
-@pytest.mark.parametrize("prox", [prox_sq_l1, prox_sq_l1_newton])
+@pytest.mark.parametrize(
+    "prox",
+    [prox_sq_l1, lambda x, alpha: prox_sq_l1_newton(x, alpha).value],
+    ids=["prox_sq_l1", "prox_sq_l1_newton"],
+)
 def test_project_hv_prox_calls_at_most_nnz_plus_one(monkeypatch, prox):
     calls = []
 
