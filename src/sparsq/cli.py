@@ -65,13 +65,16 @@ def _add_common_flags(sub, kind):
 def _config_from_args(args):
     """Write the flags over the config file's sections, or over the desk
     defaults without one, and build the config from them."""
-    kind = args.experiment
+    kind = args.experiment  # None without --experiment: the file's kind, or cs
     if args.config:
         sections = read_config(args.config)
         config_kind = sections["experiment"].get("kind", "cs").strip()
-        if config_kind != kind:
-            raise ConfigError(f"config is for {config_kind!r} but the {kind!r} subcommand was used")
+        if kind is not None and config_kind != kind:
+            used = (f"--experiment {kind}" if args.command in ("sweep", "radius-search")
+                    else f"the {kind!r} subcommand")
+            raise ConfigError(f"config is for {config_kind!r} but {used} was used")
     elif args.algo:
+        kind = kind or "cs"
         desk = CS_DESK if kind == "cs" else BLUR_DESK
         sections = {"experiment": {"kind": kind, **{k: str(v) for k, v in desk.items()}}}
     else:
@@ -281,7 +284,8 @@ def build_parser():
         run.set_defaults(func=_cmd_run, experiment=kind)  # no --experiment flag
 
     sw = subs.add_parser("sweep", help="parameter sweep over eta, alpha, or snr_db")
-    sw.add_argument("--experiment", choices=("cs", "deblur"), default="cs")
+    sw.add_argument("--experiment", choices=("cs", "deblur"),
+                    help="the config file's kind, or cs without one")
     sw.add_argument("--axis", choices=("eta", "alpha", "snr_db"), required=True)
     sw.add_argument("--values", required=True, help="comma separated values")
     sw.add_argument("--agg-out", dest="agg_out")
@@ -289,7 +293,8 @@ def build_parser():
     sw.set_defaults(func=_cmd_sweep)
 
     rs = subs.add_parser("radius-search", help="discrepancy-principle radius selection")
-    rs.add_argument("--experiment", choices=("cs", "deblur"), default="cs")
+    rs.add_argument("--experiment", choices=("cs", "deblur"),
+                    help="the config file's kind, or cs without one")
     _add_common_flags(rs, "both")
     rs.set_defaults(func=_cmd_radius_search)
 

@@ -152,6 +152,8 @@ class KroneckerBlur(LinearOperator):
             raise ValueError("sigma must be positive")
         if not 2.0 * math.pi * sigma * sigma > 1.0 / sys.float_info.max:
             raise ValueError(f"sigma = {sigma!r} is too small: 1 / (2 pi sigma^2) overflows")
+        if not 2.0 * math.pi * sigma * sigma < math.inf:  # the scale would be 0
+            raise ValueError(f"sigma = {sigma!r} is too large: 2 pi sigma^2 overflows")
         self.n = n
         self.band = band
         self.sigma = float(sigma)

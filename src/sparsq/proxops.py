@@ -80,7 +80,7 @@ def half_threshold(x, lam, step):
 
     Entries at or below the jump threshold 1.5 * (lam*step)^(2/3) map to zero;
     above it the minimizer has the closed trigonometric form below (largest
-    root of the depressed cubic in sqrt(u)).
+    root of the depressed cubic in sqrt(u)).  A NaN entry maps to NaN.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -90,7 +90,7 @@ def half_threshold(x, lam, step):
     t = lam * step
     thresh = 1.5 * t ** (2.0 / 3.0)
     out = np.zeros_like(x)
-    mask = np.abs(x) > thresh
+    mask = ~(np.abs(x) <= thresh)  # a NaN entry is kept, so it stays NaN
     if np.any(mask):
         a = x[mask]
         arg = (t * 3.0**1.5 / 4.0) * np.abs(a) ** -1.5
@@ -258,9 +258,11 @@ def prox_sq_l1(x, alpha):
 def project_l1_ball_sort(x, r):
     """Euclidean projection onto {u : ||u||_1 <= r.radius_l1} by sort and shift.
 
-    Raises ValueError if x has a NaN or infinite entry.
+    Raises ValueError if x is not a vector or has a NaN or infinite entry.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a vector, not an array of shape {x.shape}")
     value = _project_l1_ball(x, r.radius_l1)[0]
     return x.copy() if value is x else value
 

@@ -57,12 +57,18 @@ def _gradient(A, ydelta):
 
     Every solver builds its gradient here once per solve, so this is where a
     non-finite ydelta is rejected.  Each call writes its value into the same
-    array, which the next call overwrites."""
+    array, which the next call overwrites.  The function's aty attribute is
+    A*y, for solve_pg_sf's residual bound."""
     if not np.all(np.isfinite(ydelta)):
         raise ValueError("ydelta must be finite")
     normal, aty = A.normal, A.apply_adjoint(ydelta)
     out = np.empty(A.domain_dim)
-    return lambda x: np.subtract(normal.apply(x), aty, out=out)
+
+    def grad(x):
+        return np.subtract(normal.apply(x), aty, out=out)
+
+    grad.aty = aty
+    return grad
 
 
 def grad_f(A, ydelta, x, beta):

@@ -13,7 +13,11 @@ midpoints, select_alpha_discrepancy on alpha of a PENALIZED solver at
 geometric midpoints.  Each keeps its own policy in the residual function it
 passes.  The radius search runs untraced trials, records one MdpRecord per
 trial, and reuses an earlier solve that did not project for a trial that
-would not project either, since neither depends on the radius.  The alpha
+would not project either, since neither depends on the radius.  Its trials
+pass stop_above = tau2 * delta to solve_pg_sf, which ends a solve once a
+Lasso dual bound, formed every _BOUND_EVERY steps from the step's gradient,
+puts the residual of every point of the ball above that level; such a trial
+turns the bisection as its full solve would.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
 thresholding) are comparison baselines.  They and solve_hv run one
@@ -25,7 +29,8 @@ keeps its own step, which works in place and warm-starts its projection.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
-hits the iteration cap, and can record a per-iteration trace.  The gradient
+hits the iteration cap (solve_pg_sf also when its residual floor passes
+stop_above), and can record a per-iteration trace.  The gradient
 step uses the descent sign x - t * A*(Ax - y) throughout, with the gradient
 formed as N x - A*y from the operator's normal operator N = A*A: one
 operator call per iteration.  The engine forms the residual Ax - y only for
@@ -60,6 +65,9 @@ from .regfun import RegParams, _gradient, eval_D, eval_J, grad_f
 # steps; on the n=125 benchmark search (noise seed 0) the guess held in 98% of
 # the projections.
 _CUT_FACTOR = 0.98
+# solve_pg_sf with stop_above bounds the residual at steps 1, 1 + _BOUND_EVERY,
+# 1 + 2 _BOUND_EVERY, ...  A bound costs two dot products, a max and a min.
+_BOUND_EVERY = 8
 
 
 class Termination(str, Enum):
@@ -67,6 +75,7 @@ class Termination(str, Enum):
     MAX_ITER = "max_iter"
     STAGNATION = "stagnation"
     NONFINITE = "nonfinite"
+    ABOVE_BAND = "above_band"  # solve_pg_sf's stop_above: a residual floor passed it
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,10 @@ class SolveResult:
     # solve_pg_sf only: the largest ||u||_1 over the points u its steps
     # project.  At or below the radius, no projection moved its point.
     peak_l1: Optional[float] = None
+    # solve_pg_sf with stop_above only: the last lower bound on ||As - y|| over
+    # the ball that a step certified (0.0 before one does).  It exceeds
+    # stop_above when the solve ends ABOVE_BAND.
+    residual_floor: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -176,13 +189,15 @@ def fista_momentum_next(t):
     return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
 
 
-def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=False):
+def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=False,
+             stop=None):
     """Run x <- step_fn(z) from x0, with z = x, or with momentum FISTA's
     extrapolated point z = x + ((t_k - 1) / t_{k+1}) (x - x_prev) from the
     second step on (t_1 = 1, t_{k+1} = fista_momentum_next(t_k)).  The step
     norm is ||x_next - x||.  The residual r = Ax - y is formed for each traced
     record, which gets objective_fn(x, r) and ||r||, and once at the end for
-    the result's residual_norm."""
+    the result's residual_norm.  stop, if given, is called after every step
+    that the step norm does not end; a Termination it returns ends the solve."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -223,6 +238,9 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
         if step_norm < opts.step_tol:
             termination = Termination.STEP_TOL
             break
+        if stop is not None and (reason := stop()) is not None:
+            termination = reason
+            break
     return SolveResult(x, k, termination, trace, float(np.linalg.norm(A.apply(x) - ydelta)))
 
 
@@ -249,37 +267,106 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
                           lift=lambda z, t: 2.0 * beta * t)
 
 
-def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, x_true=None):
+def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, x_true=None, *,
+                stop_above=None):
     """Projected-gradient solve of 0.5||Ax-y||^2 - beta||x||_2^2 over an l1 ball.
 
     One step projects u = (gamma x - A*(Ax - y)) / (gamma - 2 beta) onto the
     ball.  Requires gamma > 2 * beta.  The result's peak_l1 is the largest
     ||u||_1 of the solve.
+
+    With stop_above, every _BOUND_EVERY-th step also bounds ||As - y|| from
+    below over the whole ball (_residual_floor), from the gradient it forms.
+    Once that floor exceeds stop_above, the solve ends ABOVE_BAND: every point
+    of the ball, the one a full solve would return included, has a larger
+    residual.  The floor is the result's residual_floor.  The bound holds for
+    every beta and gamma, and it changes no iterate.
     """
     denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
     cut = 0.0  # a guess at the next projection's threshold, from below
     peak_l1 = 0.0
+    floor_at = None
+    if stop_above is not None:
+        floor_at = _residual_floor(A, ydelta, grad.aty, r.radius_l1, x0)
+    floor, steps = 0.0, 0  # the last residual floor; the steps taken
 
     def step(x):
         # u and the projection are computed in place, with the operations of
         # project_l1_ball_sort((gamma * x - grad(x)) / denom, r)
-        nonlocal cut, peak_l1
-        if gamma == 1.0:  # the same bits as 1.0 * x - grad(x), one multiply fewer
-            u = x - grad(x)
+        nonlocal cut, peak_l1, floor, steps
+        g = grad(x)
+        if floor_at is not None and steps % _BOUND_EVERY == 0:
+            floor = floor_at(x, g)
+        steps += 1
+        if gamma == 1.0:  # the same bits as 1.0 * x - g, one multiply fewer
+            u = x - g
         else:
             u = gamma * x
-            u -= grad(x)
+            u -= g
         u /= denom
         value, threshold, l1 = _project_l1_ball(u, r.radius_l1, cut)
         cut = _CUT_FACTOR * threshold
         peak_l1 = max(peak_l1, l1)
         return value
 
+    def above():
+        return Termination.ABOVE_BAND if floor > stop_above else None
+
     result = _iterate(
-        A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true
+        A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true,
+        stop=None if floor_at is None else above,
     )
-    return replace(result, peak_l1=peak_l1)
+    return replace(result, peak_l1=peak_l1, residual_floor=None if floor_at is None else floor)
+
+
+def _residual_floor(A, ydelta, aty, radius, x0):
+    """(x, g) -> a lower bound on ||As - y|| over every s with ||s||_1 <= radius,
+    from any x and g = A*(Ax - y); 0.0 where the bound says nothing.
+
+    Weak duality of least squares over the ball (the Lasso dual of Fercoq,
+    Gramfort & Salmon 2015; SPGL1's Pareto-curve dual, van den Berg &
+    Friedlander 2008): for every w and every s in the ball,
+        0.5||As - y||^2 >= w.(As - y) - 0.5||w||^2
+                        >= -w.y - radius ||A*w||_inf - 0.5||w||^2.
+    At w = t (Ax - y), t > 0, the right side is t b - 0.5 t^2 ||r||^2 with
+    ||r||^2 = x.g - x.A*y + ||y||^2 and b = (||y||^2 - x.A*y) - radius ||g||_inf.
+    At its best t = b / ||r||^2 it gives ||As - y|| >= b / ||r|| when b > 0.
+
+    The rounding margin.  X = max(radius, ||x0||_1) bounds ||x||_1, since
+    every iterate after x0 is a projection onto the ball.  With u = eps / 2
+    and E = X (||g||_inf + ||A*y||_inf) + ||y||^2, each rounding the bound
+    meets moves b or ||r||^2 by at most (m + n) u E:
+    * each of the dot products x.g, x.A*y and ||y||^2, a sum of at most
+      m + n products whose magnitudes add up to at most X ||g||_inf,
+      X ||A*y||_inf and ||y||^2;
+    * the product radius ||g||_inf, and the sums of the identity;
+    * the rounding of g and of A*y (one apply each) seen through x or the
+      radius, taking each to be within (m + n) u (||g||_inf + ||A*y||_inf)
+      per entry, which holds when an apply's products do not cancel heavily;
+    * a projection's l1 norm, which may exceed the radius by rounding.
+    b and ||r||^2 each meet at most eight of these, so err = rel E with
+    rel = 8 (m + n) u covers them.  The floor is (b - err) / sqrt(||r||^2 + err),
+    and the factor 1 - rel covers the rounding of the norm ||As - y|| that
+    it is compared with.
+    """
+    ydelta = np.asarray(ydelta, dtype=float)
+    yy = float(ydelta.dot(ydelta))
+    rel = 4.0 * (A.range_dim + A.domain_dim) * np.finfo(float).eps  # 8 (m + n) u
+    x_scale = max(radius, float(np.sum(np.abs(x0))))  # X
+    data_scale = x_scale * float(np.max(np.abs(aty), initial=0.0)) + yy  # E less X ||g||_inf
+
+    def floor_at(x, g):  # in Python floats: cheaper than numpy scalars
+        g_inf = max(float(g.max()), -float(g.min()))
+        xa = float(x.dot(aty))
+        err = rel * (x_scale * g_inf + data_scale)
+        b = (yy - xa) - radius * g_inf - err
+        rr = float(x.dot(g)) - xa + yy + err
+        if b > 0.0 and rr > 0.0:
+            return (1.0 - rel) * b / math.sqrt(rr)
+        return 0.0
+
+    return floor_at
 
 
 def _pg_denominator(beta, gamma):
@@ -335,14 +422,23 @@ def search_radius_mdp(
     With opts.record_trace the returned solve is run once more, traced, at the
     returned radius.
 
+    A trial runs with stop_above = tau2 * delta.  One that stops (ABOVE_BAND)
+    has certified that its full solve's residual lies above the band, which
+    is all the bisection reads from it: its record holds that floor as
+    residual_norm and None as rerror.  Every other record, and every
+    decision, is the full solve's.  If the search ends on a stopped trial, it
+    runs that trial in full for the result.
+
     A solve that never projected (its peak_l1 is at most its radius) follows
     the radius-free trajectory, and so does the solve at any radius at or
     above its peak_l1: every projection there returns its input.  Such trials
-    reuse the first unprojected solve's result instead of solving again.
+    reuse the first unprojected solve's result instead of solving again.  A
+    stopped solve is never reused: its peak_l1 covers only the steps it ran.
     """
     trial_opts = replace(opts, record_trace=False)
     trace = []
     rerror = _rerror_fn(x_true)
+    band = (mdp.tau1 * mdp.delta, mdp.tau2 * mdp.delta)
     unprojected = result = None  # the first trial that never projected; the last trial
 
     def residual_at(r_sq):
@@ -351,18 +447,22 @@ def search_radius_mdp(
         if unprojected is not None and radius.radius_l1 >= unprojected.peak_l1:
             result = unprojected
         else:
-            result = solve_pg_sf(A, ydelta, beta, gamma, radius, trial_opts, x0, x_true)
+            result = solve_pg_sf(
+                A, ydelta, beta, gamma, radius, trial_opts, x0, x_true, stop_above=band[1]
+            )
+            if result.termination is Termination.ABOVE_BAND:
+                trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_floor, None))
+                return result.residual_floor
             if unprojected is None and result.peak_l1 <= radius.radius_l1:
                 unprojected = result
         trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_norm, rerror(result.x_final)))
         return result.residual_norm
 
-    band = (mdp.tau1 * mdp.delta, mdp.tau2 * mdp.delta)
     r_sq, _, bracketed = _bisect(
         residual_at, mdp.r_max, mdp.r_min, band, mdp.max_outer, lambda a, b: 0.5 * (a + b)
     )
     radius = RadiusSpec.from_sq(r_sq)
-    if opts.record_trace:
+    if opts.record_trace or result.termination is Termination.ABOVE_BAND:
         result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true)
     return MdpResult(radius, result, bracketed, trace)
 

@@ -548,6 +548,32 @@ def test_cli_radius_search(tmp_path):
     assert "final_radius_sq" in manifest
 
 
+_DEBLUR_SEARCH_INI = (
+    "[experiment]\nkind = deblur\nn = 8\nband = 3\nsigma = 0.7\nsnr_db = 40\nseeds = 0\n"
+    "maxiter = 50\n[algorithm:pg]\nbeta = 1e-4\ngamma = 1.0\nradius_sq = auto\n"
+    "[mdp]\nr_min = 1.0\nr_max = 1e4\ntau1 = 1.01\ntau2 = 1.1\nmax_outer = 6\n"
+)
+
+
+def test_cli_experiment_flag_defaults_to_the_config_kind(tmp_path, capsys):
+    path = tmp_path / "deblur.ini"
+    path.write_text(_DEBLUR_SEARCH_INI)
+    out = tmp_path / "r.csv"
+    for argv in (["radius-search"], ["radius-search", "--experiment", "deblur"],
+                 ["sweep", "--axis", "snr_db", "--values", "40"]):
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 0, argv
+        assert "experiment = deblur\n" in (tmp_path / "r.csv.manifest.txt").read_text()
+    capsys.readouterr()
+    # a conflict names what was given
+    for argv, used in ((["radius-search", "--experiment", "cs"], "--experiment cs"),
+                       (["sweep", "--experiment", "cs", "--axis", "snr_db", "--values", "40"],
+                        "--experiment cs"),
+                       (["cs"], "the 'cs' subcommand")):
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        err = f"config error: config is for 'deblur' but {used} was used\n"
+        assert capsys.readouterr().err == err
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nkind = cs\nn = 40\nm = 16\ns = 4\nseeds = 0\n")
@@ -676,10 +702,13 @@ _CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
         # sigma^2 underflows to 0: the blur's scale 1 / (2 pi sigma^2) divided by it
         ("deblur --algo ht --lam 2e-2 --n 24 --sigma 1e-320", None,
          "deblur instance: sigma = 1e-320 is too small: 1 / (2 pi sigma^2) overflows"),
+        # sigma^2 overflows: the blur's scale 1 / (2 pi sigma^2) is 0
+        ("deblur --algo ht --lam 2e-2 --n 24 --sigma 1e200", None,
+         "deblur instance: sigma = 1e+200 is too large: 2 pi sigma^2 overflows"),
     ],
     ids=["amp-nan", "amp-inf", "amp-1e308", "scale-inf", "scale-1e153", "scale-1e200",
          "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "noise-overflow", "image-nan",
-         "image-inf", "image-zero-noise-free", "sigma-underflow"],
+         "image-inf", "image-zero-noise-free", "sigma-underflow", "sigma-overflow"],
 )
 def test_cli_bad_instance_settings_are_config_errors(argv, pixel, error, tmp_path, capsys,
                                                      monkeypatch):

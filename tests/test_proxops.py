@@ -1,5 +1,6 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def test_half_threshold_matches_scalar_grid_oracle():
         # odd symmetry
         out_neg = float(half_threshold(np.array([-a]), lam, step)[0])
         assert out_neg == pytest.approx(-out)
+
+
+def test_half_threshold_keeps_nan():
+    # a NaN iterate must reach the engine's non-finite stop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = half_threshold(np.array([np.nan, 1.0, -np.nan, 0.01]), 0.1, 1.0)
+    assert np.isnan(out[0]) and np.isnan(out[2]) and out[3] == 0.0
+    assert out[1] == half_threshold(np.array([1.0]), 0.1, 1.0)[0]
 
 
 def test_half_threshold_rejects_bad_params():
@@ -306,6 +316,12 @@ def test_prox_rejects_an_input_that_is_not_a_vector(x):
     # on either side of the prefilter's size
     with pytest.raises(ValueError, match=re.escape(f"not an array of shape {np.shape(x)}")):
         prox_sq_l1(x, 0.1)
+
+
+@pytest.mark.parametrize("x", [3.0, np.ones((2, 3)), np.ones((1, 600))], ids=["0-d", "2-d", "2-d-large"])
+def test_projection_rejects_an_input_that_is_not_a_vector(x):
+    with pytest.raises(ValueError, match=re.escape(f"not an array of shape {np.shape(x)}")):
+        project_l1_ball_sort(x, RadiusSpec(0.5))
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
@@ -609,7 +625,13 @@ def _check_half_variation_weights(x, alpha, rng):
     absx = np.abs(x)
     u = out if np.any(out) else (absx == np.max(absx)).astype(float)
     lam = optimal_lambda(u)
-    assert np.max(np.abs(out - lam * x / (lam + 2.0 * alpha))) <= 1e-12 * np.max(absx)
+    # The weight ratio first, so x is rounded once, with no lam * x to
+    # underflow.  At subnormal scale both sides are rounded to multiples of
+    # the spacing 2**-1074, and lam, read off the rounded u, moves the
+    # oracle by up to (n + 1) / 2 of them: allow (n + 3) / 2 spacings.
+    want = x * (lam / (lam + 2.0 * alpha))
+    spacing = np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(absx) + 0.5 * (x.size + 3) * spacing
     # phi is homogeneous of degree 2 in u: on u / max|u| no square underflows
     u = u / np.max(np.abs(u))
     l1sq = np.sum(np.abs(u)) ** 2
@@ -634,9 +656,20 @@ def test_prox_weights_attain_the_half_variation_identity():
 
 
 @given(vectors, st.floats(1e-4, 1e300))
+@example(np.array([5e-324, 5e-324]), 0.125)  # the prox is 2/3 of the smallest subnormal
 @settings(max_examples=200, deadline=None)
 def test_prox_weights_half_variation_properties(x, alpha):
     _check_half_variation_weights(x, alpha, np.random.default_rng(0))
+
+
+def test_prox_at_subnormal_scale_is_correctly_rounded():
+    # x = (a, a), alpha = 1/8: rho = 2 and tau = 2 alpha (2 a) / (1 + 2 alpha 2)
+    # = a / 3, so each entry of the prox is exactly 2 a / 3.  At a = 5e-324,
+    # the smallest subnormal, its nearest float is a, not 0.
+    a, alpha = Fraction(5e-324), Fraction(1, 8)
+    exact = a - 2 * alpha * (2 * a) / (1 + 2 * alpha * 2)
+    assert exact == 2 * a / 3 and float(exact) == 5e-324  # int / int division rounds correctly
+    assert prox_sq_l1(np.array([5e-324, 5e-324]), 0.125).tolist() == [float(exact)] * 2
 
 
 # ---------------------------------------------------------------- projection

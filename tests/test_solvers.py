@@ -3,6 +3,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsq.linops import (
     DenseMatrix,
@@ -755,23 +757,64 @@ def _cs_search_instance(seed):
     return inst, MdpOptions(r_min=1.0, r_max=1e5, tau1=1.01, tau2=1.1, delta=inst.delta)
 
 
+def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, monkeypatch):
+    """search_radius_mdp against the reference bisection, which solves every
+    trial in full: the same radii, decisions and returned solve, and the same
+    record for every trial that did not stop.  A stopped trial's record holds
+    its floor, above tau2 * delta and at or below the full solve's residual,
+    and no rerror.  Returns the search's result and its stopped trials' solves."""
+    import sparsq.solvers
+    from solver_reference import search_radius_reference
+
+    trials = {}  # radius_l1 -> the trial's solve
+    real = sparsq.solvers.solve_pg_sf
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if "stop_above" in kwargs:  # a trial, not the search's final solve
+            trials[args[4].radius_l1] = result
+        return result
+
+    radius, bracketed, path, (x, iters, termination, residual) = search_radius_reference(
+        A, y, beta, gamma, mdp, opts.max_iter, opts.step_tol, x0, x_true
+    )
+    monkeypatch.setattr(sparsq.solvers, "solve_pg_sf", recording)
+    out = search_radius_mdp(A, y, beta, gamma, mdp, opts, x0, x_true)
+    assert out.radius == radius and out.bracketed == bracketed
+    assert [(r.j, r.radius_sq) for r in out.trace] == [(j, r_sq) for j, r_sq, _, _ in path]
+    stopped = []
+    for rec, (_, r_sq, full_residual, full_rerror) in zip(out.trace, path):
+        trial = trials.get(RadiusSpec.from_sq(r_sq).radius_l1)
+        if trial is not None and trial.termination is Termination.ABOVE_BAND:
+            assert rec.residual_norm == trial.residual_floor and rec.rerror is None
+            assert mdp.tau2 * mdp.delta < rec.residual_norm <= full_residual
+            stopped.append(trial)
+        else:
+            assert (rec.residual_norm, rec.rerror) == (full_residual, full_rerror)
+    res = out.result
+    assert res.x_final.tobytes() == x.tobytes()
+    assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
+    return out, stopped
+
+
 @pytest.mark.parametrize(
-    "make, beta, max_iter",
+    "make, beta, max_iter, stops",
     [
         # bracketed; the first three trials never project
-        (lambda: _blur_search_instance(40.0), 1e-5, 300),
+        (lambda: _blur_search_instance(40.0), 1e-5, 300, True),
         # the residual stays above the band: 40 trials, none projects
-        (lambda: _blur_search_instance(60.0), 1e-5, 300),
-        (lambda: _cs_search_instance(0), 6e-5, 1500),
-        (lambda: _cs_search_instance(14), 6e-5, 1500),
+        (lambda: _blur_search_instance(60.0), 1e-5, 300, False),
+        (lambda: _cs_search_instance(0), 6e-5, 1500, True),
+        (lambda: _cs_search_instance(14), 6e-5, 1500, True),
     ],
     ids=["blur-bracketed", "blur-above-band", "cs-seed0", "cs-seed14"],
 )
-def test_search_radius_matches_reference(make, beta, max_iter, monkeypatch):
-    # The in-place pg step, the warm-started projection and the reuse of
-    # unprojected trials return the plain search's bits
+def test_search_radius_matches_reference(make, beta, max_iter, stops, monkeypatch):
+    # The in-place pg step, the warm-started projection, the reuse of
+    # unprojected trials and the trials' stops above the band keep the plain
+    # search's radii, decisions and returned bits
     import sparsq.proxops
-    from solver_reference import pg_solve_reference, search_radius_reference
+    from solver_reference import pg_solve_reference
 
     inst, mdp = make()
     A, y, n = inst.A, inst.y_delta, inst.A.domain_dim
@@ -784,27 +827,51 @@ def test_search_radius_matches_reference(make, beta, max_iter, monkeypatch):
         return kernel(absx, offset, ridge, total, cut)
 
     opts = SolverOptions(max_iter=max_iter, record_trace=False)
-    radius, bracketed, path, (x, iters, termination, residual) = search_radius_reference(
-        A, y, beta, 1.0, mdp, max_iter, opts.step_tol, x0, inst.x_true
-    )
     monkeypatch.setattr(sparsq.proxops, "_sort_threshold", recording)
-    out = search_radius_mdp(A, y, beta, 1.0, mdp, opts, x0, inst.x_true)
-    assert out.radius == radius and out.bracketed == bracketed
-    assert [(r.j, r.radius_sq, r.residual_norm, r.rerror) for r in out.trace] == path
-    res = out.result
-    assert res.x_final.tobytes() == x.tobytes()
-    assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
+    out, stopped = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0, inst.x_true,
+                                                   monkeypatch)
+    assert bool(stopped) == stops
+    cuts = [cut for cut in cuts if cut is not None]  # the reference's projections pass none
     if n >= 512 and cuts:  # the blur search projects with a warm cut
         assert sum(cut > 0 for cut in cuts) > 0.9 * len(cuts)
 
     # and one solve on its own, with no search around it
-    r = RadiusSpec.from_sq(path[-1][1])
+    r = out.radius
     res = solve_pg_sf(A, y, beta, 1.0, r, opts, x0)
     x, iters, termination, residual = pg_solve_reference(
         A, y, beta, 1.0, r, max_iter, opts.step_tol, x0
     )
     assert res.x_final.tobytes() == x.tobytes()
     assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
+
+
+def test_search_radius_never_reuses_a_stopped_trial(monkeypatch):
+    # A = I, y = (1, 1, 1), gamma = 10: from x0 = 0 the first step's point is
+    # y / 10, inside the first trial's ball (radius 1).  That trial's floor,
+    # (3 - 1) / sqrt(3) = 1.155, is above tau2 * delta = 1.1 at step 1, so it
+    # stops with a partial peak_l1 of 0.3.  Reused at the next radius (1.22),
+    # it would report the residual 1.56 of its one step, not the full solve's
+    # 1.025, and turn the search the wrong way.
+    A = DenseMatrix(np.eye(3))
+    y = np.ones(3)
+    mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=1.0, max_outer=10)
+    opts = SolverOptions(max_iter=400, record_trace=False)
+    _, stopped = _check_search_against_reference(A, y, 0.0, 10.0, mdp, opts, np.zeros(3),
+                                                 np.full(3, 0.4), monkeypatch)
+    assert stopped and stopped[0].iterations == 1 and stopped[0].peak_l1 <= 1.0
+
+
+def test_search_radius_reruns_a_stopped_last_trial(monkeypatch):
+    # The same instance with the band's top at 0.8, below the least residual
+    # over every trial ball ((3 - R) / sqrt(3) >= 0.91 for R <= sqrt(2)): all
+    # five trials stop, the search does not bracket, and its result is the
+    # last trial solved in full
+    A = DenseMatrix(np.eye(3))
+    mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=0.8 / 1.1, max_outer=5)
+    opts = SolverOptions(max_iter=400, record_trace=False)
+    out, stopped = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
+                                                   np.zeros(3), np.full(3, 0.4), monkeypatch)
+    assert len(stopped) == 5 and not out.bracketed
 
 
 def test_search_radius_reuses_unprojected_trials(monkeypatch):
@@ -842,6 +909,55 @@ def test_pg_reports_peak_l1():
     assert res.peak_l1 == 4.0  # u = y at every step, inside the ball
     res = solve_pg_sf(A, y, 0.0, 1.0, RadiusSpec(1.0), opts, np.zeros(2))
     assert res.peak_l1 == 4.0 and np.sum(np.abs(res.x_final)) <= 1.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.5, 4.0),
+    beta_frac=st.floats(0.0, 0.49, exclude_max=True),
+    log_radius=st.floats(-2.0, 1.5),
+    stop_frac=st.floats(0.2, 1.5),
+)
+@settings(max_examples=100, deadline=None)
+def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_radius, stop_frac):
+    # The floor is a bound over the ball, so it holds at every beta < gamma / 2:
+    # it never exceeds the full solve's residual, a solve stops only where
+    # the full one ends above stop_above, and one that does not stop is the
+    # full solve, bit for bit
+    rng = np.random.default_rng(seed)
+    A, y = _random_instance(rng)
+    beta, r = beta_frac * gamma / 2.0, RadiusSpec(10.0**log_radius)
+    opts, x0 = SolverOptions(max_iter=200, record_trace=False), np.full(8, 0.01)
+    full = solve_pg_sf(A, y, beta, gamma, r, opts, x0)
+    stop_above = stop_frac * full.residual_norm
+    part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, stop_above=stop_above)
+    assert full.residual_floor is None
+    assert 0.0 <= part.residual_floor <= full.residual_norm
+    if part.termination is Termination.ABOVE_BAND:
+        assert part.residual_floor > stop_above and full.residual_norm > stop_above
+        assert np.sum(np.abs(part.x_final)) <= r.radius_l1 * (1 + 1e-12)
+    else:
+        assert part.residual_floor <= stop_above
+        assert part.x_final.tobytes() == full.x_final.tobytes()
+        assert (part.iterations, part.termination) == (full.iterations, full.termination)
+
+
+def test_pg_stop_above_checks_every_eighth_step():
+    # A = I, y = (1, 1, 1), gamma = 10, radius 1: the floor at x = 0 is
+    # (3 - 1) / sqrt(3) = 1.155, the least residual over the ball: above 1.1
+    # at the first step, and below 1.16 at every step
+    A, y, r = DenseMatrix(np.eye(3)), np.ones(3), RadiusSpec(1.0)
+    opts = SolverOptions(max_iter=30, record_trace=False)
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), stop_above=1.1)
+    assert (res.iterations, res.termination) == (1, Termination.ABOVE_BAND)
+    assert res.residual_floor == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
+    assert res.residual_floor < 2.0 / np.sqrt(3.0)  # the rounding margin, taken
+    # From x0 = (1, 1, 0.5) the floor of the iterate passes 1 after 7 steps
+    # (1.0024), but step 8 forms no bound; step 9 does
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5]), stop_above=1.0)
+    assert (res.iterations, res.termination) == (9, Termination.ABOVE_BAND)
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), stop_above=1.16)
+    assert res.termination is Termination.STAGNATION and res.residual_floor < 1.16
 
 
 @pytest.mark.parametrize(
