@@ -104,10 +104,6 @@ def _config_from_args(args):
 
 
 def _write(path, text):
-    # SPARSQ_OUT_DIR redirects relative output paths, nothing else
-    out_dir = os.environ.get("SPARSQ_OUT_DIR")
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
@@ -148,9 +144,8 @@ def _cmd_radius_search(args):
         f"final_radius_sq = {out.radius.radius_sq:.17g}",
         f"bracketed = {out.bracketed}",
         f"delta = {inst.delta:.17g}",
+        f"x_true_l1_sq = {float(np.abs(inst.x_true).sum())**2:.17g}",
     ]
-    if inst.x_true is not None:
-        notes.append(f"x_true_l1_sq = {float(np.abs(inst.x_true).sum())**2:.17g}")
     _write(out_path + ".manifest.txt", manifest_text(cfg, notes=notes))
     print(
         f"final radius_sq = {out.radius.radius_sq:.6g} "

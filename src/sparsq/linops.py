@@ -6,12 +6,13 @@ materialized at full size; applying it to a vector reshapes the vector to an
 image (column-major) and multiplies by the factor on both sides.  Both
 products run over blocks of BLUR_BLOCK rows and read only the factor's band,
 so a factor of half-bandwidth h costs about (BLUR_BLOCK + 2h) / n of a dense
-product.  Where blocks would not cut the work the apply is one dense product.
+product.  Where blocks would not cut the work there is one block of all n rows.
 
 Every operator carries its normal operator A*A (`normal`), built once and of
 the same class where the structure allows, so a gradient A*(Ax - y) costs one
-operator call.  The spectral norm ||A*A|| is exact for those classes and a
-power-iteration estimate otherwise.
+operator call.  It carries the spectral norm ||A*A|| (`opnorm_sq`) too, also
+computed once: exact for those classes and a power-iteration estimate
+otherwise.
 """
 
 import math
@@ -54,25 +55,24 @@ class LinearOperator:
         """The normal operator A*A, built on first use."""
         return NormalOperator(self)
 
+    @cached_property
+    def opnorm_sq(self):
+        """||A*A||, computed on first use: exact_opnorm_sq() where the structure
+        gives it, else the estimate_opnorm_sq value."""
+        exact = self.exact_opnorm_sq()
+        return estimate_opnorm_sq(self).value if exact is None else exact
+
     def exact_opnorm_sq(self):
         """||A*A|| where the structure gives it directly, else None."""
         return None
 
-    def _check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.domain_dim,):
-            raise ValueError(
-                f"expected a vector of length {self.domain_dim}, got shape {x.shape}"
-            )
-        return x
 
-    def _check_range(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.range_dim,):
-            raise ValueError(
-                f"expected a vector of length {self.range_dim}, got shape {y.shape}"
-            )
-        return y
+def _vector(v, size):
+    """v as a float vector of the given length; ValueError otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"expected a vector of length {size}, got shape {v.shape}")
+    return v
 
 
 class NormalOperator(LinearOperator):
@@ -106,12 +106,12 @@ class DenseMatrix(LinearOperator):
 
     def apply(self, x):
         # the gemv of scale * (entries @ x), scaled in place: one array, same bits
-        out = np.dot(self.entries, self._check_domain(x))
+        out = np.dot(self.entries, _vector(x, self.domain_dim))
         out *= self.scale
         return out
 
     def apply_adjoint(self, y):
-        out = np.dot(self.entries.T, self._check_range(y))
+        out = np.dot(self.entries.T, _vector(y, self.range_dim))
         out *= self.scale
         return out
 
@@ -183,16 +183,15 @@ class KroneckerBlur(LinearOperator):
     def _row_blocks(self):
         """(rows, band, T[rows, band].T, T[band, rows].T) for each block of
         BLUR_BLOCK rows, where band is rows widened by the factor's
-        half-bandwidth h on both sides; None when blocks would not cut the
-        work (n < BLUR_BLOCK or BLUR_BLOCK + 2h >= n)."""
+        half-bandwidth h on both sides; one block of all n rows where blocks
+        would not cut the work (BLUR_BLOCK + 2h >= n)."""
         n, factor = self.n, self._factor
         i, j = np.nonzero(factor)
         h = int(np.max(np.abs(i - j)))
-        if n < BLUR_BLOCK or BLUR_BLOCK + 2 * h >= n:
-            return None
+        size = BLUR_BLOCK if BLUR_BLOCK + 2 * h < n else n
         blocks = []
-        for i0 in range(0, n, BLUR_BLOCK):
-            rows = slice(i0, min(i0 + BLUR_BLOCK, n))
+        for i0 in range(0, n, size):
+            rows = slice(i0, min(i0 + size, n))
             band = slice(max(i0 - h, 0), min(rows.stop + h, n))
             blocks.append((rows, band, factor[rows, band].T.copy(), factor[band, rows].T.copy()))
         return blocks
@@ -200,19 +199,13 @@ class KroneckerBlur(LinearOperator):
     def apply(self, x):
         """scale * T X T for the column-major image X of x.
 
-        The blocked form computes Z^T = T^T X^T T^T: X^T is x read row-major
-        and Z's column-major vector is Z^T's row-major one, so every array is
+        It computes Z^T = T^T X^T T^T: X^T is x read row-major and Z's
+        column-major vector is Z^T's row-major one, so every array is
         row-major and no copy is made.  Each entry is the dense product's dot
         product with its zero terms left out; BLAS kernels chosen by block
         shape and thread count may round it differently in the last bits."""
-        x = self._check_domain(x)
         n, blocks = self.n, self._row_blocks
-        if blocks is None:
-            image = x.reshape(n, n, order="F")
-            out = self._factor @ image @ self._factor
-            out *= self.scale
-            return out.reshape(-1, order="F")
-        xt = x.reshape(n, n)
+        xt = _vector(x, self.domain_dim).reshape(n, n)
         half = np.empty((n, n))  # X^T T^T = (T X)^T
         for rows, band, rows_t, _ in blocks:
             np.matmul(xt[:, band], rows_t, out=half[:, rows])
@@ -317,18 +310,6 @@ def estimate_opnorm_sq(op, max_iters=500, tol=1e-10, seed=0):
         estimate = new_estimate
         v = w / wnorm
     return OpNormEstimate(estimate, iters, converged)
-
-
-def opnorm_sq_cached(op):
-    """||A*A||, memoized on the operator instance: op.exact_opnorm_sq() where
-    it has one, else the estimate_opnorm_sq(op) value."""
-    cached = getattr(op, "_opnorm_sq_value", None)
-    if cached is None:
-        cached = op.exact_opnorm_sq()
-        if cached is None:
-            cached = estimate_opnorm_sq(op).value
-        op._opnorm_sq_value = cached
-    return cached
 
 
 def dump_operator_csv(op, path):

@@ -70,6 +70,8 @@ def gen_cs_instance(n, m, s, scale, seed, amp_scale=1.0):
         raise ValueError("amp_scale must be nonzero: the ground truth would be 0")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
+    if scale > 0 and not scale * scale > 0:  # the Gram matrix would have scale 0
+        raise ValueError(f"scale = {scale!r} is too small: scale^2 underflows to 0")
     entries = np.random.default_rng([seed, _STREAM_MATRIX]).standard_normal((m, n))
     support = np.random.default_rng([seed, _STREAM_SUPPORT]).choice(n, size=s, replace=False)
     amplitudes = amp_scale * np.random.default_rng(

@@ -67,12 +67,28 @@ class RadiusSpec:
         return cls(float(np.sqrt(radius_sq)))
 
 
+def _vector(x):
+    """x as a float vector; ValueError that names the shape otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be a vector, not an array of shape {x.shape}")
+    return x
+
+
+def _shrink(absx, t, x):
+    """copysign(max(absx - t, 0), x), written over absx (|x|, or a multiple
+    of it): the one shrink of the soft threshold, the prox and the projection."""
+    absx -= t
+    np.maximum(absx, 0.0, out=absx)
+    return np.copysign(absx, x, out=absx)
+
+
 def soft_threshold(x, t):
     """Entrywise sign(x) * max(|x| - t, 0)."""
     if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    return _shrink(np.abs(x, out=np.empty_like(x)), t, x)  # an array even for a 0-d x
 
 
 def half_threshold(x, lam, step):
@@ -217,9 +233,7 @@ def prox_sq_l1(x, alpha):
     ridge = 0.5 / float(alpha)
     if not math.isfinite(ridge):
         raise ValueError(f"alpha = {alpha!r} is too small: 0.5 / alpha overflows")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, not an array of shape {x.shape}")
+    x = _vector(x)
     absx = np.abs(x)
     n = absx.size
     u = np.sort(absx)[::-1] if 0 < n < _PREFILTER_MIN_SIZE else None
@@ -248,11 +262,10 @@ def prox_sq_l1(x, alpha):
         scale = float(np.max(absx))
         absx = absx / scale
         tau = _sort_threshold(absx, 0.0, ridge, _l1(absx))
-    absx -= tau  # the operations of copysign(maximum(absx - tau, 0), x)
-    np.maximum(absx, 0.0, out=absx)
+    value = _shrink(absx, tau, x)
     if scale != 1.0:
-        absx *= scale
-    return np.copysign(absx, x, out=absx)
+        value *= scale
+    return value
 
 
 def project_l1_ball_sort(x, r):
@@ -260,9 +273,7 @@ def project_l1_ball_sort(x, r):
 
     Raises ValueError if x is not a vector or has a NaN or infinite entry.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a vector, not an array of shape {x.shape}")
+    x = _vector(x)
     value = _project_l1_ball(x, r.radius_l1)[0]
     return x.copy() if value is x else value
 
@@ -284,14 +295,11 @@ def _project_l1_ball(x, radius, cut=None):
         m = float(np.max(absx))
         shifted = absx / m - 1.0
         theta = _sort_threshold(shifted, radius / m, 0.0, float(np.sum(shifted)))
-        return np.copysign(np.maximum(shifted - theta, 0.0) * m, x), (theta + 1.0) * m, l1
+        return _shrink(shifted, theta, x) * m, (theta + 1.0) * m, l1
     if l1 <= radius:
         return x, 0.0, l1
     theta = _sort_threshold(absx, radius, 0.0, l1, cut)
-    # the same operations as copysign(maximum(absx - theta, 0), x), over absx
-    absx -= theta
-    np.maximum(absx, 0.0, out=absx)
-    return np.copysign(absx, x, out=absx), theta, l1
+    return _shrink(absx, theta, x), theta, l1
 
 
 def project_l1_ball_hv(x, r):
@@ -307,9 +315,10 @@ def project_l1_ball_hv(x, r):
     and climb until alpha stops increasing (the support stops changing) or the
     support is empty.  Each support is met once: at most nnz(x) + 1 prox calls
     and no tolerance.  Returns the last prox output; inside the ball, a copy
-    of x.  ValueError if x has a NaN or infinite entry or ||x||_1 overflows.
+    of x.  ValueError if x is not a vector, has a NaN or infinite entry, or
+    ||x||_1 overflows.
     """
-    x = np.asarray(x, dtype=float)
+    x = _vector(x)
     radius = r.radius_l1
     absx = np.abs(x)
     s = _l1(absx)

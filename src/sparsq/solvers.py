@@ -48,7 +48,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import opnorm_sq_cached
 from .proxops import (
     RadiusSpec,
     _project_l1_ball,
@@ -208,40 +207,44 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     start = time.perf_counter()
     termination = Termination.MAX_ITER
     k = 0
-    for k in range(1, opts.max_iter + 1):
-        z = x
-        if momentum and k > 1:
-            t_next = fista_momentum_next(t_k)
-            z = x + ((t_k - 1.0) / t_next) * diff
-            t_k = t_next
-        x_next = step_fn(z)
-        step_norm = _norm(np.subtract(x_next, x, out=diff))
-        x = x_next
-        if opts.record_trace:
-            r = A.apply(x) - ydelta
-            trace.append(
-                IterateRecord(
-                    k=k,
-                    objective=objective_fn(x, r),
-                    residual_norm=float(np.linalg.norm(r)),
-                    step_norm=step_norm,
-                    rerror=rerror(x),
-                    elapsed_s=time.perf_counter() - start,
+    # A diverging solve overflows on its way to a non-finite step norm, which
+    # ends it NONFINITE: numpy's warnings about that are off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, opts.max_iter + 1):
+            z = x
+            if momentum and k > 1:
+                t_next = fista_momentum_next(t_k)
+                z = x + ((t_k - 1.0) / t_next) * diff
+                t_k = t_next
+            x_next = step_fn(z)
+            step_norm = _norm(np.subtract(x_next, x, out=diff))
+            x = x_next
+            if opts.record_trace:
+                r = A.apply(x) - ydelta
+                trace.append(
+                    IterateRecord(
+                        k=k,
+                        objective=objective_fn(x, r),
+                        residual_norm=float(np.linalg.norm(r)),
+                        step_norm=step_norm,
+                        rerror=rerror(x),
+                        elapsed_s=time.perf_counter() - start,
+                    )
                 )
-            )
-        if not math.isfinite(step_norm):
-            termination = Termination.NONFINITE
-            break
-        if step_norm == 0.0:
-            termination = Termination.STAGNATION
-            break
-        if step_norm < opts.step_tol:
-            termination = Termination.STEP_TOL
-            break
-        if stop is not None and (reason := stop()) is not None:
-            termination = reason
-            break
-    return SolveResult(x, k, termination, trace, float(np.linalg.norm(A.apply(x) - ydelta)))
+            if not math.isfinite(step_norm):
+                termination = Termination.NONFINITE
+                break
+            if step_norm == 0.0:
+                termination = Termination.STAGNATION
+                break
+            if step_norm < opts.step_tol:
+                termination = Termination.STEP_TOL
+                break
+            if stop is not None and (reason := stop()) is not None:
+                termination = reason
+                break
+        residual_norm = float(np.linalg.norm(A.apply(x) - ydelta))
+    return SolveResult(x, k, termination, trace, residual_norm)
 
 
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
@@ -254,7 +257,7 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
     """
     alpha, beta = p.alpha, p.beta
     lk = opts.L_k
-    r_hat = opnorm_sq_cached(A)
+    r_hat = A.opnorm_sq
     if lk <= 0.5 * r_hat + beta:
         warnings.warn(
             f"L_k={lk:g} is not above half the smoothness bound "

@@ -28,7 +28,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from sparsq.linops import opnorm_sq_cached
 from sparsq.proxops import (
     RadiusSpec,
     half_threshold,
@@ -236,7 +235,7 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
     """
     alpha, beta = p.alpha, p.beta
     lk = opts.L_k
-    r_hat = opnorm_sq_cached(A)
+    r_hat = A.opnorm_sq
     if lk <= 0.5 * r_hat + beta:
         warnings.warn(
             f"L_k={lk:g} is not above half the smoothness bound "

@@ -1,5 +1,7 @@
+import csv
 import math
 import shlex
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -627,6 +629,10 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         "cs --algo pg --beta 1 --gamma 1 --radius-sq 10",
         "cs --algo pg --radius-sq -1",
         "radius-search --algo pg --beta -1 --r-min 1 --r-max 100 --snr-db 40",
+        # ||x0||_1 overflows: a warning in the radius search's residual floor,
+        # a ValueError from the projection of the first step
+        "radius-search --algo pg --r-min 1 --r-max 100 --snr-db 40 --x0=1.7e308",
+        "cs --algo pg --radius-sq 30 --x0=1.7e308",
     ],
 )
 def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
@@ -693,6 +699,9 @@ _CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
         # finite data, but ||A||^2 is inf, or squaring the scale raises OverflowError
         (f"{_CS_HV} --scale 1e153 --amp-scale 1e-153", None, "cs instance: ||A||^2 overflows"),
         (f"{_CS_HV} --scale 1e200 --amp-scale 1e-150", None, "cs instance: ||A||^2 overflows"),
+        # scale^2 underflows to 0: the Gram matrix of A would have scale 0
+        (f"{_CS_HV} --scale 5e-324", None,
+         "cs instance: scale = 5e-324 is too small: scale^2 underflows to 0"),
         (f"{_CS_HV} --snr-db inf --amp-scale 0", None,
          "cs instance: amp_scale must be nonzero: the ground truth would be 0"),
         (f"{_CS_HV} --snr-db -7000", None, "cs instance: snr_db = -7000: the noise level overflows"),
@@ -707,7 +716,7 @@ _CS_HV = "cs --algo hv --alpha 6e-5 --snr-db 40"
          "deblur instance: sigma = 1e+200 is too large: 2 pi sigma^2 overflows"),
     ],
     ids=["amp-nan", "amp-inf", "amp-1e308", "scale-inf", "scale-1e153", "scale-1e200",
-         "norm-inf", "norm-overflow-error", "amp-zero-noise-free", "noise-overflow", "image-nan",
+         "norm-inf", "norm-overflow-error", "scale-underflow", "amp-zero-noise-free", "noise-overflow", "image-nan",
          "image-inf", "image-zero-noise-free", "sigma-underflow", "sigma-overflow"],
 )
 def test_cli_bad_instance_settings_are_config_errors(argv, pixel, error, tmp_path, capsys,
@@ -808,6 +817,41 @@ def test_manifest_echoes_every_key_of_its_experiment_kind(tmp_path):
     assert f"n = 6\nband = 3\nsigma = 0.69999999999999996\nimage = {img_path}\nsnr_db = 40\n" in manifest
 
 
+@pytest.mark.parametrize("algo", ["ista --alpha 1e-3", "fista --alpha 1e-3 --trace-dir t",
+                                  "st --alpha 1e-3 --eta 0.5", "ht --lam 1e-3"])
+def test_cli_diverging_solve_ends_nonfinite_without_a_warning(algo, tmp_path, monkeypatch):
+    # the unit step of lambda 0.01 is far beyond 2 / ||A||^2: every iterate grows
+    monkeypatch.chdir(tmp_path)
+    argv = ["cs", "--algo", *algo.split(), "--lambda", "0.01", "--seeds", "0",
+            "--maxiter", "3000", "--out", "r.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
+    with open("r.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["termination"], row["snr_out_db"], row["rerror"]) == ("nonfinite", "-inf", "inf")
+    assert int(row["iterations"]) < 3000
+
+
+@pytest.mark.parametrize("kind, shape", [("cs", "n = 200\nm = 80\ns = 16\n"), ("deblur", "n = 16\n")])
+def test_config_file_defaults_are_the_desk_settings(kind, shape, tmp_path):
+    # a file that leaves scale (cs) or band and sigma (deblur) out runs the
+    # instance the --algo flags run
+    ini = tmp_path / "desk.ini"
+    ini.write_text(f"[experiment]\nkind = {kind}\n{shape}snr_db = 40\nseeds = 0\nmaxiter = 20\n"
+                   "[algorithm:hv]\nalpha = 6e-5\n")
+    runs = {"file": ["--config", str(ini)],
+            "flags": ["--algo", "hv", "--alpha", "6e-5", "--snr-db", "40", "--seeds", "0",
+                      "--maxiter", "20"]}
+    outputs = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main([kind, *argv, "--out", str(out)]) == 0
+        manifest = Path(f"{out}.manifest.txt").read_text()
+        outputs[name] = (deterministic_view(out.read_text()), manifest)
+    assert outputs["file"] == outputs["flags"]
+
+
 def test_cli_manifest_notes_rescale(tmp_path):
     # scale 1.0 on a 12x30 normal matrix puts ||A*A|| far above 1, so the
     # harness rescale kicks in and must be recorded
@@ -822,21 +866,6 @@ def test_cli_manifest_notes_rescale(tmp_path):
     assert code == 0
     manifest = (tmp_path / "r.csv.manifest.txt").read_text()
     assert "operator_rescale" in manifest
-
-
-def test_cli_out_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPARSQ_OUT_DIR", str(tmp_path / "redirected"))
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(
-        [
-            "cs", "--algo", "ista", "--alpha", "1e-3", "--n", "30", "--m", "12",
-            "--s", "3", "--scale", "0.1", "--snr-db", "40", "--seeds", "0",
-            "--maxiter", "40", "--out", "rel.csv",
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "redirected" / "rel.csv").exists()
-    assert not (tmp_path / "rel.csv").exists()
 
 
 def test_solver_table_is_the_only_list_of_kinds():
@@ -889,7 +918,6 @@ def _readme_cli_lines():
 @pytest.mark.parametrize("subcommand", ["cs", "deblur", "sweep", "radius-search", "selftest"])
 def test_readme_cli_examples_run(subcommand, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SPARSQ_OUT_DIR", raising=False)
     (line,) = [l for l in _readme_cli_lines() if l.split()[1] == subcommand]
     argv = shlex.split(line)[1:]
     if subcommand != "selftest":

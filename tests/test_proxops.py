@@ -324,6 +324,14 @@ def test_projection_rejects_an_input_that_is_not_a_vector(x):
         project_l1_ball_sort(x, RadiusSpec(0.5))
 
 
+@pytest.mark.parametrize("radius", [0.5, 10.0], ids=["outside", "inside"])
+@pytest.mark.parametrize("x", [3.0, np.ones((2, 2))], ids=["0-d", "2-d"])
+def test_hv_projection_rejects_an_input_that_is_not_a_vector(x, radius):
+    # a 2-d x inside the ball used to come back as it was
+    with pytest.raises(ValueError, match=re.escape(f"not an array of shape {np.shape(x)}")):
+        project_l1_ball_hv(x, RadiusSpec(radius))
+
+
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
 def test_prox_rejects_alpha_that_is_not_positive_and_finite(alpha):
     # 0.5 / inf is 0, a finite ridge, but the prox of a finite alpha is not

@@ -13,7 +13,6 @@ from sparsq.linops import (
     NormalOperator,
     ScaledOperator,
     estimate_opnorm_sq,
-    opnorm_sq_cached,
 )
 from sparsq.proxops import RadiusSpec, project_l1_ball_sort, soft_threshold
 from sparsq.regfun import RegParams, eval_D, eval_J
@@ -519,7 +518,7 @@ def test_one_apply_per_iteration(name, record_trace):
     rng = np.random.default_rng(16)
     A, y = _random_instance(rng)
     op = CountingOperator(A)
-    opnorm_sq_cached(op)  # solve_hv's step-constant check, left out of the count
+    op.opnorm_sq  # solve_hv's step-constant check, left out of the count
     op.applies = op.adjoints = 0
     res = _solve(name, op, y, SolverOptions(max_iter=30, record_trace=record_trace))
     assert _counts(op) == _expected_counts(res.iterations, record_trace)
@@ -532,7 +531,7 @@ def test_penalized_table_one_apply_per_iteration(kind, record_trace):
     rng = np.random.default_rng(16)
     A, y = _random_instance(rng)
     op = CountingOperator(A)
-    opnorm_sq_cached(op)
+    op.opnorm_sq
     op.applies = op.adjoints = 0
     opts = SolverOptions(max_iter=30, record_trace=record_trace)
     res = PENALIZED[kind](op, y, 1e-3, 0.5, opts, np.full(8, 0.01))
@@ -585,8 +584,7 @@ def test_diverging_iteration_stops_nonfinite():
     # the unit step is far beyond 2 / ||A||^2, so every iterate grows
     A = DenseMatrix(rng.standard_normal((20, 40)), scale=3.0)
     y = rng.standard_normal(20)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = solve_ista(A, y, 1e-3, SolverOptions(max_iter=3000), np.zeros(40))
+    res = solve_ista(A, y, 1e-3, SolverOptions(max_iter=3000), np.zeros(40))
     assert res.termination == Termination.NONFINITE
     assert res.iterations < 3000
     assert not np.isfinite(res.trace[-1].step_norm)
