@@ -161,7 +161,6 @@ class KroneckerBlur(LinearOperator):
         row = np.zeros(n)
         j = np.arange(band)
         row[:band] = np.exp(-(j.astype(float) ** 2) / (2.0 * sigma * sigma))
-        self.toeplitz_first_row = row
         offs = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         self._factor = row[offs]
         self.domain_dim = n * n
@@ -170,10 +169,10 @@ class KroneckerBlur(LinearOperator):
     @classmethod
     def _kronecker_square(cls, factor, scale):
         """scale * (factor kron factor) for a symmetric factor, with no Gaussian
-        parameters: band, sigma and toeplitz_first_row are None."""
+        parameters: band and sigma are None."""
         op = cls.__new__(cls)
         op.n = factor.shape[0]
-        op.band = op.sigma = op.toeplitz_first_row = None
+        op.band = op.sigma = None
         op.scale = scale
         op._factor = factor
         op.domain_dim = op.range_dim = op.n * op.n

@@ -52,11 +52,11 @@ from .proxops import (
     RadiusSpec,
     _project_l1_ball,
     half_threshold,
-    project_l1_ball_sort,
+    project_l1_ball_sort,  # unused here: perfbench/spans.py's SOLVER_IMPORTS reads it
     prox_sq_l1,
     soft_threshold,
 )
-from .regfun import RegParams, _gradient, eval_D, eval_J, grad_f
+from .regfun import RegParams, _gradient, eval_D, eval_J
 
 # solve_pg_sf passes this multiple of the last step's l1-ball threshold to the
 # next projection as a lower-bound guess (proxops._sort_threshold's cut).  On
@@ -92,10 +92,12 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
         if not 0 < self.step_tol < math.inf:
             raise ValueError("step_tol must be positive and finite")
-        if not 0 < self.L_k < math.inf:
-            raise ValueError("L_k must be positive and finite")
-        if not 0 < self.lambda_st < math.inf:
-            raise ValueError("lambda_st must be positive and finite")
+        for name in ("L_k", "lambda_st"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+            if not 1.0 / float(value) < math.inf:  # the step 1 / value
+                raise ValueError(f"{name} = {value!r} is too small: 1 / {name} overflows")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class SolveResult:
     peak_l1: Optional[float] = None
     # solve_pg_sf with stop_above only: the last lower bound on ||As - y|| over
     # the ball that a step certified (0.0 before one does).  It exceeds
-    # stop_above when the solve ends ABOVE_BAND.
+    # stop_above exactly when the solve ends ABOVE_BAND.
     residual_floor: Optional[float] = None
 
 
@@ -195,8 +197,8 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     second step on (t_1 = 1, t_{k+1} = fista_momentum_next(t_k)).  The step
     norm is ||x_next - x||.  The residual r = Ax - y is formed for each traced
     record, which gets objective_fn(x, r) and ||r||, and once at the end for
-    the result's residual_norm.  stop, if given, is called after every step
-    that the step norm does not end; a Termination it returns ends the solve."""
+    the result's residual_norm.  stop, if given, is called after every finite
+    step, before the step norm's exits; a Termination it returns ends the solve."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -234,14 +236,14 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
             if not math.isfinite(step_norm):
                 termination = Termination.NONFINITE
                 break
+            if stop is not None and (reason := stop()) is not None:
+                termination = reason
+                break
             if step_norm == 0.0:
                 termination = Termination.STAGNATION
                 break
             if step_norm < opts.step_tol:
                 termination = Termination.STEP_TOL
-                break
-            if stop is not None and (reason := stop()) is not None:
-                termination = reason
                 break
         residual_norm = float(np.linalg.norm(A.apply(x) - ydelta))
     return SolveResult(x, k, termination, trace, residual_norm)
@@ -280,10 +282,11 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
 
     With stop_above, every _BOUND_EVERY-th step also bounds ||As - y|| from
     below over the whole ball (_residual_floor), from the gradient it forms.
-    Once that floor exceeds stop_above, the solve ends ABOVE_BAND: every point
-    of the ball, the one a full solve would return included, has a larger
-    residual.  The floor is the result's residual_floor.  The bound holds for
-    every beta and gamma, and it changes no iterate.
+    Once that floor exceeds stop_above, the solve ends ABOVE_BAND, even at a
+    step whose step norm would end it: every point of the ball, the one a
+    full solve would return included, has a larger residual.  The floor is
+    the result's residual_floor.  The bound holds for every beta and gamma,
+    and it changes no iterate.
     """
     denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
@@ -302,11 +305,8 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         if floor_at is not None and steps % _BOUND_EVERY == 0:
             floor = floor_at(x, g)
         steps += 1
-        if gamma == 1.0:  # the same bits as 1.0 * x - g, one multiply fewer
-            u = x - g
-        else:
-            u = gamma * x
-            u -= g
+        u = gamma * x
+        u -= g
         u /= denom
         value, threshold, l1 = _project_l1_ball(u, r.radius_l1, cut)
         cut = _CUT_FACTOR * threshold
@@ -383,13 +383,11 @@ def _pg_denominator(beta, gamma):
 
 
 def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
-    """Norm of x minus one projected-gradient step from x (stationarity check).
-
-    The step projects x - grad_f(x) / (gamma - 2 beta), which is solve_pg_sf's
-    (gamma x - A*(Ax - y)) / (gamma - 2 beta)."""
+    """||x - x_1|| for x_1 one solve_pg_sf step from x (stationarity check):
+    the step norm solve_pg_sf reports at x."""
     x = np.asarray(x, dtype=float)
-    u = x - grad_f(A, ydelta, x, beta) / _pg_denominator(beta, gamma)
-    return float(np.linalg.norm(x - project_l1_ball_sort(u, r)))
+    step = solve_pg_sf(A, ydelta, beta, gamma, r, SolverOptions(max_iter=1, record_trace=False), x)
+    return float(np.linalg.norm(x - step.x_final))
 
 
 def _bisect(residual_at, small, large, band, steps, midpoint):

@@ -633,6 +633,11 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         # a ValueError from the projection of the first step
         "radius-search --algo pg --r-min 1 --r-max 100 --snr-db 40 --x0=1.7e308",
         "cs --algo pg --radius-sq 30 --x0=1.7e308",
+        # a step constant whose step 1 / L_k or 1 / lambda overflows
+        "cs --algo hv --alpha 6e-5 --l-k 5e-324",
+        "cs --algo fista --alpha 1e-3 --lambda 1e-310",
+        "deblur --algo st --alpha 1e-3 --eta 0.5 --lambda 5e-324",
+        "cs --algo ht --lam 2e-2 --lambda 5e-324",
     ],
 )
 def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):

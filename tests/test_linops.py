@@ -98,13 +98,14 @@ def test_blur_first_row_definition():
     op = KroneckerBlur(6, 3, 0.7)
     expected = np.zeros(6)
     expected[:3] = np.exp(-np.arange(3.0) ** 2 / (2 * 0.7**2))
-    assert np.allclose(op.toeplitz_first_row, expected)
+    assert np.allclose(op._factor[0], expected)
 
 
 def test_blur_matches_explicit_kronecker_product():
     # densify oracle: build T kron T by hand and compare columns
     op = KroneckerBlur(3, 2, 0.7)
-    row = op.toeplitz_first_row
+    row = np.zeros(3)
+    row[:2] = np.exp(-np.arange(2.0) ** 2 / (2 * 0.7**2))
     T = np.array([[row[abs(i - j)] for j in range(3)] for i in range(3)])
     full = op.scale * np.kron(T, T)
     e1 = np.zeros(9)
