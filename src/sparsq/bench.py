@@ -36,9 +36,10 @@ from .problems import (
     rerror_metric,
     snr_metric,
 )
-from .proxops import RadiusSpec
+from .proxops import RadiusSpec, half_threshold, prox_sq_l1, soft_threshold
 from .regfun import RegParams
 from .solvers import (
+    ALPHA_BRACKET,
     PENALIZED,
     MdpOptions,
     SolverOptions,
@@ -95,7 +96,7 @@ class ExperimentConfig:
     mdp: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in ("cs", "deblur"):
+        if self.experiment not in EXPERIMENT_KEYS:
             raise ConfigError(f"experiment must be 'cs' or 'deblur', got {self.experiment!r}")
         if not self.algorithms:
             raise ConfigError("algorithm list must not be empty")
@@ -156,6 +157,8 @@ def _whole_number(text):
 
 # The parameters that may be "auto": those with a selection rule.
 AUTO_KEYS = ("alpha", "radius_sq")
+# The axes a sweep runs over: two algorithm parameters and the noise level.
+SWEEP_AXES = ("eta", "alpha", "snr_db")
 
 
 def _number(key):
@@ -321,6 +324,13 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
     _checked(f"{spec.kind} (alpha={alpha}, eta={eta})", RegParams, trial_alpha, eta * trial_alpha)
     if alpha == "auto" and not inst.delta > 0:
         raise ConfigError("alpha = auto needs noisy data (delta > 0)")
+    # the shrink's weight alpha * step, checked by the shrink itself, at alpha
+    # or, since it grows with alpha, at both ends of the alpha search's bracket
+    shrink, key, step = ((prox_sq_l1, "l_k", opts.L_k) if spec.kind == "hv"
+                         else (soft_threshold, "lambda", opts.lambda_st))
+    for end in ALPHA_BRACKET if alpha == "auto" else (alpha,):
+        _checked(f"{spec.kind} at alpha = {end!r}, {key} = {step!r}: "
+                 f"{shrink.__name__}(x, alpha / {key})", shrink, np.zeros(1), end * (1.0 / step))
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
 
     def run():
@@ -378,6 +388,8 @@ def _plan_ht(cfg, inst, spec, opts, x0):
     lam = spec.params.get("lam", math.nan)
     if not 0 < lam < math.inf:
         raise ConfigError("ht needs a positive, finite lam parameter")
+    _checked(f"ht at lam = {lam!r}, lambda = {opts.lambda_st!r}: half_threshold(x, lam, 1 / lambda)",
+             half_threshold, np.zeros(1), lam, 1.0 / opts.lambda_st)
     # ht's weight is reported in the alpha column
     return lambda: (_columns(lam), solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true))
 
@@ -498,7 +510,7 @@ def sweep(cfg, axis, values):
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if axis not in ("eta", "alpha", "snr_db"):
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if "auto" in values and axis not in AUTO_KEYS:
         raise ConfigError(f"sweep axis {axis!r} takes no 'auto' value: no selection rule for {axis}")

@@ -19,6 +19,7 @@ from .bench import (
     EXPERIMENT_KEYS,
     MDP_KEYS,
     SOLVER_KINDS,
+    SWEEP_AXES,
     AlgorithmSpec,
     ConfigError,
     ExperimentConfig,
@@ -279,16 +280,16 @@ def build_parser():
         run.set_defaults(func=_cmd_run, experiment=kind)  # no --experiment flag
 
     sw = subs.add_parser("sweep", help="parameter sweep over eta, alpha, or snr_db")
-    sw.add_argument("--experiment", choices=("cs", "deblur"),
+    sw.add_argument("--experiment", choices=tuple(EXPERIMENT_KEYS),
                     help="the config file's kind, or cs without one")
-    sw.add_argument("--axis", choices=("eta", "alpha", "snr_db"), required=True)
+    sw.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sw.add_argument("--values", required=True, help="comma separated values")
     sw.add_argument("--agg-out", dest="agg_out")
     _add_common_flags(sw, "both")
     sw.set_defaults(func=_cmd_sweep)
 
     rs = subs.add_parser("radius-search", help="discrepancy-principle radius selection")
-    rs.add_argument("--experiment", choices=("cs", "deblur"),
+    rs.add_argument("--experiment", choices=tuple(EXPERIMENT_KEYS),
                     help="the config file's kind, or cs without one")
     _add_common_flags(rs, "both")
     rs.set_defaults(func=_cmd_radius_search)

@@ -84,9 +84,9 @@ def _shrink(absx, t, x):
 
 
 def soft_threshold(x, t):
-    """Entrywise sign(x) * max(|x| - t, 0)."""
-    if not t >= 0:
-        raise ValueError("threshold must be nonnegative")
+    """Entrywise sign(x) * max(|x| - t, 0), for a finite t >= 0."""
+    if not 0 <= t < math.inf:
+        raise ValueError("threshold must be nonnegative and finite")
     x = np.asarray(x, dtype=float)
     return _shrink(np.abs(x, out=np.empty_like(x)), t, x)  # an array even for a 0-d x
 
@@ -97,6 +97,8 @@ def half_threshold(x, lam, step):
     Entries at or below the jump threshold 1.5 * (lam*step)^(2/3) map to zero;
     above it the minimizer has the closed trigonometric form below (largest
     root of the depressed cubic in sqrt(u)).  A NaN entry maps to NaN.
+    ValueError unless t = lam * step is a normal float and t * 3^1.5 / 4 is
+    finite: at a subnormal t, |x|^-1.5 overflows at entries above the threshold.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -104,12 +106,17 @@ def half_threshold(x, lam, step):
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     t = lam * step
+    if not t >= _TINY:
+        raise ValueError(f"lam * step = {t!r} is too small: below the smallest normal float")
+    weight = t * 3.0**1.5 / 4.0
+    if not weight < math.inf:
+        raise ValueError(f"lam * step = {t!r} is too large: (lam * step) * 3^1.5 / 4 overflows")
     thresh = 1.5 * t ** (2.0 / 3.0)
     out = np.zeros_like(x)
     mask = ~(np.abs(x) <= thresh)  # a NaN entry is kept, so it stays NaN
     if np.any(mask):
         a = x[mask]
-        arg = (t * 3.0**1.5 / 4.0) * np.abs(a) ** -1.5
+        arg = weight * np.abs(a) ** -1.5
         arg = np.minimum(arg, 1.0)
         out[mask] = (2.0 / 3.0) * a * (1.0 + np.cos((2.0 / 3.0) * np.arccos(-arg)))
     return out

@@ -355,7 +355,7 @@ def _residual_floor(A, ydelta, aty, radius, x0):
     """
     ydelta = np.asarray(ydelta, dtype=float)
     yy = float(ydelta.dot(ydelta))
-    rel = 4.0 * (A.range_dim + A.domain_dim) * np.finfo(float).eps  # 8 (m + n) u
+    rel = 4.0 * (A.range_dim + A.domain_dim) * float(np.finfo(float).eps)  # 8 (m + n) u
     x_scale = max(radius, float(np.sum(np.abs(x0))))  # X
     data_scale = x_scale * float(np.max(np.abs(aty), initial=0.0)) + yy  # E less X ||g||_inf
 
@@ -468,6 +468,10 @@ def search_radius_mdp(
     return MdpResult(radius, result, bracketed, trace)
 
 
+# select_alpha_discrepancy's default bracket of alpha
+ALPHA_BRACKET = (1e-8, 1e-1)
+
+
 def select_alpha_discrepancy(
     A,
     ydelta,
@@ -475,7 +479,7 @@ def select_alpha_discrepancy(
     eta,
     solver="hv",
     opts: SolverOptions = SolverOptions(),
-    alpha_bracket=(1e-8, 1e-1),
+    alpha_bracket=ALPHA_BRACKET,
     max_steps=60,
     band=1.05,
     x0=None,

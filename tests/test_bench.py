@@ -638,6 +638,16 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         "cs --algo fista --alpha 1e-3 --lambda 1e-310",
         "deblur --algo st --alpha 1e-3 --eta 0.5 --lambda 5e-324",
         "cs --algo ht --lam 2e-2 --lambda 5e-324",
+        # steps fine alone whose hv prox weight alpha / l_k overflows, underflows
+        # so that the prox's 0.5 / weight overflows, or does so at the low end
+        # of the alpha search's bracket
+        "cs --algo hv --alpha 1e300 --l-k 1e-10",
+        "cs --algo hv --alpha 1e-300 --l-k 1e10",
+        "cs --algo hv --alpha auto --l-k 1e305 --snr-db 40",
+        # the same for the soft threshold's alpha / lambda (inf) and half
+        # thresholding's lam / lambda (subnormal)
+        "cs --algo ista --alpha 1e300 --lambda 1e-10",
+        "cs --algo ht --lam 2e-2 --lambda 1.7e308",
     ],
 )
 def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):

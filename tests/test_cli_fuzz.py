@@ -77,6 +77,11 @@ def _refuse(*args, **kwargs):
               "--snr-db 40 --seeds 0 --r-min 1 --r-max 400 --x0=1.7e308".split())
 @example(argv="cs --algo hv --n 24 --m 12 --s 3 --alpha 6e-5 --snr-db 40 --seeds 0 "
               "--scale=5e-324".split())
+# an hv prox weight alpha / l_k that overflows, or whose 0.5 / weight does, at
+# a given alpha or at the low end of the alpha search's bracket
+@example(argv="cs --algo hv --alpha 1e300 --l-k 1e-10 --seeds 0".split())
+@example(argv="cs --algo hv --alpha 1e-300 --l-k 1e10 --seeds 0".split())
+@example(argv="cs --algo hv --alpha auto --l-k 1e305 --snr-db 40 --seeds 0".split())
 def test_cli_check_pass_ends_in_a_config_error_or_the_first_solve(argv):
     written = []
     stderr = io.StringIO()

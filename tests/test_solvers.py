@@ -952,6 +952,8 @@ def test_pg_stop_above_checks_every_eighth_step():
     assert (res.iterations, res.termination) == (1, Termination.ABOVE_BAND)
     assert res.residual_floor == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
     assert res.residual_floor < 2.0 / np.sqrt(3.0)  # the rounding margin, taken
+    # a Python float, not a numpy scalar (which isinstance(..., float) also accepts)
+    assert type(res.residual_floor) is float
     # From x0 = (1, 1, 0.5) the floor of the iterate passes 1 after 7 steps
     # (1.0024), but step 8 forms no bound; step 9 does
     res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5]), stop_above=1.0)
