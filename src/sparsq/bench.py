@@ -333,14 +333,16 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
                  f"{shrink.__name__}(x, alpha / {key})", shrink, np.zeros(1), end * (1.0 / step))
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
 
+    def solve(value):
+        return PENALIZED[spec.kind](inst.A, inst.y_delta, value, eta, opts, x0, inst.x_true)
+
     def run():
-        chosen = alpha
-        if alpha == "auto":
-            chosen = select_alpha_discrepancy(
-                inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
-            ).alpha
-        result = PENALIZED[spec.kind](inst.A, inst.y_delta, chosen, eta, opts, x0, inst.x_true)
-        return _columns(chosen, eta_column), result
+        if alpha != "auto":
+            return _columns(alpha, eta_column), solve(alpha)
+        sel = select_alpha_discrepancy(
+            inst.A, inst.y_delta, inst.delta, eta, spec.kind, opts, x0=x0
+        )
+        return _columns(sel.alpha, eta_column), solve(sel.alpha) if opts.record_trace else sel.result
 
     return run
 
@@ -368,20 +370,24 @@ def _search_radius(cfg, inst, spec, opts, x0):
 
 def _plan_pg(cfg, inst, spec, opts, x0):
     radius_sq = spec.params.get("radius_sq", math.nan)
-    if radius_sq == "auto":
-        search = _search_radius(cfg, inst, spec, opts, x0)
-
-        def run():
-            out = search()
-            return _columns(radius_sq=out.radius.radius_sq), out.result
-
-        return run
-    if math.isnan(radius_sq):
+    search = _search_radius(cfg, inst, spec, opts, x0) if radius_sq == "auto" else None
+    if search is None and math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
     beta, gamma = _pg_weights(spec)
-    radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
-    return lambda: (_columns(radius_sq=radius_sq),
-                    solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true))
+
+    def solve(radius):
+        return solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
+
+    if search is None:
+        radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
+        return lambda: (_columns(radius_sq=radius_sq), solve(radius))
+
+    def run():
+        out = search()
+        result = solve(out.radius) if opts.record_trace else out.result
+        return _columns(radius_sq=out.radius.radius_sq), result
+
+    return run
 
 
 def _plan_ht(cfg, inst, spec, opts, x0):
@@ -439,7 +445,8 @@ def _plan(cfg, inst, spec, record_trace=False):
 
 
 def run_algorithm(cfg, inst, spec, record_trace=False):
-    """Run one algorithm on one instance.  Returns (row_fields, SolveResult)."""
+    """Run one algorithm on one instance.  Returns (row_fields, SolveResult).
+    A search returns its solve untraced: with record_trace its value is solved again, traced."""
     return _plan(cfg, inst, spec, record_trace)()
 
 

@@ -10,8 +10,10 @@ Two first-class algorithms share the package's penalty:
 Both discrepancy-principle searches run the one bisection loop _bisect:
 search_radius_mdp on the squared ball radius of solve_pg_sf at linear
 midpoints, select_alpha_discrepancy on alpha of a PENALIZED solver at
-geometric midpoints.  Each keeps its own policy in the residual function it
-passes.  The radius search runs untraced trials, records one MdpRecord per
+geometric midpoints.  Every trial runs untraced and returns its residual and
+its solve, and each search returns the solve it landed on; a caller who
+wants that solve traced runs it again.  Each search keeps its own policy in
+the trial function it passes.  The radius search records one MdpRecord per
 trial, and reuses an earlier solve that did not project for a trial that
 would not project either, since neither depends on the radius.  Its trials
 pass stop_above = tau2 * delta to solve_pg_sf, which ends a solve once a
@@ -167,7 +169,7 @@ class MdpResult:
 @dataclass(frozen=True)
 class AlphaSelection:
     alpha: float
-    residual_norm: float
+    result: SolveResult  # the untraced solve at alpha
     bracketed: bool
 
 
@@ -390,8 +392,9 @@ def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
     return float(np.linalg.norm(x - step.x_final))
 
 
-def _bisect(residual_at, small, large, band, steps, midpoint):
-    """(p, residual, bracketed) of at most steps trials p = midpoint(small, large).
+def _bisect(trial, small, large, band, steps, midpoint):
+    """(p, solve, bracketed) of at most steps trials (residual, solve) =
+    trial(p) at p = midpoint(small, large).
 
     A residual in band = (low, high) ends the loop; one below low moves small
     to p and any other moves large, so small is the small-residual end on
@@ -399,14 +402,14 @@ def _bisect(residual_at, small, large, band, steps, midpoint):
     low, high = band
     for _ in range(steps):
         p = midpoint(small, large)
-        residual = residual_at(p)
+        residual, solve = trial(p)
         if low <= residual <= high:
-            return p, residual, True
+            return p, solve, True
         if residual < low:
             small = p
         else:
             large = p
-    return p, residual, False
+    return p, solve, False
 
 
 def search_radius_mdp(
@@ -418,10 +421,9 @@ def search_radius_mdp(
     Each trial radius runs a fresh untraced solve_pg_sf from x0 and adds one
     MdpRecord to the trace.  The residual is a decreasing function of the
     radius, so _bisect gets r_max as its small-residual end and splits the
-    bracket at the linear midpoint.  If max_outer trials never land in the
-    band the result carries bracketed=False and holds the last trial's solve.
-    With opts.record_trace the returned solve is run once more, traced, at the
-    returned radius.
+    bracket at the linear midpoint.  The result holds the untraced solve of
+    the trial the search landed on, or of the last trial, with
+    bracketed=False, if max_outer trials never land in the band.
 
     A trial runs with stop_above = tau2 * delta.  One that stops (ABOVE_BAND)
     has certified that its full solve's residual lies above the band, which
@@ -436,35 +438,35 @@ def search_radius_mdp(
     reuse the first unprojected solve's result instead of solving again.  A
     stopped solve is never reused: its peak_l1 covers only the steps it ran.
     """
-    trial_opts = replace(opts, record_trace=False)
+    opts = replace(opts, record_trace=False)
     trace = []
     rerror = _rerror_fn(x_true)
     band = (mdp.tau1 * mdp.delta, mdp.tau2 * mdp.delta)
-    unprojected = result = None  # the first trial that never projected; the last trial
+    unprojected = None  # the first trial that never projected
 
-    def residual_at(r_sq):
-        nonlocal unprojected, result
+    def trial(r_sq):
+        nonlocal unprojected
         radius = RadiusSpec.from_sq(r_sq)
         if unprojected is not None and radius.radius_l1 >= unprojected.peak_l1:
             result = unprojected
         else:
             result = solve_pg_sf(
-                A, ydelta, beta, gamma, radius, trial_opts, x0, x_true, stop_above=band[1]
+                A, ydelta, beta, gamma, radius, opts, x0, x_true, stop_above=band[1]
             )
             if result.termination is Termination.ABOVE_BAND:
                 trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_floor, None))
-                return result.residual_floor
+                return result.residual_floor, result
             if unprojected is None and result.peak_l1 <= radius.radius_l1:
                 unprojected = result
         trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_norm, rerror(result.x_final)))
-        return result.residual_norm
+        return result.residual_norm, result
 
-    r_sq, _, bracketed = _bisect(
-        residual_at, mdp.r_max, mdp.r_min, band, mdp.max_outer, lambda a, b: 0.5 * (a + b)
+    r_sq, result, bracketed = _bisect(
+        trial, mdp.r_max, mdp.r_min, band, mdp.max_outer, lambda a, b: 0.5 * (a + b)
     )
     radius = RadiusSpec.from_sq(r_sq)
-    if opts.record_trace or result.termination is Termination.ABOVE_BAND:
-        result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true)
+    if result.termination is Termination.ABOVE_BAND:
+        result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0)
     return MdpResult(radius, result, bracketed, trace)
 
 
@@ -489,8 +491,8 @@ def select_alpha_discrepancy(
     The residual grows with alpha, so a log-scale bisection of up to
     max_steps + 1 midpoints applies.  If even the bracket endpoints cannot
     reach the band (residual above it at the low end, or below it at the high
-    end) the nearer endpoint is returned with bracketed=False.  The inner
-    solves run untraced.  solver is a key of PENALIZED; any other raises
+    end) the nearer endpoint is returned with bracketed=False.  The result
+    holds the untraced solve at the returned alpha.  solver is a key of PENALIZED; any other raises
     ValueError, as do a delta, bracket or band that is not finite, a band
     below 1, which no residual can land in, and a negative max_steps.
     """
@@ -510,24 +512,24 @@ def select_alpha_discrepancy(
     if solver not in PENALIZED:
         raise ValueError(f"unknown solver {solver!r}")
 
-    def solve_at(alpha):
-        return PENALIZED[solver](A, ydelta, alpha, eta, opts, x0).residual_norm
+    def trial(alpha):
+        result = PENALIZED[solver](A, ydelta, alpha, eta, opts, x0)
+        return result.residual_norm, result
 
-    res_lo = solve_at(lo)
+    res_lo, low = trial(lo)
     if res_lo > band * delta:
-        return AlphaSelection(lo, res_lo, False)
+        return AlphaSelection(lo, low, False)
     if res_lo >= delta:
-        return AlphaSelection(lo, res_lo, True)
-    res_hi = solve_at(hi)
+        return AlphaSelection(lo, low, True)
+    res_hi, high = trial(hi)
     if res_hi < delta:
-        return AlphaSelection(hi, res_hi, False)
+        return AlphaSelection(hi, high, False)
     if res_hi <= band * delta:
-        return AlphaSelection(hi, res_hi, True)
+        return AlphaSelection(hi, high, True)
 
-    alpha, residual, bracketed = _bisect(
-        solve_at, lo, hi, (delta, band * delta), max_steps + 1, lambda a, b: float(np.sqrt(a * b))
-    )
-    return AlphaSelection(alpha, residual, bracketed)
+    return AlphaSelection(*_bisect(
+        trial, lo, hi, (delta, band * delta), max_steps + 1, lambda a, b: float(np.sqrt(a * b))
+    ))
 
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):

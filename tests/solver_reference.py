@@ -6,9 +6,10 @@ project_l1_ball_sort into a new array, and the step norm is np.linalg.norm.
 search_radius_reference is the discrepancy bisection with one solve per trial
 radius.  The library's in-place step, warm-started projection and reuse of
 unprojected trials must return the same bits.  select_alpha_reference is the
-alpha search written as its own loop, with one more midpoint solved after it;
-the library's alpha search must return its alpha and residual, and its
-bracketed flag wherever that last midpoint's residual misses the band.
+alpha search written as its own loop, with one more midpoint solved after it,
+returning (alpha, residual, bracketed); the library's alpha search must return
+its alpha and residual, and its bracketed flag wherever that last midpoint's
+residual misses the band.
 _soft_threshold_iteration is the ISTA/FISTA body, with its objective
 _l1_objective, that kept FISTA's extrapolation in a state dict of its step
 closure and ran the engine without momentum; solve_ista and solve_fista,
@@ -38,7 +39,6 @@ from sparsq.proxops import (
 from sparsq.regfun import RegParams, eval_J
 from sparsq.solvers import (
     PENALIZED,
-    AlphaSelection,
     SolverOptions,
     Termination,
     _gradient,
@@ -106,7 +106,8 @@ def select_alpha_reference(
     band=1.05,
     x0=None,
 ):
-    """Pick alpha so the solve residual lands in [delta, band * delta].
+    """(alpha, residual, bracketed): alpha so the solve residual lands in
+    [delta, band * delta].
 
     The residual grows with alpha, so a log-scale bisection applies.  If even
     the bracket endpoints cannot reach the band (residual above it at the low
@@ -134,26 +135,26 @@ def select_alpha_reference(
 
     res_lo = solve_at(lo)
     if res_lo > band * delta:
-        return AlphaSelection(lo, res_lo, False)
+        return lo, res_lo, False
     if res_lo >= delta:
-        return AlphaSelection(lo, res_lo, True)
+        return lo, res_lo, True
     res_hi = solve_at(hi)
     if res_hi < delta:
-        return AlphaSelection(hi, res_hi, False)
+        return hi, res_hi, False
     if res_hi <= band * delta:
-        return AlphaSelection(hi, res_hi, True)
+        return hi, res_hi, True
 
     for _ in range(max_steps):
         mid = float(np.sqrt(lo * hi))
         res_mid = solve_at(mid)
         if delta <= res_mid <= band * delta:
-            return AlphaSelection(mid, res_mid, True)
+            return mid, res_mid, True
         if res_mid < delta:
             lo = mid
         else:
             hi = mid
     mid = float(np.sqrt(lo * hi))
-    return AlphaSelection(mid, solve_at(mid), False)
+    return mid, solve_at(mid), False
 
 
 def _l1_objective(alpha):

@@ -24,7 +24,8 @@ from sparsq.bench import (
     trace_csv_text,
 )
 from sparsq import bench, cli
-from sparsq.solvers import PENALIZED
+from sparsq.proxops import RadiusSpec
+from sparsq.solvers import PENALIZED, SolverOptions, solve_fista, solve_pg_sf
 
 TINY_CS = dict(
     experiment="cs",
@@ -202,6 +203,68 @@ def test_hv_auto_alpha_through_runner():
     )
     rows, _, _ = run_experiment(cfg)
     assert math.isfinite(rows[0].alpha) and rows[0].alpha > 0
+
+
+@pytest.mark.parametrize("kind, name", [("fista", "solve_fista"), ("st", "solve_st_l1_l2")])
+def test_untraced_auto_alpha_run_returns_the_search_solve(kind, name, monkeypatch):
+    # An untraced alpha = auto run makes the search's solves and no other: the
+    # solve it returns is the one the search landed on, its last
+    import sparsq.solvers
+
+    calls = []
+    real = getattr(sparsq.solvers, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args[2], real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sparsq.solvers, name, counting)
+    spec = AlgorithmSpec(kind, {"alpha": "auto", "eta": 1.0} if kind == "st" else {"alpha": "auto"})
+    cfg = ExperimentConfig(experiment="cs", n=200, m=80, s=16, snr_db=40.0, algorithms=(spec,))
+    inst, _ = bench.make_instance(cfg, 0)
+    opts = SolverOptions(max_iter=cfg.maxiter, step_tol=cfg.step_tol, record_trace=False)
+    sel = sparsq.solvers.select_alpha_discrepancy(
+        inst.A, inst.y_delta, inst.delta, spec.params.get("eta", 0.0), kind, opts,
+        x0=np.full(200, cfg.x0_value),
+    )
+    search_alphas = [alpha for alpha, _ in calls]
+    calls.clear()
+    columns, result = bench.run_algorithm(cfg, inst, spec)
+    assert [alpha for alpha, _ in calls] == search_alphas
+    assert len(set(search_alphas)) == len(search_alphas) > 2
+    assert columns["alpha"] == sel.alpha == calls[-1][0]
+    assert result is calls[-1][1] and result.trace == []
+    assert result.x_final.tobytes() == sel.result.x_final.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AlgorithmSpec("fista", {"alpha": "auto"}),
+     AlgorithmSpec("pg", {"beta": 1e-3, "gamma": 1.0, "radius_sq": "auto"})],
+    ids=["alpha", "radius_sq"],
+)
+def test_traced_auto_run_returns_the_traced_solve_at_the_chosen_value(spec):
+    # The searches run untraced; a traced run solves the chosen value again,
+    # traced, with x_true, and returns that solve, with the untraced run's bits
+    cfg = tiny_cfg(
+        algorithms=(spec,), seeds=(0,), maxiter=400,
+        mdp={"r_min": 1.0, "r_max": 400.0, "tau1": 1.01, "tau2": 1.2, "max_outer": 12},
+    )
+    inst, _ = bench.make_instance(cfg, 0)
+    columns, traced = bench.run_algorithm(cfg, inst, spec, record_trace=True)
+    _, untraced = bench.run_algorithm(cfg, inst, spec)
+    opts = SolverOptions(max_iter=cfg.maxiter, step_tol=cfg.step_tol, record_trace=True)
+    x0 = np.full(inst.A.domain_dim, cfg.x0_value)
+    if spec.kind == "pg":
+        radius = RadiusSpec.from_sq(columns["radius_sq"])
+        direct = solve_pg_sf(inst.A, inst.y_delta, 1e-3, 1.0, radius, opts, x0, inst.x_true)
+    else:
+        direct = solve_fista(inst.A, inst.y_delta, columns["alpha"], opts, x0, inst.x_true)
+    assert len(direct.trace) > 0 and untraced.trace == []
+    assert [replace(rec, elapsed_s=0.0) for rec in traced.trace] == [
+        replace(rec, elapsed_s=0.0) for rec in direct.trace
+    ]
+    assert traced.x_final.tobytes() == untraced.x_final.tobytes() == direct.x_final.tobytes()
 
 
 def test_deblur_noise_free_reconstruction_quality():

@@ -634,7 +634,7 @@ def _run_with_truth(name, A, y, x0, x_true):
         mdp = MdpOptions(r_min=1.0, r_max=20.0 * r2, tau1=1.01, tau2=1.1, delta=1.0, max_outer=6)
         return search_radius_mdp(A, y, 1e-5, 1.0, mdp, opts, x0, x_true).result
     if kind == "select_alpha":
-        return select_alpha_discrepancy(A, y, 1.0, 0.5, "st", opts, max_steps=4, x0=x0)
+        return select_alpha_discrepancy(A, y, 1.0, 0.5, "st", opts, max_steps=4, x0=x0).result
     if kind == "pg":
         return solve_pg_sf(A, y, 1e-5, 1.0, RadiusSpec(0.5 * np.sum(np.abs(x_true))), opts, x0, x_true)
     weights = {"hv": (RegParams(1e-3, 5e-4),), "ista": (1e-3,), "fista": (1e-3,),
@@ -658,9 +658,6 @@ def test_solvers_leave_inputs_alone(name):
     assert [a.tobytes() for a in (x0, y, x_true)] == before
     second = _run_with_truth(name, A, y, x0, x_true)
     assert [a.tobytes() for a in (x0, y, x_true)] == before
-    if name == "select_alpha":
-        assert first == second
-        return
     kept = first.x_final.tobytes()
     assert not any(np.shares_memory(second.x_final, a) for a in (first.x_final, x0, y, x_true))
     assert first.x_final.tobytes() == kept == second.x_final.tobytes()
@@ -731,13 +728,8 @@ def test_mdp_trace_option_changes_no_outcome():
     )
     assert traced.result.x_final.tobytes() == untraced.result.x_final.tobytes()
     assert traced.radius == untraced.radius and traced.trace == untraced.trace
-    assert untraced.result.trace == []
-    # the traced result is the solve at the chosen radius, traced
-    direct = solve_pg_sf(A, y, 1e-4, 1.0, traced.radius, opts, x0, x_true)
-    assert len(direct.trace) > 0
-    assert [replace(rec, elapsed_s=0.0) for rec in traced.result.trace] == [
-        replace(rec, elapsed_s=0.0) for rec in direct.trace
-    ]
+    # every trial runs untraced, and the search returns the one it landed on
+    assert traced.result.trace == untraced.result.trace == []
 
 
 def _blur_search_instance(snr_db):
@@ -962,6 +954,41 @@ def test_pg_stop_above_checks_every_eighth_step():
     assert res.termination is Termination.STAGNATION and res.residual_floor < 1.16
 
 
+@given(
+    knots=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8),
+    decreasing=st.booleans(),
+    low=st.floats(-10.0, 10.0),
+    width=st.floats(0.0, 5.0),
+    steps=st.integers(1, 12),
+    geometric=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_bisect_returns_the_trial_it_landed_on(knots, decreasing, low, width, steps, geometric):
+    # A monotone piecewise-linear residual on [1, 2], increasing as alpha's is
+    # or decreasing as the radius's is; small, the small-residual end, is 1 or
+    # 2.  The loop returns the p and the solve of its last trial, which is the
+    # first to land in the band or the steps-th
+    from sparsq.solvers import _bisect
+
+    xs, ys = np.linspace(1.0, 2.0, len(knots)), sorted(knots, reverse=decreasing)
+    small, large = (2.0, 1.0) if decreasing else (1.0, 2.0)
+    high = low + width
+    trials = []
+
+    def trial(p):
+        trials.append((p, float(np.interp(p, xs, ys)), object()))
+        return trials[-1][1:]
+
+    midpoint = (lambda a, b: float(np.sqrt(a * b))) if geometric else (lambda a, b: 0.5 * (a + b))
+    p, solve, bracketed = _bisect(trial, small, large, (low, high), steps, midpoint)
+    assert 1 <= len(trials) <= steps
+    last_p, last_residual, last_solve = trials[-1]
+    assert p == last_p and solve is last_solve
+    assert bracketed == (low <= last_residual <= high)
+    assert not any(low <= residual <= high for _, residual, _ in trials[:-1])
+    assert bracketed or len(trials) == steps
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -1008,7 +1035,7 @@ def test_select_alpha_lands_in_band():
         A, y, delta, 0.5, "hv", SolverOptions(max_iter=2000, record_trace=False)
     )
     assert sel.bracketed
-    assert delta <= sel.residual_norm <= 1.05 * delta
+    assert delta <= sel.result.residual_norm <= 1.05 * delta
 
 
 def test_select_alpha_desk_instance_order_of_magnitude():
@@ -1037,9 +1064,10 @@ def test_select_alpha_unreachable_band_flags():
 @pytest.mark.parametrize("solver", ["hv", "ista", "fista", "st"])
 def test_select_alpha_matches_reference(solver, monkeypatch):
     # The one bisection loop asks for the reference loop's alphas in its order
-    # and returns its alpha and residual.  Its bracketed flag differs only where
-    # the reference's extra midpoint after its loop landed in the band
-    # unflagged.  Solves are memoized per alpha, so both searches share them.
+    # and returns its alpha and residual, and the solve at that alpha.  Its
+    # bracketed flag differs only where the reference's extra midpoint after
+    # its loop landed in the band unflagged.  Solves are memoized per alpha, so
+    # both searches share them.
     from sparsq.problems import cs_desk_instance
     from solver_reference import select_alpha_reference
 
@@ -1060,14 +1088,15 @@ def test_select_alpha_matches_reference(solver, monkeypatch):
         for bracket in brackets:
             for max_steps in (3, 0):
                 kwargs = {"alpha_bracket": bracket, "max_steps": max_steps}
-                ref = select_alpha_reference(*args, **kwargs)
+                ref_alpha, ref_residual, ref_bracketed = select_alpha_reference(*args, **kwargs)
                 ref_calls = calls.copy()
                 calls.clear()
                 out = select_alpha_discrepancy(*args, **kwargs)
                 assert calls == ref_calls
-                assert (out.alpha, out.residual_norm) == (ref.alpha, ref.residual_norm)
-                in_band = inst.delta <= ref.residual_norm <= 1.05 * inst.delta
-                assert out.bracketed == (ref.bracketed or in_band)
+                assert (out.alpha, out.result.residual_norm) == (ref_alpha, ref_residual)
+                assert out.result is memo[out.alpha]
+                in_band = inst.delta <= ref_residual <= 1.05 * inst.delta
+                assert out.bracketed == (ref_bracketed or in_band)
                 calls.clear()
 
 
@@ -1085,7 +1114,7 @@ def test_select_alpha_flags_an_in_band_last_midpoint():
         alpha_bracket=(6e-6, 6e-4), max_steps=0,
     )
     assert sel.alpha == 6e-5 and sel.bracketed
-    assert delta <= sel.residual_norm <= 1.05 * delta
+    assert delta <= sel.result.residual_norm <= 1.05 * delta
 
 
 @pytest.mark.parametrize("solver", ["pg", "ht", "lasso"])
