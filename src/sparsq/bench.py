@@ -326,11 +326,10 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
         raise ConfigError("alpha = auto needs noisy data (delta > 0)")
     # the shrink's weight alpha * step, checked by the shrink itself, at alpha
     # or, since it grows with alpha, at both ends of the alpha search's bracket
-    shrink, key, step = ((prox_sq_l1, "l_k", opts.L_k) if spec.kind == "hv"
-                         else (soft_threshold, "lambda", opts.lambda_st))
+    shrink, key = (prox_sq_l1, "l_k") if spec.kind == "hv" else (soft_threshold, "lambda")
     for end in ALPHA_BRACKET if alpha == "auto" else (alpha,):
-        _checked(f"{spec.kind} at alpha = {end!r}, {key} = {step!r}: "
-                 f"{shrink.__name__}(x, alpha / {key})", shrink, np.zeros(1), end * (1.0 / step))
+        _checked(f"{spec.kind} at alpha = {end!r}, {key} = {opts.L!r}: "
+                 f"{shrink.__name__}(x, alpha / {key})", shrink, np.zeros(1), end * (1.0 / opts.L))
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
 
     def solve(value):
@@ -394,8 +393,8 @@ def _plan_ht(cfg, inst, spec, opts, x0):
     lam = spec.params.get("lam", math.nan)
     if not 0 < lam < math.inf:
         raise ConfigError("ht needs a positive, finite lam parameter")
-    _checked(f"ht at lam = {lam!r}, lambda = {opts.lambda_st!r}: half_threshold(x, lam, 1 / lambda)",
-             half_threshold, np.zeros(1), lam, 1.0 / opts.lambda_st)
+    _checked(f"ht at lam = {lam!r}, lambda = {opts.L!r}: half_threshold(x, lam, 1 / lambda)",
+             half_threshold, np.zeros(1), lam, 1.0 / opts.L)
     # ht's weight is reported in the alpha column
     return lambda: (_columns(lam), solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true))
 
@@ -421,16 +420,12 @@ ALGORITHMS = tuple(SOLVER_KINDS)
 
 
 def _solver_inputs(cfg, inst, spec, record_trace=False):
-    """The SolverOptions and starting point of a run of spec on inst."""
-    opts = _checked(
-        spec.kind,
-        SolverOptions,
-        max_iter=cfg.maxiter,
-        step_tol=cfg.step_tol,
-        L_k=spec.params.get("l_k", 1.0),
-        lambda_st=spec.params.get("lambda", 1.0),
-        record_trace=record_trace,
-    )
+    """The SolverOptions and starting point of a run of spec on inst.  hv's
+    l_k, and the lambda of ista, fista, st and ht, set the step constant L."""
+    key = "l_k" if spec.kind == "hv" else "lambda"
+    where = f"{spec.kind} ({key}={spec.params[key]!r} sets L)" if key in spec.params else spec.kind
+    opts = _checked(where, SolverOptions, max_iter=cfg.maxiter, step_tol=cfg.step_tol,
+                    L=spec.params.get(key, 1.0), record_trace=record_trace)
     if not math.isfinite(cfg.x0_value):
         raise ConfigError("x0 must be finite")
     if not math.isfinite(cfg.x0_value * inst.A.domain_dim):  # Python floats: no warning

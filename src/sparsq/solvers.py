@@ -23,11 +23,13 @@ turns the bisection as its full solve would.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
 thresholding) are comparison baselines.  They and solve_hv run one
-proximal-gradient body, _prox_gradient: a gradient step on the penalty's
-concave part where it has one, a gradient step on the data term, then the
-prox of the rest of the penalty.  FISTA is ISTA's step taken from an
-extrapolated point, which the iteration engine _iterate forms.  solve_pg_sf
-keeps its own step, which works in place and warm-starts its projection.
+proximal-gradient body, _prox_gradient, with step 1 / opts.L: a gradient
+step on the penalty's concave part where it has one, a gradient step on the
+data term, then the prox of the rest of the penalty.  FISTA is ISTA's step
+taken from an extrapolated point, which the iteration engine _iterate forms.
+solve_pg_sf keeps its own step, which works in place and warm-starts its
+projection.  All six warn (_check_descent) at a step constant, opts.L or
+pg's gamma, at or below 0.5 ||A*A|| + beta, and solve on.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
@@ -85,8 +87,7 @@ class SolverOptions:
 
     max_iter: int = 1500
     step_tol: float = 1e-5
-    L_k: float = 1.0
-    lambda_st: float = 1.0
+    L: float = 1.0  # the step constant: every proximal-gradient step is 1 / L
     record_trace: bool = True
 
     def __post_init__(self):
@@ -94,12 +95,10 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
         if not 0 < self.step_tol < math.inf:
             raise ValueError("step_tol must be positive and finite")
-        for name in ("L_k", "lambda_st"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-            if not 1.0 / float(value) < math.inf:  # the step 1 / value
-                raise ValueError(f"{name} = {value!r} is too small: 1 / {name} overflows")
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
+        if not 1.0 / float(self.L) < math.inf:  # the step 1 / L
+            raise ValueError(f"L = {self.L!r} is too small: 1 / L overflows")
 
 
 @dataclass(frozen=True)
@@ -254,23 +253,12 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
     """Prox-gradient solve of 0.5||Ax-y||^2 + alpha||x||_1^2 - beta||x||_2^2.
 
-    One step maps x to the squared-l1 prox (weight alpha/L_k) of
-    x + (2 beta / L_k) x - (1/L_k) A*(Ax - y).  A step constant L_k at or below
-    half the gradient Lipschitz bound forfeits the descent guarantee; that
-    case is reported as a warning, not an error.
+    One step maps x to the squared-l1 prox (weight alpha / L) of
+    x + (2 beta / L) x - (1 / L) A*(Ax - y), with L = opts.L.
     """
     alpha, beta = p.alpha, p.beta
-    lk = opts.L_k
-    r_hat = A.opnorm_sq
-    if lk <= 0.5 * r_hat + beta:
-        warnings.warn(
-            f"L_k={lk:g} is not above half the smoothness bound "
-            f"({0.5 * (r_hat + 2 * beta):g}); descent is not guaranteed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _prox_gradient(A, ydelta, lambda u, t: prox_sq_l1(u, alpha * t),
-                          lambda x, r: eval_J(A, ydelta, x, p, r), 1.0 / lk, opts, x0, x_true,
+                          lambda x, r: eval_J(A, ydelta, x, p, r), beta, opts, x0, x_true,
                           lift=lambda z, t: 2.0 * beta * t)
 
 
@@ -279,8 +267,10 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     """Projected-gradient solve of 0.5||Ax-y||^2 - beta||x||_2^2 over an l1 ball.
 
     One step projects u = (gamma x - A*(Ax - y)) / (gamma - 2 beta) onto the
-    ball.  Requires gamma > 2 * beta.  The result's peak_l1 is the largest
-    ||u||_1 of the solve.
+    ball, a projected-gradient step of 1 / (gamma - 2 beta).  Requires gamma >
+    2 beta.  _check_descent warns unless gamma - 2 beta > (||A*A|| - 2 beta) / 2,
+    the descent lemma's bound, which is hv's.  The result's peak_l1 is the
+    largest ||u||_1 of the solve.
 
     With stop_above, every _BOUND_EVERY-th step also bounds ||As - y|| from
     below over the whole ball (_residual_floor), from the gradient it forms.
@@ -292,6 +282,7 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     """
     denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
+    _check_descent(A, "gamma", gamma, beta)
     cut = 0.0  # a guess at the next projection's threshold, from below
     peak_l1 = 0.0
     floor_at = None
@@ -534,13 +525,12 @@ def select_alpha_discrepancy(
 
 def solve_ista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """Iterative soft thresholding for 0.5||Ax-y||^2 + alpha ||x||_1."""
-    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 1.0 / opts.lambda_st, opts, x0, x_true)
+    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 0.0, opts, x0, x_true)
 
 
 def solve_fista(A, ydelta, alpha, opts: SolverOptions, x0, x_true=None):
     """ISTA's step taken from FISTA's extrapolated point, which the engine forms."""
-    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 1.0 / opts.lambda_st, opts, x0, x_true,
-                          momentum=True)
+    return _prox_gradient(A, ydelta, *_l1_terms(alpha), 0.0, opts, x0, x_true, momentum=True)
 
 
 def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None):
@@ -553,7 +543,7 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     shrink, l1_objective = _l1_terms(alpha)
     return _prox_gradient(A, ydelta, shrink,
                           lambda x, r: l1_objective(x, r) - beta * float(np.linalg.norm(x)),
-                          1.0 / opts.lambda_st, opts, x0, x_true,
+                          0.0, opts, x0, x_true,
                           lift=lambda z, t: beta * t / max(float(np.linalg.norm(z)), 1e-12))
 
 
@@ -563,7 +553,7 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
         raise ValueError("lam must be positive and finite")
     return _prox_gradient(A, ydelta, lambda u, t: half_threshold(u, lam, t),
                           lambda x, r: 0.5 * float(r @ r) + lam * float(np.sum(np.sqrt(np.abs(x)))),
-                          1.0 / opts.lambda_st, opts, x0, x_true)
+                          0.0, opts, x0, x_true)
 
 
 def _l1_terms(alpha):
@@ -574,17 +564,21 @@ def _l1_terms(alpha):
             lambda x, r: 0.5 * float(r @ r) + alpha * float(np.sum(np.abs(x))))
 
 
-def _prox_gradient(A, ydelta, shrink, objective, t, opts, x0, x_true, lift=None, momentum=False):
+def _prox_gradient(A, ydelta, shrink, objective, beta, opts, x0, x_true, lift=None, momentum=False):
     """Body of solve_hv and the four baselines above, so no public solver
     calls another.
 
-    A step is x <- shrink(w - t A*(Az - y), t) from the engine's point z, with
-    w = z + lift(z, t) z, the gradient step on the penalty's concave part, or
-    w = z without a lift.  A record's objective is objective(x, r).  The
-    callers' shrinks and objectives look their prox, thresholds and eval_J up
-    in this module when called, so a patched one is used.
+    A step is x <- shrink(w - t A*(Az - y), t), t = 1 / opts.L, from the
+    engine's point z, with w = z + lift(z, t) z, the gradient step on the
+    penalty's concave part, or w = z without a lift.  _check_descent gets
+    beta: hv's, or 0 (st's -beta ||x||_2 adds no upward curvature).  A
+    record's objective is objective(x, r).  The callers' shrinks and
+    objectives look their prox, thresholds and eval_J up in this module when
+    called, so a patched one is used.
     """
     grad = _gradient(A, ydelta)
+    _check_descent(A, "L", opts.L, beta)
+    t = 1.0 / opts.L
 
     def step(z):
         # a zero lift and t = 1 are skipped: for a finite z the bits are the same
@@ -594,6 +588,15 @@ def _prox_gradient(A, ydelta, shrink, objective, t, opts, x0, x_true, lift=None,
         return shrink(w - (g if t == 1.0 else t * g), t)
 
     return _iterate(A, ydelta, x0, step, objective, opts, x_true, momentum)
+
+
+def _check_descent(A, name, value, beta):
+    """Warn, and go on, when the step constant name = value is at or below
+    0.5 ||A*A|| + beta, half hv's smoothness bound ||A*A|| + 2 beta."""
+    bound = 0.5 * A.opnorm_sq + beta
+    if value <= bound:
+        warnings.warn(f"{name}={value:g} is not above half the smoothness bound ({bound:g}); "
+                      "descent is not guaranteed", RuntimeWarning, stacklevel=3)
 
 
 # Penalized solvers by kind, each called as (A, ydelta, alpha, eta, opts, x0[, x_true]).

@@ -16,10 +16,10 @@ closure and ran the engine without momentum; solve_ista and solve_fista,
 whose engine forms that point, must return its bits.  solve_st_l1_l2 and
 solve_ht_half are those solvers as they were before they shared the ISTA body:
 the library's ht must return their bits at every step constant and its st at
-lambda_st = 1, where dividing by lambda_st and multiplying by its inverse
-agree.  solve_hv is the paper's solver as it was before it ran that body,
-then named _prox_gradient: the library's hv must return its bits at L_k = 1,
-where dividing by L_k and multiplying by its inverse agree, and stay within
+L = 1, where dividing by L and multiplying by its inverse agree.  solve_hv
+is the paper's solver as it was before it ran that body,
+then named _prox_gradient: the library's hv must return its bits at L = 1,
+where dividing by L and multiplying by its inverse agree, and stay within
 rounding of it elsewhere.
 """
 
@@ -168,7 +168,7 @@ def _soft_threshold_iteration(A, ydelta, alpha, opts, x0, x_true, momentum):
     """Body of both, so neither public solver calls the other."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    t = 1.0 / opts.lambda_st
+    t = 1.0 / opts.L
     grad = _gradient(A, ydelta)
     state = {"t": 1.0, "x_prev": None}
 
@@ -192,7 +192,7 @@ def solve_st_l1_l2(A, ydelta, alpha, beta, opts: SolverOptions, x0, x_true=None)
     1e-12 to keep the step defined; beta = 0 reduces the step to ISTA's.
     """
     RegParams(alpha, beta)  # checks alpha > 0 and 0 <= beta <= alpha
-    gamma = opts.lambda_st
+    gamma = opts.L
     grad = _gradient(A, ydelta)
 
     def step(x):
@@ -214,7 +214,7 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
     """Iterative half thresholding for 0.5||Ax-y||^2 + lam * sum_i |x_i|^(1/2)."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    t = 1.0 / opts.lambda_st
+    t = 1.0 / opts.L
     grad = _gradient(A, ydelta)
 
     def step(x):
@@ -229,17 +229,17 @@ def solve_ht_half(A, ydelta, lam, opts: SolverOptions, x0, x_true=None):
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
     """Prox-gradient solve of 0.5||Ax-y||^2 + alpha||x||_1^2 - beta||x||_2^2.
 
-    One step maps x to the squared-l1 prox (weight alpha/L_k) of
-    x + (2 beta / L_k) x - (1/L_k) A*(Ax - y).  A step constant L_k at or below
+    One step maps x to the squared-l1 prox (weight alpha/L) of
+    x + (2 beta / L) x - (1/L) A*(Ax - y).  A step constant L at or below
     half the gradient Lipschitz bound forfeits the descent guarantee; that
     case is reported as a warning, not an error.
     """
     alpha, beta = p.alpha, p.beta
-    lk = opts.L_k
+    lk = opts.L
     r_hat = A.opnorm_sq
     if lk <= 0.5 * r_hat + beta:
         warnings.warn(
-            f"L_k={lk:g} is not above half the smoothness bound "
+            f"L={lk:g} is not above half the smoothness bound "
             f"({0.5 * (r_hat + 2 * beta):g}); descent is not guaranteed",
             RuntimeWarning,
             stacklevel=2,

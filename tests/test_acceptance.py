@@ -2,12 +2,13 @@
 
 One test per acceptance criterion, each printing a PASS line with the
 measured quantities when it succeeds (run with -s to see them).  Tolerances
-are pinned here and nowhere else.  The reproduction criteria (5-9, 11) are
+are pinned here and nowhere else.  The reproduction criteria (5-9, 11, 12) are
 tolerance-band or trend checks over seeded instances; the property criteria
 (1-4, 10) are exact-tolerance checks.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sparsq.solvers import (
     solve_pg_sf,
 )
 from sparsq.problems import snr_metric
+from sparsq.bench import load_config
 from sparsq import cli
 from prox_reference import prox_sq_l1_newton
 
@@ -112,7 +114,7 @@ def test_criterion_3_descent_suites():
         r_hat = estimate_opnorm_sq(A).value
         alpha = float(rng.uniform(1e-4, 5e-3))
         beta = alpha * float(rng.uniform(0.0, 1.0))
-        opts = SolverOptions(max_iter=300, step_tol=1e-9, L_k=r_hat + 2 * beta)
+        opts = SolverOptions(max_iter=300, step_tol=1e-9, L=r_hat + 2 * beta)
         res = solve_hv(A, y, RegParams(alpha, beta), opts, np.full(A.domain_dim, 0.01))
         objs = [rec.objective for rec in res.trace]
         worst_hv = max(worst_hv, max((b - a for a, b in zip(objs, objs[1:])), default=0.0))
@@ -187,7 +189,7 @@ def test_criterion_4_gradient_and_adjoint_checks():
 
 
 def _hv_desk_snrs(eta, alpha, snr_db, seeds, max_iter=1500):
-    opts = SolverOptions(max_iter=max_iter, step_tol=1e-5, L_k=1.0, record_trace=False)
+    opts = SolverOptions(max_iter=max_iter, step_tol=1e-5, L=1.0, record_trace=False)
     out = []
     for seed in seeds:
         inst = cs_desk_instance(seed=seed, snr_db=snr_db)
@@ -331,3 +333,36 @@ def test_criterion_11_a_priori_rate():
         report.append(f"eta={eta}: slope {slope:.3f} (>= 0.85), err/delta max/min {ratio:.3f} "
                       f"(<= 1.6)")
     print("ACCEPTANCE 11 PASS: a priori alpha = 6.8e-4 * delta, 20-50 dB; " + "; ".join(report))
+
+
+def test_criterion_12_a_posteriori_radius_rate():
+    # The paper's a posteriori rule, the discrepancy principle on the l1-ball
+    # radius, gives ||x - x_true||_2 = O(delta) as well.  Pinned as criterion 11
+    # pins the a priori rule, on the medians over CS desk seeds 0-3, with the pg
+    # weights, [mdp] settings and iteration controls of scripts/cs_desk.ini.
+    # Seed blocks 0-3, 4-7, 8-11 and 12-15 gave slopes 1.016-1.088 and ratios
+    # 1.175-1.508.
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "scripts" / "cs_desk.ini"))
+    (pg,) = [spec.params for spec in cfg.algorithms if spec.kind == "pg"]
+    opts = SolverOptions(max_iter=cfg.maxiter, step_tol=cfg.step_tol, record_trace=False)
+    levels = (20.0, 30.0, 40.0, 50.0)
+    insts = [[cs_desk_instance(seed=seed, snr_db=db) for seed in range(4)] for db in levels]
+    deltas = np.array([np.median([inst.delta for inst in row]) for row in insts])
+    errors, bracketed, trials = [], 0, 0
+    for row in insts:
+        level = []
+        for inst in row:
+            mdp = MdpOptions(**cfg.mdp, delta=inst.delta)
+            out = search_radius_mdp(inst.A, inst.y_delta, pg["beta"], pg["gamma"], mdp, opts,
+                                    np.full(inst.A.domain_dim, cfg.x0_value))
+            level.append(np.linalg.norm(out.result.x_final - inst.x_true))
+            bracketed, trials = bracketed + out.bracketed, trials + len(out.trace)
+        errors.append(np.median(level))
+    slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])
+    per_delta = np.array(errors) / deltas
+    ratio = float(per_delta.max() / per_delta.min())
+    assert slope >= 0.85
+    assert ratio <= 1.6
+    print(f"ACCEPTANCE 12 PASS: a posteriori radius rule, 20-50 dB: slope {slope:.3f} (>= 0.85), "
+          f"err/delta max/min {ratio:.3f} (<= 1.6); {bracketed} of 16 searches bracketed, "
+          f"{trials} trials")

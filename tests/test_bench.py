@@ -696,7 +696,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         # a ValueError from the projection of the first step
         "radius-search --algo pg --r-min 1 --r-max 100 --snr-db 40 --x0=1.7e308",
         "cs --algo pg --radius-sq 30 --x0=1.7e308",
-        # a step constant whose step 1 / L_k or 1 / lambda overflows
+        # a step constant whose step 1 / l_k or 1 / lambda overflows
         "cs --algo hv --alpha 6e-5 --l-k 5e-324",
         "cs --algo fista --alpha 1e-3 --lambda 1e-310",
         "deblur --algo st --alpha 1e-3 --eta 0.5 --lambda 5e-324",
@@ -736,7 +736,7 @@ def test_cli_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     ],
 )
 def test_cli_non_finite_weights_and_step_constants_are_config_errors(argv, tmp_path, capsys):
-    # an infinite alpha, lam, L_k, gamma, lambda or step_tol parses as a number; the check
+    # an infinite alpha, lam, l_k, gamma, lambda or step_tol parses as a number; the check
     # pass, not a traceback from inside a solve, reports it
     out = tmp_path / "r.csv"
     assert cli.main(shlex.split(argv) + ["--seeds", "0", "--out", str(out)]) == 1
@@ -896,19 +896,42 @@ def test_manifest_echoes_every_key_of_its_experiment_kind(tmp_path):
 
 
 @pytest.mark.parametrize("algo", ["ista --alpha 1e-3", "fista --alpha 1e-3 --trace-dir t",
-                                  "st --alpha 1e-3 --eta 0.5", "ht --lam 1e-3"])
+                                  "st --alpha 1e-3 --eta 0.5", "ht --lam 1e-3", "hv --alpha 1e-3"])
 def test_cli_diverging_solve_ends_nonfinite_without_a_warning(algo, tmp_path, monkeypatch):
-    # the unit step of lambda 0.01 is far beyond 2 / ||A||^2: every iterate grows
+    # the step of the step constant 0.01 (hv's l_k, the others' lambda) is far
+    # beyond 2 / ||A||^2: every iterate grows.  The descent check warns of it,
+    # and no other warning is raised
     monkeypatch.chdir(tmp_path)
-    argv = ["cs", "--algo", *algo.split(), "--lambda", "0.01", "--seeds", "0",
+    key = "--l-k" if algo.startswith("hv") else "--lambda"
+    argv = ["cs", "--algo", *algo.split(), key, "0.01", "--seeds", "0",
             "--maxiter", "3000", "--out", "r.csv"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+    with pytest.warns(RuntimeWarning) as caught:
         assert cli.main(argv) == 0
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("L=0.01 is not above half the smoothness bound")
     with open("r.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["termination"], row["snr_out_db"], row["rerror"]) == ("nonfinite", "-inf", "inf")
     assert int(row["iterations"]) < 3000
+
+
+@pytest.mark.parametrize("argv, warned, termination", [
+    ("cs --algo pg --radius-sq 1e300 --gamma 1e-3 --seeds 0 --maxiter 3000", "gamma=0.001",
+     "max_iter"),
+    ("cs --algo fista --alpha 1e-3 --lambda 1e-300 --seeds 0", "L=1e-300", "nonfinite"),
+])
+def test_cli_step_constant_at_or_below_the_descent_bound_warns(argv, warned, termination,
+                                                               tmp_path, monkeypatch):
+    # pg ends at snr_out_db = -2974 and fista on a non-finite iterate: each
+    # warns of its step constant, and the run goes on and writes its row
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert cli.main(shlex.split(argv) + ["--out", "r.csv"]) == 0
+    assert [str(w.message).split(" is not above half the smoothness bound")[0]
+            for w in caught] == [warned]
+    with open("r.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["termination"] == termination
 
 
 @pytest.mark.parametrize("kind, shape", [("cs", "n = 200\nm = 80\ns = 16\n"), ("deblur", "n = 16\n")])

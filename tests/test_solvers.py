@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import cached_property
 
@@ -69,8 +70,8 @@ def test_hv_objective_nonincreasing():
         alpha = float(rng.uniform(1e-4, 1e-2))
         beta = alpha * float(rng.uniform(0.0, 1.0))
         p = RegParams(alpha, beta)
-        L_k = estimate_opnorm_sq(A).value + 2 * beta  # above the descent floor
-        opts = SolverOptions(max_iter=200, step_tol=1e-8, L_k=L_k)
+        L = estimate_opnorm_sq(A).value + 2 * beta  # above the descent floor
+        opts = SolverOptions(max_iter=200, step_tol=1e-8, L=L)
         res = solve_hv(A, y, p, opts, np.full(8, 0.01))
         objs = [rec.objective for rec in res.trace]
         assert all(a >= b - 1e-10 for a, b in zip(objs, objs[1:]))
@@ -81,6 +82,55 @@ def test_hv_warns_on_small_step_constant():
     A = DenseMatrix(rng.standard_normal((6, 6)), scale=3.0)  # r_hat far above 1
     with pytest.warns(RuntimeWarning):
         solve_hv(A, np.ones(6), RegParams(1e-3, 0.0), SolverOptions(max_iter=2), np.zeros(6))
+
+
+@pytest.mark.parametrize("name", ["hv", "pg", "ista", "fista", "st", "ht"])
+def test_every_solver_warns_at_or_below_the_descent_bound(name):
+    # ||A*A|| = 4 exactly, so the bound 0.5 ||A*A|| + beta is 2.25 for hv and
+    # pg (beta = 0.25) and 2 for the rest; st's -beta ||x||_2 adds no curvature
+    A, y, x0 = DenseMatrix(np.diag([2.0, 1.0])), np.ones(2), np.zeros(2)
+    assert A.opnorm_sq == 4.0
+    beta = 0.25 if name in ("hv", "pg") else 0.0
+    bound = 2.0 + beta
+
+    def solve(c):  # one step at the step constant c (pg: gamma)
+        opts = SolverOptions(max_iter=1, L=c)
+        return {
+            "hv": lambda: solve_hv(A, y, RegParams(0.5, beta), opts, x0),
+            "pg": lambda: solve_pg_sf(A, y, beta, c, RadiusSpec(1.0), opts, x0),
+            "ista": lambda: solve_ista(A, y, 0.5, opts, x0),
+            "fista": lambda: solve_fista(A, y, 0.5, opts, x0),
+            "st": lambda: solve_st_l1_l2(A, y, 0.5, 0.25, opts, x0),
+            "ht": lambda: solve_ht_half(A, y, 0.5, opts, x0),
+        }[name]()
+
+    for c in (bound, np.nextafter(bound, 0.0)):
+        with pytest.warns(RuntimeWarning) as caught:
+            solve(c)
+        assert [str(w.message) for w in caught] == [
+            f"{'gamma' if name == 'pg' else 'L'}={c:g} is not above half the smoothness "
+            f"bound ({bound:g}); descent is not guaranteed"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve(np.nextafter(bound, np.inf))
+
+
+def test_step_constant_sets_every_proximal_gradient_step():
+    # A = I, y = 1, x0 = 2, L = 2: one step from the gradient x0 - y = 1 at t = 0.5
+    A, y, x0 = DenseMatrix(np.eye(1)), np.array([1.0]), np.array([2.0])
+    opts = SolverOptions(max_iter=1, L=2.0)
+    # hv (alpha 0.3, beta 0.1): u = 2 + 2 (0.1)(0.5) 2 - 0.5 = 1.7, and the
+    # squared-l1 prox of weight 0.15 in one dimension is u / (1 + 0.3)
+    assert solve_hv(A, y, RegParams(0.3, 0.1), opts, x0).x_final[0] == pytest.approx(
+        1.7 / 1.3, rel=1e-15)
+    # ista and fista's first step: the soft threshold of 1.5 at 0.15
+    for solve in (solve_ista, solve_fista):
+        assert solve(A, y, 0.3, opts, x0).x_final[0] == pytest.approx(1.35, rel=1e-15)
+    # st (beta 0.1): u = 2 + (0.1)(0.5) / 2 * 2 - 0.5 = 1.55, threshold 0.15
+    assert solve_st_l1_l2(A, y, 0.3, 0.1, opts, x0).x_final[0] == pytest.approx(1.4, rel=1e-15)
+    # ht (lam 0.2): x > 0 is stationary for 0.5 (x - 1.5)^2 + (0.2)(0.5) sqrt(x)
+    x = solve_ht_half(A, y, 0.2, opts, x0).x_final[0]
+    assert x > 0 and x - 1.5 + 0.5 * 0.1 / np.sqrt(x) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hv_trace_matches_iterations():
@@ -197,7 +247,7 @@ def test_ista_objective_descent_with_valid_step():
     rng = np.random.default_rng(7)
     A, y = _random_instance(rng)
     r_hat = estimate_opnorm_sq(A).value
-    opts = SolverOptions(max_iter=100, lambda_st=1.05 * r_hat if r_hat > 1 else 1.0)
+    opts = SolverOptions(max_iter=100, L=1.05 * r_hat if r_hat > 1 else 1.0)
     res = solve_ista(A, y, 1e-3, opts, np.full(8, 0.01))
     objs = [rec.objective for rec in res.trace]
     assert all(a >= b - 1e-10 for a, b in zip(objs, objs[1:]))
@@ -220,8 +270,8 @@ def test_soft_threshold_solvers_match_reference(momentum):
         inst = cs_desk_instance(seed)
         x0 = np.full(inst.A.domain_dim, 0.01)
         for record_trace in (True, False):
-            for lambda_st in (1.0, 1.3):
-                opts = SolverOptions(max_iter=300, lambda_st=lambda_st, record_trace=record_trace)
+            for L in (1.0, 1.3):
+                opts = SolverOptions(max_iter=300, L=L, record_trace=record_trace)
                 args = (inst.A, inst.y_delta, 1e-3, opts, x0, inst.x_true)
                 out, ref = solve(*args), reference(*args, momentum)
                 assert out.x_final.tobytes() == ref.x_final.tobytes()
@@ -242,8 +292,8 @@ def _outputs(res):
 @pytest.mark.parametrize("kind", ["st", "ht"])
 def test_st_and_ht_match_their_own_bodies(kind):
     # st and ht run the ISTA body now.  ht keeps its bits at every step
-    # constant.  st multiplies by t = 1 / lambda_st where it divided by
-    # lambda_st, so it keeps them at lambda_st = 1 and stays within rounding
+    # constant.  st multiplies by t = 1 / L where it divided by L, so it
+    # keeps them at L = 1 and stays within rounding
     # elsewhere.
     import solver_reference
 
@@ -256,11 +306,11 @@ def test_st_and_ht_match_their_own_bodies(kind):
         inst = cs_desk_instance(seed)
         x0 = np.full(inst.A.domain_dim, 0.01)
         for record_trace in (True, False):
-            for lambda_st in (1.0, 1.3):
-                opts = SolverOptions(max_iter=300, lambda_st=lambda_st, record_trace=record_trace)
+            for L in (1.0, 1.3):
+                opts = SolverOptions(max_iter=300, L=L, record_trace=record_trace)
                 args = (inst.A, inst.y_delta, *weights, opts, x0, inst.x_true)
                 out, ref = solve(*args), reference(*args)
-                if kind == "ht" or lambda_st == 1.0:
+                if kind == "ht" or L == 1.0:
                     assert _outputs(out) == _outputs(ref)
                 else:
                     assert (out.iterations, out.termination) == (ref.iterations, ref.termination)
@@ -270,8 +320,8 @@ def test_st_and_ht_match_their_own_bodies(kind):
 
 @pytest.mark.parametrize("lk", [1.0, 1.3])
 def test_hv_matches_its_own_body(lk, monkeypatch):
-    # hv runs the baselines' body now.  It multiplies by t = 1 / L_k where it
-    # divided by L_k, so it keeps its bits at L_k = 1 and stays within
+    # hv runs the baselines' body now.  It multiplies by t = 1 / L where it
+    # divided by L, so it keeps its bits at L = 1 and stays within
     # rounding elsewhere.  The reference steps through the plain prox, so the
     # library's prox is pinned along the whole solve too.
     import solver_reference
@@ -289,7 +339,7 @@ def test_hv_matches_its_own_body(lk, monkeypatch):
         for eta in (0.0, 0.5, 1.0):
             p = RegParams(alpha, eta * alpha)
             for record_trace in (True, False):
-                opts = SolverOptions(max_iter=300, L_k=lk, record_trace=record_trace)
+                opts = SolverOptions(max_iter=300, L=lk, record_trace=record_trace)
                 args = (inst.A, inst.y_delta, p, opts, x0, inst.x_true)
                 out, ref = solve_hv(*args), reference(*args)
                 if lk == 1.0:
@@ -353,11 +403,11 @@ def test_fista_faster_than_ista_on_desk_instance():
 
 
 def test_st_beta_zero_reduces_to_ista():
-    # at every step constant, not only at lambda_st = 1
+    # at every step constant, not only at L = 1
     rng = np.random.default_rng(9)
     A, y = _random_instance(rng)
-    for lambda_st in (1.0, 1.3):
-        opts = SolverOptions(max_iter=40, lambda_st=lambda_st)
+    for L in (1.0, 1.3):
+        opts = SolverOptions(max_iter=40, L=L)
         a = solve_ista(A, y, 2e-3, opts, np.full(8, 0.01))
         b = solve_st_l1_l2(A, y, 2e-3, 0.0, opts, np.full(8, 0.01))
         assert np.array_equal(a.x_final, b.x_final)
@@ -411,7 +461,7 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(step_tol=0.0)
-    for name in ("step_tol", "L_k", "lambda_st"):
+    for name in ("step_tol", "L"):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SolverOptions(**{name: np.inf})
 
@@ -581,10 +631,15 @@ def test_trace_changes_no_iterate(name):
 
 def test_diverging_iteration_stops_nonfinite():
     rng = np.random.default_rng(0)
-    # the unit step is far beyond 2 / ||A||^2, so every iterate grows
+    # the unit step is far beyond 2 / ||A||^2, so every iterate grows; the
+    # descent check warns of it, and nothing else warns
     A = DenseMatrix(rng.standard_normal((20, 40)), scale=3.0)
     y = rng.standard_normal(20)
-    res = solve_ista(A, y, 1e-3, SolverOptions(max_iter=3000), np.zeros(40))
+    with pytest.warns(RuntimeWarning) as caught:
+        res = solve_ista(A, y, 1e-3, SolverOptions(max_iter=3000), np.zeros(40))
+    assert [str(w.message) for w in caught] == [
+        f"L=1 is not above half the smoothness bound ({0.5 * A.opnorm_sq:g}); "
+        "descent is not guaranteed"]
     assert res.termination == Termination.NONFINITE
     assert res.iterations < 3000
     assert not np.isfinite(res.trace[-1].step_norm)
@@ -911,6 +966,9 @@ def test_pg_reports_peak_l1():
 # the floor passes stop_above at step 9, where the step norm ends the full solve
 @example(seed=216, gamma=0.5, beta_frac=0.0, log_radius=0.0, stop_frac=0.96875)
 @settings(max_examples=100, deadline=None)
+# gamma is sampled down to 0.5, below the descent bound of most instances, on
+# purpose: the floor holds at every gamma
+@pytest.mark.filterwarnings("ignore:gamma=.* is not above half the smoothness bound:RuntimeWarning")
 def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_radius, stop_frac):
     # The floor is a bound over the ball, so it holds at every beta < gamma / 2:
     # it never exceeds the full solve's residual, a solve stops only where
