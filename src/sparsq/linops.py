@@ -12,7 +12,8 @@ Every operator carries its normal operator A*A (`normal`), built once and of
 the same class where the structure allows, so a gradient A*(Ax - y) costs one
 operator call.  It carries the spectral norm ||A*A|| (`opnorm_sq`) too, also
 computed once: exact for those classes and a power-iteration estimate
-otherwise.
+otherwise.  Those classes also give the smallest eigenvalue of A*A
+(`exact_lambda_min`), from the same one eigendecomposition.
 """
 
 import math
@@ -64,6 +65,19 @@ class LinearOperator:
 
     def exact_opnorm_sq(self):
         """||A*A|| where the structure gives it directly, else None."""
+        spectrum = self._normal_spectrum
+        return None if spectrum is None else spectrum[1]
+
+    def exact_lambda_min(self):
+        """The smallest eigenvalue of A*A where the structure gives it
+        directly, else None."""
+        spectrum = self._normal_spectrum
+        return None if spectrum is None else spectrum[0]
+
+    @cached_property
+    def _normal_spectrum(self):
+        """(smallest, largest) eigenvalue of A*A where the structure gives
+        them, else None: one eigendecomposition, on first use."""
         return None
 
 
@@ -122,13 +136,17 @@ class DenseMatrix(LinearOperator):
             return NormalOperator(self)
         return DenseMatrix(self.entries.T @ self.entries, self.scale**2)
 
-    def exact_opnorm_sq(self):
-        """scale^2 times the largest eigenvalue of the smaller of E E^T and E^T E."""
+    @cached_property
+    def _normal_spectrum(self):
+        """scale^2 times the extreme eigenvalues of the smaller of E E^T and
+        E^T E; the smallest is 0 when E has more columns than rows."""
         e = self.entries
         if min(e.shape) ** 2 > DENSIFY_GUARD:
             return None
         gram = e @ e.T if e.shape[0] <= e.shape[1] else e.T @ e
-        return self.scale**2 * max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+        eig = np.linalg.eigvalsh(gram)
+        low = 0.0 if e.shape[1] > e.shape[0] else self.scale**2 * max(float(eig[0]), 0.0)
+        return low, self.scale**2 * max(float(eig[-1]), 0.0)
 
 
 class KroneckerBlur(LinearOperator):
@@ -222,11 +240,14 @@ class KroneckerBlur(LinearOperator):
         """scale^2 * (T^2 kron T^2): one apply's cost, since T is symmetric."""
         return KroneckerBlur._kronecker_square(self._factor @ self._factor, self.scale**2)
 
-    def exact_opnorm_sq(self):
-        """(scale * lambda_max(T)^2)^2: the eigenvalues of T kron T are the
-        products of T's, and ||A*A|| = ||A||^2."""
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(self._factor))))
-        return (self.scale * lam * lam) ** 2
+    @cached_property
+    def _normal_spectrum(self):
+        """(scale * min|lambda(T)|^2)^2 and (scale * max|lambda(T)|^2)^2: the
+        eigenvalues of T kron T are the products of T's, and those of A*A are
+        their squares times scale^2."""
+        lam = np.abs(np.linalg.eigvalsh(self._factor))
+        low, high = float(np.min(lam)), float(np.max(lam))
+        return (self.scale * low * low) ** 2, (self.scale * high * high) ** 2
 
 
 class ScaledOperator(LinearOperator):
@@ -250,9 +271,10 @@ class ScaledOperator(LinearOperator):
     def normal(self):
         return ScaledOperator(self.inner.normal, self.factor**2)
 
-    def exact_opnorm_sq(self):
-        inner = self.inner.exact_opnorm_sq()
-        return None if inner is None else self.factor**2 * inner
+    @cached_property
+    def _normal_spectrum(self):
+        inner = self.inner._normal_spectrum
+        return None if inner is None else tuple(self.factor**2 * v for v in inner)
 
 
 def densify(op):

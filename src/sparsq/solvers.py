@@ -16,10 +16,14 @@ wants that solve traced runs it again.  Each search keeps its own policy in
 the trial function it passes.  The radius search records one MdpRecord per
 trial, and reuses an earlier solve that did not project for a trial that
 would not project either, since neither depends on the radius.  Its trials
-pass stop_above = tau2 * delta to solve_pg_sf, which ends a solve once a
-Lasso dual bound, formed every _BOUND_EVERY steps from the step's gradient,
-puts the residual of every point of the ball above that level; such a trial
-turns the bisection as its full solve would.  The alpha
+pass the band [tau1 * delta, tau2 * delta] to solve_pg_sf.  Every
+_BOUND_EVERY steps a solve bounds its residual from the gradient and step
+norm it has just formed: from below over the whole ball by a Lasso dual
+bound, and, where the step map is a contraction (A*A's eigenvalues strictly
+between 2 beta and 2 gamma - 2 beta, which needs m >= n), from both sides
+over every iterate it can still reach.  A trial ends once its full solve's residual is certain to lie
+above the band (ABOVE_BAND) or below it (BELOW_BAND), and turns the
+bisection as its full solve would.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
 thresholding) are comparison baselines.  They and solve_hv run one
@@ -33,8 +37,8 @@ pg's gamma, at or below 0.5 ||A*A|| + beta, and solve on.
 
 Every solver is deterministic given its inputs, stops when the step norm
 falls below opts.step_tol, is exactly 0 (stagnation), turns non-finite, or
-hits the iteration cap (solve_pg_sf also when its residual floor passes
-stop_above), and can record a per-iteration trace.  The gradient
+hits the iteration cap (solve_pg_sf also when its residual is certain to
+end outside its band), and can record a per-iteration trace.  The gradient
 step uses the descent sign x - t * A*(Ax - y) throughout, with the gradient
 formed as N x - A*y from the operator's normal operator N = A*A: one
 operator call per iteration.  The engine forms the residual Ax - y only for
@@ -68,8 +72,9 @@ from .regfun import RegParams, _gradient, eval_D, eval_J
 # steps; on the n=125 benchmark search (noise seed 0) the guess held in 98% of
 # the projections.
 _CUT_FACTOR = 0.98
-# solve_pg_sf with stop_above bounds the residual at steps 1, 1 + _BOUND_EVERY,
-# 1 + 2 _BOUND_EVERY, ...  A bound costs two dot products, a max and a min.
+# solve_pg_sf with a band bounds the residual at steps 1, 1 + _BOUND_EVERY,
+# 1 + 2 _BOUND_EVERY, ...  A bound costs two dot products, a max and a min,
+# and one more dot product where the contraction bound is on.
 _BOUND_EVERY = 8
 
 
@@ -78,7 +83,8 @@ class Termination(str, Enum):
     MAX_ITER = "max_iter"
     STAGNATION = "stagnation"
     NONFINITE = "nonfinite"
-    ABOVE_BAND = "above_band"  # solve_pg_sf's stop_above: a residual floor passed it
+    ABOVE_BAND = "above_band"  # solve_pg_sf's band: the residual is certain to end above it
+    BELOW_BAND = "below_band"  # solve_pg_sf's band: the residual is certain to end below it
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,15 @@ class SolveResult:
     # solve_pg_sf only: the largest ||u||_1 over the points u its steps
     # project.  At or below the radius, no projection moved its point.
     peak_l1: Optional[float] = None
-    # solve_pg_sf with stop_above only: the last lower bound on ||As - y|| over
-    # the ball that a step certified (0.0 before one does).  It exceeds
-    # stop_above exactly when the solve ends ABOVE_BAND.
+    # solve_pg_sf with a band only: the last lower bound on ||As - y|| over
+    # the ball that a step certified (0.0 before one does).
     residual_floor: Optional[float] = None
+    # solve_pg_sf with a band, when it ended ABOVE_BAND or BELOW_BAND: the
+    # bound that ended it, on the residual_norm of the solve run in full, and
+    # whether that bound was the ball floor, which holds at this radius only.
+    # A contraction bound reads nothing but the steps the solve took.
+    stop_bound: Optional[float] = None
+    stop_on_floor: bool = False
 
 
 @dataclass(frozen=True)
@@ -198,8 +209,9 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     second step on (t_1 = 1, t_{k+1} = fista_momentum_next(t_k)).  The step
     norm is ||x_next - x||.  The residual r = Ax - y is formed for each traced
     record, which gets objective_fn(x, r) and ||r||, and once at the end for
-    the result's residual_norm.  stop, if given, is called after every finite
-    step, before the step norm's exits; a Termination it returns ends the solve."""
+    the result's residual_norm.  stop, if given, is called with the step norm
+    after every finite step, before the step norm's exits; a Termination it
+    returns ends the solve."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -237,7 +249,7 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
             if not math.isfinite(step_norm):
                 termination = Termination.NONFINITE
                 break
-            if stop is not None and (reason := stop()) is not None:
+            if stop is not None and (reason := stop(step_norm)) is not None:
                 termination = reason
                 break
             if step_norm == 0.0:
@@ -263,7 +275,7 @@ def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
 
 
 def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, x_true=None, *,
-                stop_above=None):
+                band=None):
     """Projected-gradient solve of 0.5||Ax-y||^2 - beta||x||_2^2 over an l1 ball.
 
     One step projects u = (gamma x - A*(Ax - y)) / (gamma - 2 beta) onto the
@@ -272,31 +284,40 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     the descent lemma's bound, which is hv's.  The result's peak_l1 is the
     largest ||u||_1 of the solve.
 
-    With stop_above, every _BOUND_EVERY-th step also bounds ||As - y|| from
-    below over the whole ball (_residual_floor), from the gradient it forms.
-    Once that floor exceeds stop_above, the solve ends ABOVE_BAND, even at a
-    step whose step norm would end it: every point of the ball, the one a
-    full solve would return included, has a larger residual.  The floor is
-    the result's residual_floor.  The bound holds for every beta and gamma,
-    and it changes no iterate.
+    With band = (low, high), every _BOUND_EVERY-th step also bounds the
+    residual, from the gradient it forms and its step norm: from below over
+    the whole ball (_residual_floor), and, where the step map contracts, from
+    both sides over every iterate the solve can still reach
+    (_contraction_reach).  Once the residual of the solve's result is certain
+    to lie above high, the solve ends ABOVE_BAND; below low, BELOW_BAND; even
+    at a step whose step norm would end it.  The last floor is the result's
+    residual_floor, and the bound that ended the solve its stop_bound; above
+    the band, the contraction bound is tried before the floor.  The floor
+    holds for every beta and gamma, the contraction bound wherever it is on,
+    and neither changes an iterate.
     """
     denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
     _check_descent(A, "gamma", gamma, beta)
     cut = 0.0  # a guess at the next projection's threshold, from below
     peak_l1 = 0.0
-    floor_at = None
-    if stop_above is not None:
+    floor_at = reach = None
+    if band is not None:
+        low, high = band
         floor_at = _residual_floor(A, ydelta, grad.aty, r.radius_l1, x0)
-    floor, steps = 0.0, 0  # the last residual floor; the steps taken
+        reach = _contraction_reach(A, ydelta, grad.aty, gamma, denom, opts.max_iter)
+    floor = 0.0  # the last ball floor
+    ended = None, False  # the bound that ended the solve; whether it was the floor
+    steps = 0
+    pending = None  # a bound step's (floor, rr, err) and ||x||, for the stop after it
 
     def step(x):
         # u and the projection are computed in place, with the operations of
         # project_l1_ball_sort((gamma * x - grad(x)) / denom, r)
-        nonlocal cut, peak_l1, floor, steps
+        nonlocal cut, peak_l1, steps, pending
         g = grad(x)
         if floor_at is not None and steps % _BOUND_EVERY == 0:
-            floor = floor_at(x, g)
+            pending = floor_at(x, g), 0.0 if reach is None else _norm(x)
         steps += 1
         u = gamma * x
         u -= g
@@ -306,19 +327,40 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         peak_l1 = max(peak_l1, l1)
         return value
 
-    def above():
-        return Termination.ABOVE_BAND if floor > stop_above else None
+    def stop(step_norm):
+        nonlocal floor, ended, pending
+        if pending is None:
+            return None
+        (floor, rr, err), x_norm = pending
+        pending = None
+        near, far = 0.0, math.inf
+        if reach is not None:
+            near, far = reach(steps - 1, step_norm, rr, err, x_norm)
+        if near > high:
+            ended = near, False
+            return Termination.ABOVE_BAND
+        if floor > high:
+            ended = floor, True
+            return Termination.ABOVE_BAND
+        if far < low:
+            ended = far, False
+            return Termination.BELOW_BAND
+        return None
 
     result = _iterate(
         A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true,
-        stop=None if floor_at is None else above,
+        stop=None if band is None else stop,
     )
-    return replace(result, peak_l1=peak_l1, residual_floor=None if floor_at is None else floor)
+    if band is None:
+        return replace(result, peak_l1=peak_l1)
+    return replace(result, peak_l1=peak_l1, residual_floor=floor,
+                   stop_bound=ended[0], stop_on_floor=ended[1])
 
 
 def _residual_floor(A, ydelta, aty, radius, x0):
-    """(x, g) -> a lower bound on ||As - y|| over every s with ||s||_1 <= radius,
-    from any x and g = A*(Ax - y); 0.0 where the bound says nothing.
+    """(x, g) -> (floor, rr, err): floor a lower bound on ||As - y|| over every
+    s with ||s||_1 <= radius, from any x and g = A*(Ax - y), 0.0 where the
+    bound says nothing; and rr - 2 err <= ||Ax - y||^2 <= rr.
 
     Weak duality of least squares over the ball (the Lasso dual of Fercoq,
     Gramfort & Salmon 2015; SPGL1's Pareto-curve dual, van den Berg &
@@ -344,7 +386,7 @@ def _residual_floor(A, ydelta, aty, radius, x0):
     b and ||r||^2 each meet at most eight of these, so err = rel E with
     rel = 8 (m + n) u covers them.  The floor is (b - err) / sqrt(||r||^2 + err),
     and the factor 1 - rel covers the rounding of the norm ||As - y|| that
-    it is compared with.
+    it is compared with.  rr is ||r||^2 + err, rounded up as the floor needs.
     """
     ydelta = np.asarray(ydelta, dtype=float)
     yy = float(ydelta.dot(ydelta))
@@ -359,10 +401,90 @@ def _residual_floor(A, ydelta, aty, radius, x0):
         b = (yy - xa) - radius * g_inf - err
         rr = float(x.dot(g)) - xa + yy + err
         if b > 0.0 and rr > 0.0:
-            return (1.0 - rel) * b / math.sqrt(rr)
-        return 0.0
+            return (1.0 - rel) * b / math.sqrt(rr), rr, err
+        return 0.0, rr, err
 
     return floor_at
+
+
+def _contraction_reach(A, ydelta, aty, gamma, denom, max_iter):
+    """(k, s, rr, err, x_norm) -> (low, high), bounds on the computed residual
+    norm ||Ax_J - y|| of every iterate x_J, k < J <= max_iter, of a
+    solve_pg_sf run whose iterate x_k has ||x_k|| = x_norm and
+    rr - 2 err <= ||Ax_k - y||^2 <= rr (_residual_floor's identity), and
+    whose step from x_k has the step norm s.  None where the bound is off,
+    with no work per step: where A gives no exact smallest or largest
+    eigenvalue of A*A, or where the step map does not contract.
+
+    A step maps x to P(M x + A*y / d), with P the projection onto the ball,
+    d = denom = gamma - 2 beta and M = (gamma I - A*A) / d.  P is
+    nonexpansive and ||M|| = q = max(gamma - lambda_min, lambda_max - gamma) / d,
+    so where q < 1 (lambda_min > gamma - d = 2 beta and lambda_max < gamma + d)
+    every step contracts distances by q.  Then ||x_{j+1} - x_j|| <= q^(j-k) s
+    and ||x_J - x_k|| <= s (1 - q^(K-k)) / (1 - q) for every J <= K = max_iter,
+    whichever exit ends the solve, and ||Ax_J - y|| is within ||A|| times
+    that of ||Ax_k - y||.  On an A with m < n, lambda_min = 0 and q >= 1.
+
+    The rounding margin.  With u = eps / 2 and rel = 8 (m + n) u, _residual_floor's:
+    * The spectrum.  Both ends are widened by e = (m + n)^2 u lambda_max, and
+      q and ||A|| = sqrt(lambda_max) are taken at the widened ends, q rounded
+      up by the factor 1 + rel.  e covers eigvalsh, whose eigenvalues are
+      those of a matrix within a modest multiple of k u ||G|| of the Gram
+      matrix G it is given (k <= min(m, n) its order), and the rounding in
+      forming G and the normal operator the step applies, each within
+      m n u ||A*A||, since || |E| ||^2 <= min(m, n) ||E||^2.
+    * A step.  At the same point x_j, the computed step is within
+      E = a X + b of the map's exact value, with a = rel (gamma + lambda_max) / d,
+      b = rel ||A*y|| / d and X >= ||x_j||: the normal apply within
+      (m + n) u lambda_max X (its products taken not to cancel heavily, as
+      _residual_floor takes them; a blur's are all nonnegative), the four
+      flops of u within 4 u of the scale of u, and the projection within
+      (2n + 1) u ||u||: its threshold, a cumsum of rho entries of |u| over
+      rho, is within 2 u ||u||_1 <= 2 sqrt(n) u ||u||, and it moves at most
+      n entries by that.  These sum to less than rel (gamma X + lambda_max X
+      + ||A*y||) / d.  A*y may be the rounded one: the map is a
+      q-contraction for any fixed A*y.
+    * The accumulation.  The computed steps then obey d_{j+1} <= q d_j + 2E,
+      so with S = s (1 + rel) (1 - q^(K-k)) / (1 - q), covering the rounding
+      of s, and C = 2 (K - k) / (1 - q), ||x_J - x_k|| <= D = S + C E.  Every
+      x_j, j >= k, has ||x_j|| <= X = ||x_k|| + D, so E = a X + b gives
+      D = (S + C (a ||x_k|| + b)) / (1 - C a), where C a < 1; at a step where
+      it is not, the bounds are (0.0, inf).
+    * The residual.  ||Ax_J - y|| is within ||A|| D of ||Ax_k - y||, which
+      lies in [sqrt(rr - 2 err), sqrt(rr)]; the computed norm of x_J's
+      residual is within rel (||A|| X + ||y||) of the exact one (one apply
+      and one norm), and the factors 1 -+ rel cover the rest: the flops here,
+      the norm's relative rounding and that of ||x_k||.
+    """
+    lam_min, lam_max = A.exact_lambda_min(), A.exact_opnorm_sq()
+    if lam_min is None or lam_max is None:
+        return None
+    m, n = A.range_dim, A.domain_dim
+    u = 0.5 * float(np.finfo(float).eps)
+    rel = 8.0 * (m + n) * u
+    widen = (m + n) ** 2 * u * lam_max
+    lam_min, lam_max = lam_min - widen, lam_max + widen
+    q = max(gamma - lam_min, lam_max - gamma) / denom * (1.0 + rel)
+    if not q < 1.0:
+        return None
+    norm_a = math.sqrt(lam_max)
+    a = rel * (gamma + lam_max) / denom
+    b = rel * _norm(aty) / denom
+    y_norm = _norm(np.asarray(ydelta, dtype=float))
+
+    def reach(k, s, rr, err, x_norm):
+        left = max_iter - k
+        c = 2.0 * left / (1.0 - q)
+        if not c * a < 1.0:
+            return 0.0, math.inf
+        x_norm *= 1.0 + rel
+        span = s * (1.0 + rel) * (1.0 - q**left) / (1.0 - q)
+        drift = (span + c * (a * x_norm + b)) / (1.0 - c * a)  # D
+        tail = norm_a * drift + rel * (norm_a * (x_norm + drift) + y_norm)
+        low = (math.sqrt(max(rr - 2.0 * err, 0.0)) - tail) * (1.0 - rel)
+        return max(low, 0.0), (math.sqrt(rr) + tail) * (1.0 + rel)
+
+    return reach
 
 
 def _pg_denominator(beta, gamma):
@@ -416,18 +538,22 @@ def search_radius_mdp(
     the trial the search landed on, or of the last trial, with
     bracketed=False, if max_outer trials never land in the band.
 
-    A trial runs with stop_above = tau2 * delta.  One that stops (ABOVE_BAND)
-    has certified that its full solve's residual lies above the band, which
-    is all the bisection reads from it: its record holds that floor as
-    residual_norm and None as rerror.  Every other record, and every
-    decision, is the full solve's.  If the search ends on a stopped trial, it
-    runs that trial in full for the result.
+    A trial runs with the band.  One that stops, ABOVE_BAND or BELOW_BAND,
+    has certified which side of the band its full solve's residual lies on,
+    which is all the bisection reads from it: its record holds the bound that
+    stopped it, its stop_bound, as residual_norm and None as rerror.  Every
+    other record,
+    and every decision, is the full solve's.  If the search ends on a
+    stopped trial, it runs that trial in full for the result.
 
     A solve that never projected (its peak_l1 is at most its radius) follows
     the radius-free trajectory, and so does the solve at any radius at or
     above its peak_l1: every projection there returns its input.  Such trials
     reuse the first unprojected solve's result instead of solving again.  A
-    stopped solve is never reused: its peak_l1 covers only the steps it ran.
+    solve that a contraction bound stopped is reused too, with its record's
+    bound: its steps so far are those of every such radius, and the bound
+    reads nothing else.  One that its ball floor stopped is not: its peak_l1
+    covers only the steps it ran, and a larger ball has a lower floor.
     """
     opts = replace(opts, record_trace=False)
     trace = []
@@ -441,14 +567,13 @@ def search_radius_mdp(
         if unprojected is not None and radius.radius_l1 >= unprojected.peak_l1:
             result = unprojected
         else:
-            result = solve_pg_sf(
-                A, ydelta, beta, gamma, radius, opts, x0, x_true, stop_above=band[1]
-            )
-            if result.termination is Termination.ABOVE_BAND:
-                trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_floor, None))
-                return result.residual_floor, result
-            if unprojected is None and result.peak_l1 <= radius.radius_l1:
-                unprojected = result
+            result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true, band=band)
+        if (unprojected is None and result.peak_l1 <= radius.radius_l1
+                and not result.stop_on_floor):
+            unprojected = result
+        if result.stop_bound is not None:
+            trace.append(MdpRecord(len(trace) + 1, r_sq, result.stop_bound, None))
+            return result.stop_bound, result
         trace.append(MdpRecord(len(trace) + 1, r_sq, result.residual_norm, rerror(result.x_final)))
         return result.residual_norm, result
 
@@ -456,7 +581,7 @@ def search_radius_mdp(
         trial, mdp.r_max, mdp.r_min, band, mdp.max_outer, lambda a, b: 0.5 * (a + b)
     )
     radius = RadiusSpec.from_sq(r_sq)
-    if result.termination is Termination.ABOVE_BAND:
+    if result.stop_bound is not None:
         result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0)
     return MdpResult(radius, result, bracketed, trace)
 

@@ -258,6 +258,36 @@ def test_exact_opnorm_scaled_and_generic():
     assert ScaledOperator(NormalOperator(inner), 2.0).exact_opnorm_sq() is None
 
 
+def test_exact_lambda_min_matches_the_densified_normal():
+    # the smallest eigenvalue of A*A, against eigvalsh of the densified normal
+    # operator: 0 for a dense E with more columns than rows
+    def dense_min(op):
+        return float(np.linalg.eigvalsh(densify(op.normal).entries)[0])
+
+    rng = np.random.default_rng(5)
+    ops = [KroneckerBlur(n, band, 0.7) for n, band in ((1, 1), (6, 3), (12, 2), (16, 3))]
+    ops += [DenseMatrix(rng.standard_normal((m, n)), scale=float(rng.uniform(0.1, 3.0)))
+            for m, n in ((12, 8), (8, 8), (8, 12), (1, 7))]
+    ops += [ScaledOperator(op, 0.3) for op in (ops[3], ops[4], ops[6])]
+    for op in ops:
+        low, high = op.exact_lambda_min(), op.exact_opnorm_sq()
+        assert low == pytest.approx(dense_min(op), rel=1e-9, abs=1e-12 * high)
+        assert 0.0 <= low <= high
+    assert DenseMatrix(np.ones((2, 3))).exact_lambda_min() == 0.0
+    assert ScaledOperator(NormalOperator(ops[1]), 2.0).exact_lambda_min() is None
+
+
+def test_both_ends_share_one_eigendecomposition(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    blur = KroneckerBlur(16, 3, 0.7)
+    scaled = ScaledOperator(DenseMatrix(np.arange(12.0).reshape(4, 3)), 0.5)
+    for op in (blur, scaled):
+        op.opnorm_sq, op.exact_lambda_min(), op.exact_opnorm_sq()
+    assert calls == [(16, 16), (3, 3)]
+
+
 def test_opnorm_sq_is_exact_where_known(monkeypatch):
     def no_estimate(*args, **kwargs):
         raise AssertionError("power iteration ran")

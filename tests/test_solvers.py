@@ -32,6 +32,7 @@ from sparsq.solvers import (
     solve_ista,
     solve_pg_sf,
     solve_st_l1_l2,
+    _contraction_reach,
     _gradient,
 )
 from paper_reference import eval_surrogate
@@ -806,8 +807,14 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     """search_radius_mdp against the reference bisection, which solves every
     trial in full: the same radii, decisions and returned solve, and the same
     record for every trial that did not stop.  A stopped trial's record holds
-    its floor, above tau2 * delta and at or below the full solve's residual,
-    and no rerror.  Returns the search's result and its stopped trials' solves."""
+    no rerror and the bound it stopped on, its stop_bound: above the band,
+    above tau2 * delta and at or below the full solve's residual; below it,
+    below tau1 * delta and at or above the full solve's residual.  A trial
+    the search did not solve reused the first one that stayed inside its ball
+    and was not stopped by its ball floor, and its record must hold at its
+    own radius, a larger one included.  Returns the search's result, the
+    solves of its stopped trials' records, and how many of those records
+    reuse a trial solved at a smaller radius."""
     import sparsq.solvers
     from solver_reference import search_radius_reference
 
@@ -816,7 +823,7 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
-        if "stop_above" in kwargs:  # a trial, not the search's final solve
+        if "band" in kwargs:  # a trial, not the search's final solve
             trials[args[4].radius_l1] = result
         return result
 
@@ -827,37 +834,53 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     out = search_radius_mdp(A, y, beta, gamma, mdp, opts, x0, x_true)
     assert out.radius == radius and out.bracketed == bracketed
     assert [(r.j, r.radius_sq) for r in out.trace] == [(j, r_sq) for j, r_sq, _, _ in path]
-    stopped = []
+    stopped, raised = [], 0
     for rec, (_, r_sq, full_residual, full_rerror) in zip(out.trace, path):
-        trial = trials.get(RadiusSpec.from_sq(r_sq).radius_l1)
-        if trial is not None and trial.termination is Termination.ABOVE_BAND:
-            assert rec.residual_norm == trial.residual_floor and rec.rerror is None
-            assert mdp.tau2 * mdp.delta < rec.residual_norm <= full_residual
-            stopped.append(trial)
-        else:
+        radius_l1 = RadiusSpec.from_sq(r_sq).radius_l1
+        source = radius_l1 if radius_l1 in trials else next(
+            r_l1 for r_l1, t in trials.items() if t.peak_l1 <= r_l1 and not t.stop_on_floor
+        )
+        trial = trials[source]
+        if trial.stop_bound is None:
             assert (rec.residual_norm, rec.rerror) == (full_residual, full_rerror)
+            continue
+        assert rec.residual_norm == trial.stop_bound and rec.rerror is None
+        if trial.termination is Termination.ABOVE_BAND:
+            assert mdp.tau2 * mdp.delta < rec.residual_norm <= full_residual
+        else:
+            assert trial.termination is Termination.BELOW_BAND and not trial.stop_on_floor
+            assert full_residual <= rec.residual_norm < mdp.tau1 * mdp.delta
+        stopped.append(trial)
+        raised += source < radius_l1
     res = out.result
     assert res.x_final.tobytes() == x.tobytes()
     assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
-    return out, stopped
+    return out, stopped, raised
 
 
 @pytest.mark.parametrize(
-    "make, beta, max_iter, stops",
+    "make, beta, max_iter, stops, raised",
     [
-        # bracketed; the first three trials never project
-        (lambda: _blur_search_instance(40.0), 1e-5, 300, True),
-        # the residual stays above the band: 40 trials, none projects
-        (lambda: _blur_search_instance(60.0), 1e-5, 300, False),
-        (lambda: _cs_search_instance(0), 6e-5, 1500, True),
-        (lambda: _cs_search_instance(14), 6e-5, 1500, True),
+        # bracketed; the first three trials never project.  Each stop is
+        # named by the bound that made it: "floor" (above the band, on the
+        # ball floor), "range" (above it, on the contraction range) or
+        # "below" (below it, on the contraction range)
+        (lambda: _blur_search_instance(40.0), 1e-5, 300, {"floor", "below"}, 0),
+        # the residual stays above the band: 40 trials, none projects, and
+        # the 39 after the first reuse it, which its contraction range
+        # stopped, each at a larger radius than its own
+        (lambda: _blur_search_instance(60.0), 1e-5, 300, {"range"}, 39),
+        (lambda: _blur_search_instance(50.0), 1e-5, 600, {"floor", "range", "below"}, 0),
+        # m < n: the contraction exit is off, and only the ball floor stops
+        (lambda: _cs_search_instance(0), 6e-5, 1500, {"floor"}, 0),
+        (lambda: _cs_search_instance(14), 6e-5, 1500, {"floor"}, 0),
     ],
-    ids=["blur-bracketed", "blur-above-band", "cs-seed0", "cs-seed14"],
+    ids=["blur-bracketed", "blur-above-band", "blur-both-sides", "cs-seed0", "cs-seed14"],
 )
-def test_search_radius_matches_reference(make, beta, max_iter, stops, monkeypatch):
+def test_search_radius_matches_reference(make, beta, max_iter, stops, raised, monkeypatch):
     # The in-place pg step, the warm-started projection, the reuse of
-    # unprojected trials and the trials' stops above the band keep the plain
-    # search's radii, decisions and returned bits
+    # unprojected trials and the trials' stops on either side of the band
+    # keep the plain search's radii, decisions and returned bits
     import sparsq.proxops
     from solver_reference import pg_solve_reference
 
@@ -873,9 +896,11 @@ def test_search_radius_matches_reference(make, beta, max_iter, stops, monkeypatc
 
     opts = SolverOptions(max_iter=max_iter, record_trace=False)
     monkeypatch.setattr(sparsq.proxops, "_sort_threshold", recording)
-    out, stopped = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0, inst.x_true,
-                                                   monkeypatch)
-    assert bool(stopped) == stops
+    out, stopped, reused = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0,
+                                                           inst.x_true, monkeypatch)
+    assert reused == raised
+    assert {"below" if t.termination is Termination.BELOW_BAND
+            else "floor" if t.stop_on_floor else "range" for t in stopped} == stops
     cuts = [cut for cut in cuts if cut is not None]  # the reference's projections pass none
     if n >= 512 and cuts:  # the blur search projects with a warm cut
         assert sum(cut > 0 for cut in cuts) > 0.9 * len(cuts)
@@ -901,9 +926,29 @@ def test_search_radius_never_reuses_a_stopped_trial(monkeypatch):
     y = np.ones(3)
     mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=1.0, max_outer=10)
     opts = SolverOptions(max_iter=400, record_trace=False)
-    _, stopped = _check_search_against_reference(A, y, 0.0, 10.0, mdp, opts, np.zeros(3),
+    _, stopped, _ = _check_search_against_reference(A, y, 0.0, 10.0, mdp, opts, np.zeros(3),
                                                  np.full(3, 0.4), monkeypatch)
     assert stopped and stopped[0].iterations == 1 and stopped[0].peak_l1 <= 1.0
+
+
+def test_search_radius_reuses_a_range_stop_with_its_range_bound(monkeypatch):
+    # The same instance capped at 20 steps: with A = I the step map contracts
+    # by q = 0.9, and every full solve ends above 0.9^20 sqrt(3) = 0.21, over
+    # the band's top 0.15, so the search climbs from its first trial (radius
+    # 1).  At x0 = 0 both the range's low end (about 0.21) and that ball's floor
+    # (1.155) pass 0.15.  The record holds the low end, which holds at every
+    # later radius that reuses the trial; the floor does not: at radius 1.22
+    # the full solve's residual is about 1.03.
+    A = DenseMatrix(np.eye(3))
+    mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=0.15 / 1.1, max_outer=10)
+    opts = SolverOptions(max_iter=20, record_trace=False)
+    out, stopped, raised = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
+                                                           np.zeros(3), np.full(3, 0.4),
+                                                           monkeypatch)
+    first = stopped[0]
+    assert first.iterations == 1 and not first.stop_on_floor
+    assert first.stop_bound < 0.22 < 1.15 < first.residual_floor
+    assert raised == len(stopped) - 1 == len(out.trace) - 1 > 0 and not out.bracketed
 
 
 def test_search_radius_reruns_a_stopped_last_trial(monkeypatch):
@@ -914,8 +959,8 @@ def test_search_radius_reruns_a_stopped_last_trial(monkeypatch):
     A = DenseMatrix(np.eye(3))
     mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=0.8 / 1.1, max_outer=5)
     opts = SolverOptions(max_iter=400, record_trace=False)
-    out, stopped = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
-                                                   np.zeros(3), np.full(3, 0.4), monkeypatch)
+    out, stopped, _ = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
+                                                      np.zeros(3), np.full(3, 0.4), monkeypatch)
     assert len(stopped) == 5 and not out.bracketed
 
 
@@ -963,7 +1008,7 @@ def test_pg_reports_peak_l1():
     log_radius=st.floats(-2.0, 1.5),
     stop_frac=st.floats(0.2, 1.5),
 )
-# the floor passes stop_above at step 9, where the step norm ends the full solve
+# the floor passes the band's top at step 9, where the step norm ends the full solve
 @example(seed=216, gamma=0.5, beta_frac=0.0, log_radius=0.0, stop_frac=0.96875)
 @settings(max_examples=100, deadline=None)
 # gamma is sampled down to 0.5, below the descent bound of most instances, on
@@ -980,7 +1025,7 @@ def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_rad
     opts, x0 = SolverOptions(max_iter=200, record_trace=False), np.full(8, 0.01)
     full = solve_pg_sf(A, y, beta, gamma, r, opts, x0)
     stop_above = stop_frac * full.residual_norm
-    part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, stop_above=stop_above)
+    part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, band=(0.0, stop_above))
     assert full.residual_floor is None
     assert 0.0 <= part.residual_floor <= full.residual_norm
     if part.termination is Termination.ABOVE_BAND:
@@ -992,13 +1037,67 @@ def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_rad
         assert (part.iterations, part.termination) == (full.iterations, full.termination)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma_frac=st.floats(0.55, 3.0),
+    beta_frac=st.floats(0.0, 0.99),
+    log_radius=st.floats(-1.0, 1.5),
+    low_frac=st.floats(0.5, 1.5),
+    width=st.floats(0.0, 0.2),
+)
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("ignore:gamma=.* is not above half the smoothness bound:RuntimeWarning")
+def test_pg_contraction_bound_certifies_the_full_solve(seed, gamma_frac, beta_frac, log_radius,
+                                                       low_frac, width):
+    # m >= n and 2 beta < lambda_min: the step map contracts (gamma is drawn
+    # so that lambda_max < 2 gamma - 2 beta), so the exit is on.  Its range
+    # holds the full solve's residual, a solve stops only on the side of the
+    # band where the full one ends, and one that does not stop is the full
+    # solve, bit for bit
+    rng = np.random.default_rng(seed)
+    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
+    lam_min, lam_max = A.exact_lambda_min(), A.opnorm_sq
+    beta = beta_frac * lam_min / 2.0
+    gamma = gamma_frac * lam_max + beta
+    r = RadiusSpec(10.0**log_radius)
+    opts, x0 = SolverOptions(max_iter=200, record_trace=False), np.full(6, 0.01)
+    full = solve_pg_sf(A, y, beta, gamma, r, opts, x0)
+    low = low_frac * full.residual_norm
+    part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, band=(low, low * (1.0 + width)))
+    if part.termination is Termination.BELOW_BAND:
+        assert full.residual_norm <= part.stop_bound < low and not part.stop_on_floor
+    elif part.termination is Termination.ABOVE_BAND:
+        assert low * (1.0 + width) < part.stop_bound <= full.residual_norm
+    else:
+        assert part.stop_bound is None
+        assert part.x_final.tobytes() == full.x_final.tobytes()
+        assert (part.iterations, part.termination) == (full.iterations, full.termination)
+
+
+@given(seed=st.integers(0, 2**32 - 1), low_frac=st.floats(1.0, 100.0, exclude_min=True))
+@settings(max_examples=50, deadline=None)
+def test_pg_contraction_exit_is_off_when_m_below_n(seed, low_frac):
+    # lambda_min(A*A) = 0 when m < n: no contraction range, and a band above
+    # the full solve's residual never stops a solve below it
+    rng = np.random.default_rng(seed)
+    A, y = _random_instance(rng)
+    assert A.exact_lambda_min() == 0.0
+    opts, x0 = SolverOptions(max_iter=200, record_trace=False), np.full(8, 0.01)
+    full = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0)
+    low = low_frac * full.residual_norm
+    part = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0, band=(low, 2.0 * low))
+    assert _contraction_reach(A, y, A.apply_adjoint(y), 1.0, 1.0 - 2e-4, 200) is None
+    assert part.stop_bound is None and part.termination is full.termination
+    assert part.x_final.tobytes() == full.x_final.tobytes()
+
+
 def test_pg_stop_above_checks_every_eighth_step():
     # A = I, y = (1, 1, 1), gamma = 10, radius 1: the floor at x = 0 is
     # (3 - 1) / sqrt(3) = 1.155, the least residual over the ball: above 1.1
     # at the first step, and below 1.16 at every step
     A, y, r = DenseMatrix(np.eye(3)), np.ones(3), RadiusSpec(1.0)
     opts = SolverOptions(max_iter=30, record_trace=False)
-    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), stop_above=1.1)
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), band=(0.0, 1.1))
     assert (res.iterations, res.termination) == (1, Termination.ABOVE_BAND)
     assert res.residual_floor == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
     assert res.residual_floor < 2.0 / np.sqrt(3.0)  # the rounding margin, taken
@@ -1006,9 +1105,9 @@ def test_pg_stop_above_checks_every_eighth_step():
     assert type(res.residual_floor) is float
     # From x0 = (1, 1, 0.5) the floor of the iterate passes 1 after 7 steps
     # (1.0024), but step 8 forms no bound; step 9 does
-    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5]), stop_above=1.0)
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5]), band=(0.0, 1.0))
     assert (res.iterations, res.termination) == (9, Termination.ABOVE_BAND)
-    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), stop_above=1.16)
+    res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), band=(0.0, 1.16))
     assert res.termination is Termination.STAGNATION and res.residual_floor < 1.16
 
 
