@@ -18,6 +18,7 @@ runs are meaningful.
 import configparser
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -43,6 +44,7 @@ from .solvers import (
     PENALIZED,
     MdpOptions,
     SolverOptions,
+    _check_descent,
     _pg_denominator,
     search_radius_mdp,
     select_alpha_discrepancy,
@@ -260,6 +262,19 @@ def _checked(where, build, *args, **kwargs):
         raise ConfigError(f"{where}: {err}") from None
 
 
+def _check_step(where, A, key, value, beta):
+    """The solvers' descent check (_check_descent) of the step constant that
+    key sets, made before any solve.  Where the warning filters turn its
+    RuntimeWarning into an error, it is a ConfigError that names where and
+    key; otherwise the copy recorded here is dropped, so the run's solve
+    warns, once, as it would without the check."""
+    with warnings.catch_warnings(record=True):
+        try:
+            _check_descent(A, key, value, beta)
+        except RuntimeWarning as err:
+            raise ConfigError(f"{where}: {err}") from None
+
+
 def _generate(cfg, seed):
     """The configured noisy instance and ||A||^2, checked in O(n) with no
     operator apply: ||x_true||^2 positive and finite, ||y_delta||^2 and ||A||^2
@@ -330,6 +345,11 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
     for end in ALPHA_BRACKET if alpha == "auto" else (alpha,):
         _checked(f"{spec.kind} at alpha = {end!r}, {key} = {opts.L!r}: "
                  f"{shrink.__name__}(x, alpha / {key})", shrink, np.zeros(1), end * (1.0 / opts.L))
+    # the step's descent check: hv's beta = eta * alpha is largest at the
+    # bracket's top; the baselines check with beta 0, as the solvers do
+    top = ALPHA_BRACKET[1] if alpha == "auto" else alpha
+    _check_step(f"{spec.kind} (alpha={alpha}, eta={eta})", inst.A, key, opts.L,
+                eta * top if spec.kind == "hv" else 0.0)
     eta_column = eta if "eta" in SOLVER_KINDS[spec.kind].params else math.nan
 
     def solve(value):
@@ -346,9 +366,10 @@ def _plan_penalized(cfg, inst, spec, opts, x0):
     return run
 
 
-def _pg_weights(spec):
+def _pg_weights(spec, A):
     beta, gamma = spec.params.get("beta", 0.0), spec.params.get("gamma", 1.0)
     _checked("pg", _pg_denominator, beta, gamma)
+    _check_step("pg", A, "gamma", gamma, beta)
     return beta, gamma
 
 
@@ -363,7 +384,7 @@ def _search_radius(cfg, inst, spec, opts, x0):
         mdp = MdpOptions(**{"tau1": 1.01, "tau2": 1.1, **cfg.mdp, "delta": inst.delta})
     except ValueError as err:
         raise ConfigError(f"[mdp] {err}") from None
-    beta, gamma = _pg_weights(spec)
+    beta, gamma = _pg_weights(spec, inst.A)
     return lambda: search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
 
 
@@ -372,7 +393,7 @@ def _plan_pg(cfg, inst, spec, opts, x0):
     search = _search_radius(cfg, inst, spec, opts, x0) if radius_sq == "auto" else None
     if search is None and math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
-    beta, gamma = _pg_weights(spec)
+    beta, gamma = _pg_weights(spec, inst.A)
 
     def solve(radius):
         return solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
@@ -395,6 +416,7 @@ def _plan_ht(cfg, inst, spec, opts, x0):
         raise ConfigError("ht needs a positive, finite lam parameter")
     _checked(f"ht at lam = {lam!r}, lambda = {opts.L!r}: half_threshold(x, lam, 1 / lambda)",
              half_threshold, np.zeros(1), lam, 1.0 / opts.L)
+    _check_step("ht", inst.A, "lambda", opts.L, 0.0)
     # ht's weight is reported in the alpha column
     return lambda: (_columns(lam), solve_ht_half(inst.A, inst.y_delta, lam, opts, x0, inst.x_true))
 

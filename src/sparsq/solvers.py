@@ -21,9 +21,12 @@ _BOUND_EVERY steps a solve bounds its residual from the gradient and step
 norm it has just formed: from below over the whole ball by a Lasso dual
 bound, and, where the step map is a contraction (A*A's eigenvalues strictly
 between 2 beta and 2 gamma - 2 beta, which needs m >= n), from both sides
-over every iterate it can still reach.  A trial ends once its full solve's residual is certain to lie
-above the band (ABOVE_BAND) or below it (BELOW_BAND), and turns the
-bisection as its full solve would.  The alpha
+over every iterate it can still reach: from below by the contraction's
+drift, from above by the descent of pg's objective 0.5||Ax - y||^2 -
+beta ||x||^2, which can raise the residual only through the small beta term.
+A trial ends once its full solve's residual is certain to lie above the band
+(ABOVE_BAND) or below it (BELOW_BAND), and turns the bisection as its full
+solve would.  The alpha
 search solves both bracket ends before it bisects.  The remaining solvers
 (ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
 thresholding) are comparison baselines.  They and solve_hv run one
@@ -305,7 +308,7 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     if band is not None:
         low, high = band
         floor_at = _residual_floor(A, ydelta, grad.aty, r.radius_l1, x0)
-        reach = _contraction_reach(A, ydelta, grad.aty, gamma, denom, opts.max_iter)
+        reach = _contraction_reach(A, ydelta, grad.aty, beta, gamma, opts.max_iter)
     floor = 0.0  # the last ball floor
     ended = None, False  # the bound that ended the solve; whether it was the floor
     steps = 0
@@ -407,23 +410,41 @@ def _residual_floor(A, ydelta, aty, radius, x0):
     return floor_at
 
 
-def _contraction_reach(A, ydelta, aty, gamma, denom, max_iter):
+def _contraction_reach(A, ydelta, aty, beta, gamma, max_iter):
     """(k, s, rr, err, x_norm) -> (low, high), bounds on the computed residual
     norm ||Ax_J - y|| of every iterate x_J, k < J <= max_iter, of a
     solve_pg_sf run whose iterate x_k has ||x_k|| = x_norm and
     rr - 2 err <= ||Ax_k - y||^2 <= rr (_residual_floor's identity), and
     whose step from x_k has the step norm s.  None where the bound is off,
     with no work per step: where A gives no exact smallest or largest
-    eigenvalue of A*A, or where the step map does not contract.
+    eigenvalue of A*A, or where the step map does not contract.  Its rise
+    attribute is X -> G E + lambda_max E^2 / 2 below: the most one computed
+    step between points of norm at most X can raise D above its exact value.
 
-    A step maps x to P(M x + A*y / d), with P the projection onto the ball,
-    d = denom = gamma - 2 beta and M = (gamma I - A*A) / d.  P is
+    The drift.  A step maps x to P(M x + A*y / d), with P the projection onto
+    the ball, d = gamma - 2 beta and M = (gamma I - A*A) / d.  P is
     nonexpansive and ||M|| = q = max(gamma - lambda_min, lambda_max - gamma) / d,
     so where q < 1 (lambda_min > gamma - d = 2 beta and lambda_max < gamma + d)
     every step contracts distances by q.  Then ||x_{j+1} - x_j|| <= q^(j-k) s
     and ||x_J - x_k|| <= s (1 - q^(K-k)) / (1 - q) for every J <= K = max_iter,
-    whichever exit ends the solve, and ||Ax_J - y|| is within ||A|| times
-    that of ||Ax_k - y||.  On an A with m < n, lambda_min = 0 and q >= 1.
+    whichever exit ends the solve.  On an A with m < n, lambda_min = 0 and
+    q >= 1.  The low end: ||Ax_J - y|| is within ||A|| times that drift of
+    ||Ax_k - y||.
+
+    The high end, from the descent of D(x) = 0.5 ||Ax - y||^2 - beta ||x||^2.
+    The step x+ minimizes over the ball the d-strongly convex model
+    D(x) + grad D(x).(z - x) + (d / 2) ||z - x||^2, so grad D(x).(x+ - x)
+    <= -d ||x+ - x||^2, and D's curvature is at most lambda_max - 2 beta:
+    D(x+) <= D(x) - (d - (lambda_max - 2 beta) / 2) ||x+ - x||^2.  q < 1
+    gives lambda_max - gamma < d, hence d > (lambda_max - 2 beta) / 2, which
+    is _check_descent's condition: wherever the range is on, D(x_J) <= D(x_k).
+    With ||Ax - y||^2 = 2 D(x) + 2 beta ||x||^2 and ||x_J|| <= ||x_k|| + Delta,
+    Delta the drift,
+        ||Ax_J - y||^2 <= rr + 2 beta Delta (2 ||x_k|| + Delta),
+    which at beta = 0 says the residual cannot rise.  Both ends read only step
+    k's quantities and the radius-free drift, so they hold at every radius
+    whose solve takes the same steps up to k: search_radius_mdp's reuse of an
+    unprojected trial that a range bound stopped stays valid.
 
     The rounding margin.  With u = eps / 2 and rel = 8 (m + n) u, _residual_floor's:
     * The spectrum.  Both ends are widened by e = (m + n)^2 u lambda_max, and
@@ -437,24 +458,29 @@ def _contraction_reach(A, ydelta, aty, gamma, denom, max_iter):
       E = a X + b of the map's exact value, with a = rel (gamma + lambda_max) / d,
       b = rel ||A*y|| / d and X >= ||x_j||: the normal apply within
       (m + n) u lambda_max X (its products taken not to cancel heavily, as
-      _residual_floor takes them; a blur's are all nonnegative), the four
-      flops of u within 4 u of the scale of u, and the projection within
-      (2n + 1) u ||u||: its threshold, a cumsum of rho entries of |u| over
-      rho, is within 2 u ||u||_1 <= 2 sqrt(n) u ||u||, and it moves at most
-      n entries by that.  These sum to less than rel (gamma X + lambda_max X
-      + ||A*y||) / d.  A*y may be the rounded one: the map is a
-      q-contraction for any fixed A*y.
+      _residual_floor takes them; a blur's are all nonnegative), A*y within
+      (m + n) u ||A*y|| on the same terms, the four flops of u within 4 u of
+      the scale of u, and the projection within (2n + 1) u ||u||: its
+      threshold, a cumsum of rho entries of |u| over rho, is within
+      2 u ||u||_1 <= 2 sqrt(n) u ||u||, and it moves at most n entries by
+      that.  These sum to less than rel (gamma X + lambda_max X + ||A*y||) / d.
     * The accumulation.  The computed steps then obey d_{j+1} <= q d_j + 2E,
       so with S = s (1 + rel) (1 - q^(K-k)) / (1 - q), covering the rounding
-      of s, and C = 2 (K - k) / (1 - q), ||x_J - x_k|| <= D = S + C E.  Every
-      x_j, j >= k, has ||x_j|| <= X = ||x_k|| + D, so E = a X + b gives
-      D = (S + C (a ||x_k|| + b)) / (1 - C a), where C a < 1; at a step where
-      it is not, the bounds are (0.0, inf).
-    * The residual.  ||Ax_J - y|| is within ||A|| D of ||Ax_k - y||, which
-      lies in [sqrt(rr - 2 err), sqrt(rr)]; the computed norm of x_J's
-      residual is within rel (||A|| X + ||y||) of the exact one (one apply
-      and one norm), and the factors 1 -+ rel cover the rest: the flops here,
-      the norm's relative rounding and that of ||x_k||.
+      of s, and C = 2 (K - k) / (1 - q), ||x_J - x_k|| <= Delta = S + C E.
+      Every x_j, j >= k, has ||x_j|| <= X = ||x_k|| + Delta, so E = a X + b
+      gives Delta = (S + C (a ||x_k|| + b)) / (1 - C a), where C a < 1; at a
+      step where it is not, the bounds are (0.0, inf).
+    * The descent.  A computed step lands within E of the exact one, so it
+      raises D above the exact step's value by at most G E + lambda_max E^2 / 2,
+      with G = (lambda_max + 2 beta) X + ||A*y|| (1 + rel) >= ||grad D|| at
+      the computed point (||A*y|| read from the rounded one) and lambda_max
+      >= ||A*A - 2 beta I||.  Over at most K - k steps D(x_J) <= D(x_k) +
+      (K - k) (G E + lambda_max E^2 / 2), which adds twice that to the
+      squared high end.
+    * The residual.  ||Ax_k - y|| lies in [sqrt(rr - 2 err), sqrt(rr)]; the
+      computed norm of x_J's residual is within rel (||A|| X + ||y||) of the
+      exact one (one apply and one norm), and the factors 1 -+ rel cover the
+      rest: the flops here, the norm's relative rounding and that of ||x_k||.
     """
     lam_min, lam_max = A.exact_lambda_min(), A.exact_opnorm_sq()
     if lam_min is None or lam_max is None:
@@ -464,13 +490,20 @@ def _contraction_reach(A, ydelta, aty, gamma, denom, max_iter):
     rel = 8.0 * (m + n) * u
     widen = (m + n) ** 2 * u * lam_max
     lam_min, lam_max = lam_min - widen, lam_max + widen
+    denom = gamma - 2.0 * beta
     q = max(gamma - lam_min, lam_max - gamma) / denom * (1.0 + rel)
     if not q < 1.0:
         return None
     norm_a = math.sqrt(lam_max)
+    aty_norm = _norm(aty)
     a = rel * (gamma + lam_max) / denom
-    b = rel * _norm(aty) / denom
+    b = rel * aty_norm / denom
     y_norm = _norm(np.asarray(ydelta, dtype=float))
+    grad_a, grad_b = lam_max + 2.0 * beta, aty_norm * (1.0 + rel)  # G = grad_a X + grad_b
+
+    def rise(x_far):  # G E + lambda_max E^2 / 2 at X = x_far
+        e = a * x_far + b
+        return e * (grad_a * x_far + grad_b + 0.5 * lam_max * e)
 
     def reach(k, s, rr, err, x_norm):
         left = max_iter - k
@@ -479,11 +512,14 @@ def _contraction_reach(A, ydelta, aty, gamma, denom, max_iter):
             return 0.0, math.inf
         x_norm *= 1.0 + rel
         span = s * (1.0 + rel) * (1.0 - q**left) / (1.0 - q)
-        drift = (span + c * (a * x_norm + b)) / (1.0 - c * a)  # D
-        tail = norm_a * drift + rel * (norm_a * (x_norm + drift) + y_norm)
-        low = (math.sqrt(max(rr - 2.0 * err, 0.0)) - tail) * (1.0 - rel)
-        return max(low, 0.0), (math.sqrt(rr) + tail) * (1.0 + rel)
+        drift = (span + c * (a * x_norm + b)) / (1.0 - c * a)  # Delta
+        x_far = x_norm + drift  # X
+        high_sq = rr + 2.0 * beta * drift * (x_norm + x_far) + 2.0 * left * rise(x_far)
+        rounding = rel * (norm_a * x_far + y_norm)
+        low = (math.sqrt(max(rr - 2.0 * err, 0.0)) - (norm_a * drift + rounding)) * (1.0 - rel)
+        return max(low, 0.0), (math.sqrt(high_sq) + rounding) * (1.0 + rel)
 
+    reach.rise = rise
     return reach
 
 

@@ -919,6 +919,10 @@ def test_cli_diverging_solve_ends_nonfinite_without_a_warning(algo, tmp_path, mo
     ("cs --algo pg --radius-sq 1e300 --gamma 1e-3 --seeds 0 --maxiter 3000", "gamma=0.001",
      "max_iter"),
     ("cs --algo fista --alpha 1e-3 --lambda 1e-300 --seeds 0", "L=1e-300", "nonfinite"),
+    # the check pass checks these before any solve, and drops its own warning
+    ("cs --algo hv --alpha 1e-3 --l-k 0.01 --seeds 0", "L=0.01", "nonfinite"),
+    ("cs --algo fista --alpha 1e-3 --lambda 0.01 --seeds 0", "L=0.01", "nonfinite"),
+    ("cs --algo pg --radius-sq 30 --gamma 1e-3 --seeds 0", "gamma=0.001", "max_iter"),
 ])
 def test_cli_step_constant_at_or_below_the_descent_bound_warns(argv, warned, termination,
                                                                tmp_path, monkeypatch):
@@ -932,6 +936,33 @@ def test_cli_step_constant_at_or_below_the_descent_bound_warns(argv, warned, ter
     with open("r.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert row["termination"] == termination
+
+
+@pytest.mark.parametrize("algo, named", [
+    ("hv --alpha 1e-3 --l-k 0.01", "hv (alpha=0.001, eta=0.0): l_k=0.01"),
+    ("fista --alpha 1e-3 --lambda 0.01", "fista (alpha=0.001, eta=0.0): lambda=0.01"),
+    ("pg --radius-sq 30 --gamma 1e-3", "pg: gamma=0.001"),
+    # alpha = auto: hv checks at the bracket's top, where its beta = eta * alpha
+    # is largest (0.1 here, so the bound is 0.511073 where l_k = 0.45 passes
+    # at beta = 0)
+    ("hv --alpha auto --eta 1 --l-k 0.45 --snr-db 40", "hv (alpha=auto, eta=1.0): l_k=0.45"),
+])
+def test_cli_step_constant_below_the_descent_bound_is_a_config_error_under_w_error(
+        algo, named, tmp_path, monkeypatch, capsys):
+    # with RuntimeWarnings as errors (pyproject's filter, CI's -W error), the
+    # check pass reports the step constant that fails the descent check as a
+    # config error naming its key, before any solve and without a traceback.
+    # Without the error filter the same runs warn once and write their row
+    # (test_cli_step_constant_at_or_below_the_descent_bound_warns)
+    import sparsq.solvers
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sparsq.solvers, "_iterate", lambda *args: pytest.fail("a solve ran"))
+    assert cli.main(["cs", "--algo", *algo.split(), "--seeds", "0", "--out", "r.csv"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {named} is not above half the smoothness bound (")
+    assert line.endswith("); descent is not guaranteed")
+    assert not Path("r.csv").exists()
 
 
 @pytest.mark.parametrize("kind, shape", [("cs", "n = 200\nm = 80\ns = 16\n"), ("deblur", "n = 16\n")])

@@ -59,3 +59,12 @@ def test_cs_desk_config_plans_every_cell_without_a_solve(monkeypatch):
     assert len(cells) == len(cfg.seeds) * len(cfg.algorithms) == 30
     assert [(seed, spec.kind) for seed, _, _, spec, _ in cells[:6]] == [
         (0, "hv"), (0, "pg"), (0, "fista"), (0, "st"), (0, "ista"), (0, "ht")]
+
+
+def test_deblur_n125_desk_search_lands_on_its_pinned_radius():
+    # The n=125 search of scripts/deblur_n125.ini (noise seed 0), as
+    # `sparsq radius-search` runs it.  Every decision has at least 0.2% of
+    # margin to the band, so BLAS rounding cannot turn one
+    cfg = bench.load_config(str(SCRIPTS / "deblur_n125.ini"))
+    out, _ = bench.radius_search(cfg)
+    assert (out.radius.radius_sq, out.bracketed) == (11041260.544799807, True)

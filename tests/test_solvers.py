@@ -4,7 +4,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsq.linops import (
@@ -813,16 +813,19 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     the search did not solve reused the first one that stayed inside its ball
     and was not stopped by its ball floor, and its record must hold at its
     own radius, a larger one included.  Returns the search's result, the
-    solves of its stopped trials' records, and how many of those records
-    reuse a trial solved at a smaller radius."""
+    solves of its stopped trials' records, how many of those records reuse a
+    trial solved at a smaller radius, and the inner iterations of every solve
+    the search ran."""
     import sparsq.solvers
     from solver_reference import search_radius_reference
 
     trials = {}  # radius_l1 -> the trial's solve
+    solves = []
     real = sparsq.solvers.solve_pg_sf
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
+        solves.append(result)
         if "band" in kwargs:  # a trial, not the search's final solve
             trials[args[4].radius_l1] = result
         return result
@@ -855,29 +858,34 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     res = out.result
     assert res.x_final.tobytes() == x.tobytes()
     assert (res.iterations, res.termination, res.residual_norm) == (iters, termination, residual)
-    return out, stopped, raised
+    return out, stopped, raised, sum(solve.iterations for solve in solves)
 
 
 @pytest.mark.parametrize(
-    "make, beta, max_iter, stops, raised",
+    "make, beta, max_iter, stops, raised, iterations",
     [
         # bracketed; the first three trials never project.  Each stop is
         # named by the bound that made it: "floor" (above the band, on the
         # ball floor), "range" (above it, on the contraction range) or
-        # "below" (below it, on the contraction range)
-        (lambda: _blur_search_instance(40.0), 1e-5, 300, {"floor", "below"}, 0),
+        # "below" (below it, on the contraction range).  iterations is the
+        # search's inner iterations over every solve it ran: the objective's
+        # descent ends below-band trials earlier than the contraction range
+        # alone did (2256 and 4378 before it on the two blur cases that stop
+        # below the band)
+        (lambda: _blur_search_instance(40.0), 1e-5, 300, {"floor", "below"}, 0, 1080),
         # the residual stays above the band: 40 trials, none projects, and
         # the 39 after the first reuse it, which its contraction range
         # stopped, each at a larger radius than its own
-        (lambda: _blur_search_instance(60.0), 1e-5, 300, {"range"}, 39),
-        (lambda: _blur_search_instance(50.0), 1e-5, 600, {"floor", "range", "below"}, 0),
+        (lambda: _blur_search_instance(60.0), 1e-5, 300, {"range"}, 39, 597),
+        (lambda: _blur_search_instance(50.0), 1e-5, 600, {"floor", "range", "below"}, 0, 2522),
         # m < n: the contraction exit is off, and only the ball floor stops
-        (lambda: _cs_search_instance(0), 6e-5, 1500, {"floor"}, 0),
-        (lambda: _cs_search_instance(14), 6e-5, 1500, {"floor"}, 0),
+        (lambda: _cs_search_instance(0), 6e-5, 1500, {"floor"}, 0, 13459),
+        (lambda: _cs_search_instance(14), 6e-5, 1500, {"floor"}, 0, 9154),
     ],
     ids=["blur-bracketed", "blur-above-band", "blur-both-sides", "cs-seed0", "cs-seed14"],
 )
-def test_search_radius_matches_reference(make, beta, max_iter, stops, raised, monkeypatch):
+def test_search_radius_matches_reference(make, beta, max_iter, stops, raised, iterations,
+                                         monkeypatch):
     # The in-place pg step, the warm-started projection, the reuse of
     # unprojected trials and the trials' stops on either side of the band
     # keep the plain search's radii, decisions and returned bits
@@ -896,9 +904,9 @@ def test_search_radius_matches_reference(make, beta, max_iter, stops, raised, mo
 
     opts = SolverOptions(max_iter=max_iter, record_trace=False)
     monkeypatch.setattr(sparsq.proxops, "_sort_threshold", recording)
-    out, stopped, reused = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0,
-                                                           inst.x_true, monkeypatch)
-    assert reused == raised
+    out, stopped, reused, inner = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0,
+                                                                  inst.x_true, monkeypatch)
+    assert (reused, inner) == (raised, iterations)
     assert {"below" if t.termination is Termination.BELOW_BAND
             else "floor" if t.stop_on_floor else "range" for t in stopped} == stops
     cuts = [cut for cut in cuts if cut is not None]  # the reference's projections pass none
@@ -926,8 +934,8 @@ def test_search_radius_never_reuses_a_stopped_trial(monkeypatch):
     y = np.ones(3)
     mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=1.0, max_outer=10)
     opts = SolverOptions(max_iter=400, record_trace=False)
-    _, stopped, _ = _check_search_against_reference(A, y, 0.0, 10.0, mdp, opts, np.zeros(3),
-                                                 np.full(3, 0.4), monkeypatch)
+    _, stopped, _, _ = _check_search_against_reference(A, y, 0.0, 10.0, mdp, opts, np.zeros(3),
+                                                    np.full(3, 0.4), monkeypatch)
     assert stopped and stopped[0].iterations == 1 and stopped[0].peak_l1 <= 1.0
 
 
@@ -942,9 +950,9 @@ def test_search_radius_reuses_a_range_stop_with_its_range_bound(monkeypatch):
     A = DenseMatrix(np.eye(3))
     mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=0.15 / 1.1, max_outer=10)
     opts = SolverOptions(max_iter=20, record_trace=False)
-    out, stopped, raised = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
-                                                           np.zeros(3), np.full(3, 0.4),
-                                                           monkeypatch)
+    out, stopped, raised, _ = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp,
+                                                              opts, np.zeros(3), np.full(3, 0.4),
+                                                              monkeypatch)
     first = stopped[0]
     assert first.iterations == 1 and not first.stop_on_floor
     assert first.stop_bound < 0.22 < 1.15 < first.residual_floor
@@ -959,8 +967,8 @@ def test_search_radius_reruns_a_stopped_last_trial(monkeypatch):
     A = DenseMatrix(np.eye(3))
     mdp = MdpOptions(r_min=1e-6, r_max=2.0, tau1=1.01, tau2=1.1, delta=0.8 / 1.1, max_outer=5)
     opts = SolverOptions(max_iter=400, record_trace=False)
-    out, stopped, _ = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
-                                                      np.zeros(3), np.full(3, 0.4), monkeypatch)
+    out, stopped, _, _ = _check_search_against_reference(A, np.ones(3), 0.0, 10.0, mdp, opts,
+                                                         np.zeros(3), np.full(3, 0.4), monkeypatch)
     assert len(stopped) == 5 and not out.bracketed
 
 
@@ -1074,6 +1082,47 @@ def test_pg_contraction_bound_certifies_the_full_solve(seed, gamma_frac, beta_fr
         assert (part.iterations, part.termination) == (full.iterations, full.termination)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma_frac=st.floats(0.55, 3.0),
+    beta_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    log_radius=st.floats(-1.0, 1.5),
+)
+@settings(max_examples=100, deadline=None)
+def test_pg_objective_descends_within_the_derived_slack(seed, gamma_frac, beta_frac, log_radius):
+    # The contraction range's high end rests on the descent of
+    # D(x) = 0.5||Ax - y||^2 - beta ||x||^2 along the pg iterates: a computed
+    # step may raise D by at most the range's per-step rise at a norm bound
+    # of every iterate.  On the instances of the property above, run to
+    # stagnation or the cap, the traced eval_D never rises by more; its own
+    # rounding stays far below that rise (under 2% of it in 300 draws)
+    rng = np.random.default_rng(seed)
+    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
+    lam_min, lam_max = A.exact_lambda_min(), A.opnorm_sq
+    beta = beta_frac * lam_min / 2.0
+    gamma = gamma_frac * lam_max + beta
+    r, x0 = RadiusSpec(10.0**log_radius), np.full(6, 0.01)
+    reach = _contraction_reach(A, y, A.apply_adjoint(y), beta, gamma, 300)
+    assume(reach is not None)  # q < 1 after the spectrum's widening
+    full = solve_pg_sf(A, y, beta, gamma, r, SolverOptions(max_iter=300, step_tol=1e-300), x0)
+    # every iterate after x0 is a projection onto the ball
+    slack = reach.rise(max(r.radius_l1, float(np.linalg.norm(x0))) * (1.0 + 1e-12))
+    objective = [eval_D(A, y, x0, beta)] + [rec.objective for rec in full.trace]
+    assert max(b - a for a, b in zip(objective, objective[1:])) <= slack
+
+
+def test_pg_contraction_high_end_covers_the_rise_of_every_step_left():
+    # A bound step at a zero residual and a zero step norm: the high end is
+    # all margin, and still covers twice the K - k rises of D that rounding
+    # may add, each up to reach.rise at the iterates' norm bound
+    rng = np.random.default_rng(0)
+    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
+    reach = _contraction_reach(A, y, A.apply_adjoint(y), 0.0, A.opnorm_sq, 200)
+    for k in (0, 96, 192):
+        low, high = reach(k, 0.0, 0.0, 0.0, 1.0)
+        assert low == 0.0 and high >= np.sqrt(2.0 * (200 - k) * reach.rise(1.0)) > 0.0
+
+
 @given(seed=st.integers(0, 2**32 - 1), low_frac=st.floats(1.0, 100.0, exclude_min=True))
 @settings(max_examples=50, deadline=None)
 def test_pg_contraction_exit_is_off_when_m_below_n(seed, low_frac):
@@ -1086,7 +1135,7 @@ def test_pg_contraction_exit_is_off_when_m_below_n(seed, low_frac):
     full = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0)
     low = low_frac * full.residual_norm
     part = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0, band=(low, 2.0 * low))
-    assert _contraction_reach(A, y, A.apply_adjoint(y), 1.0, 1.0 - 2e-4, 200) is None
+    assert _contraction_reach(A, y, A.apply_adjoint(y), 1e-4, 1.0, 200) is None
     assert part.stop_bound is None and part.termination is full.termination
     assert part.x_final.tobytes() == full.x_final.tobytes()
 
