@@ -373,9 +373,9 @@ def _pg_weights(spec, A):
     return beta, gamma
 
 
-def _search_radius(cfg, inst, spec, opts, x0):
-    """The radius search of a pg spec (radius_sq = auto, and radius_search()),
-    checked: a function that runs it and returns its MdpResult."""
+def _search_inputs(cfg, inst, spec):
+    """The MdpOptions and pg weights of a pg spec's radius search (radius_sq
+    = auto, and radius_search()), checked: (mdp, beta, gamma)."""
     if "r_min" not in cfg.mdp or "r_max" not in cfg.mdp:
         raise ConfigError("radius search needs r_min and r_max (an [mdp] section or flags)")
     if not inst.delta > 0:
@@ -384,26 +384,27 @@ def _search_radius(cfg, inst, spec, opts, x0):
         mdp = MdpOptions(**{"tau1": 1.01, "tau2": 1.1, **cfg.mdp, "delta": inst.delta})
     except ValueError as err:
         raise ConfigError(f"[mdp] {err}") from None
-    beta, gamma = _pg_weights(spec, inst.A)
-    return lambda: search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
+    return mdp, *_pg_weights(spec, inst.A)
 
 
 def _plan_pg(cfg, inst, spec, opts, x0):
     radius_sq = spec.params.get("radius_sq", math.nan)
-    search = _search_radius(cfg, inst, spec, opts, x0) if radius_sq == "auto" else None
-    if search is None and math.isnan(radius_sq):
+    if radius_sq == "auto":
+        mdp, beta, gamma = _search_inputs(cfg, inst, spec)
+    elif math.isnan(radius_sq):
         raise ConfigError("pg needs a radius_sq parameter (number or 'auto')")
-    beta, gamma = _pg_weights(spec, inst.A)
+    else:
+        beta, gamma = _pg_weights(spec, inst.A)
+        radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
 
     def solve(radius):
         return solve_pg_sf(inst.A, inst.y_delta, beta, gamma, radius, opts, x0, inst.x_true)
 
-    if search is None:
-        radius = _checked("pg", RadiusSpec.from_sq, radius_sq)
+    if radius_sq != "auto":
         return lambda: (_columns(radius_sq=radius_sq), solve(radius))
 
     def run():
-        out = search()
+        out = search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true)
         result = solve(out.radius) if opts.record_trace else out.result
         return _columns(radius_sq=out.radius.radius_sq), result
 
@@ -584,7 +585,9 @@ def radius_search(cfg):
     radius_sq = auto runs it.  Returns (MdpResult, instance)."""
     spec = next((a for a in cfg.algorithms if a.kind == "pg"), AlgorithmSpec("pg"))
     inst, _ = make_instance(cfg, cfg.seeds[0])
-    return _search_radius(cfg, inst, spec, *_solver_inputs(cfg, inst, spec))(), inst
+    opts, x0 = _solver_inputs(cfg, inst, spec)
+    mdp, beta, gamma = _search_inputs(cfg, inst, spec)
+    return search_radius_mdp(inst.A, inst.y_delta, beta, gamma, mdp, opts, x0, inst.x_true), inst
 
 
 def _fmt(value):

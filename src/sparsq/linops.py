@@ -173,8 +173,6 @@ class KroneckerBlur(LinearOperator):
         if not 2.0 * math.pi * sigma * sigma < math.inf:  # the scale would be 0
             raise ValueError(f"sigma = {sigma!r} is too large: 2 pi sigma^2 overflows")
         self.n = n
-        self.band = band
-        self.sigma = float(sigma)
         self.scale = 1.0 / (2.0 * math.pi * sigma * sigma)
         row = np.zeros(n)
         j = np.arange(band)
@@ -186,11 +184,10 @@ class KroneckerBlur(LinearOperator):
 
     @classmethod
     def _kronecker_square(cls, factor, scale):
-        """scale * (factor kron factor) for a symmetric factor, with no Gaussian
-        parameters: band and sigma are None."""
+        """scale * (factor kron factor) for a symmetric factor, built directly
+        from the factor rather than from Gaussian parameters."""
         op = cls.__new__(cls)
         op.n = factor.shape[0]
-        op.band = op.sigma = None
         op.scale = scale
         op._factor = factor
         op.domain_dim = op.range_dim = op.n * op.n
@@ -332,11 +329,3 @@ def estimate_opnorm_sq(op, max_iters=500, tol=1e-10, seed=0):
         v = w / wnorm
     return OpNormEstimate(estimate, iters, converged)
 
-
-def dump_operator_csv(op, path):
-    """Write the densified matrix as CSV, one row per line, full precision."""
-    dense = densify(op)
-    with open(path, "w") as fh:
-        for row in dense.entries:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")

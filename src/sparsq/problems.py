@@ -6,8 +6,7 @@ instances are reproducible and the draws are independent of each other.
 
 The noise model follows the dB convention in which the reference signal power
 is one (so a level of s dB means per-sample noise variance 10^(-s/10),
-independent of the actual data).  add_awgn also accepts measured=True to
-scale the noise against the measured mean square of the clean data instead.
+independent of the actual data).
 """
 
 import math
@@ -44,7 +43,6 @@ class ProblemInstance:
     y_delta: np.ndarray
     x_true: Optional[np.ndarray]
     delta: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def gen_cs_instance(n, m, s, scale, seed, amp_scale=1.0):
     x_true[support] = amplitudes
     A = DenseMatrix(entries, scale) if scale > 0 else DenseMatrix(np.zeros((m, n)), 1.0)
     y_true = A.apply(x_true)
-    return ProblemInstance(A, y_true, y_true.copy(), x_true, 0.0, seed)
+    return ProblemInstance(A, y_true, y_true.copy(), x_true, 0.0)
 
 
 def default_blur_image(n):
@@ -110,34 +108,32 @@ def gen_blur_instance(n, band, sigma, image=None):
         raise ValueError(f"image must be {n}x{n}")
     x_true = image.reshape(-1, order="F")
     y_true = A.apply(x_true)
-    return ProblemInstance(A, y_true, y_true.copy(), x_true, 0.0, 0)
+    return ProblemInstance(A, y_true, y_true.copy(), x_true, 0.0)
 
 
-def add_awgn(inst, spec, measured=False):
+def add_awgn(inst, spec):
     """Return a copy of the instance with white Gaussian noise on the data.
 
-    With the default reference-power convention the per-sample noise standard
-    deviation is 10^(-snr_db/20); with measured=True it is scaled by the root
-    mean square of y_true.  delta records the realized noise norm exactly.
+    Under the reference-power convention the per-sample noise standard
+    deviation is 10^(-snr_db/20), drawn from spec.seed's noise stream.  delta
+    records the realized noise norm exactly.
     An infinite snr_db is the noise-free sentinel; one whose noise level
     overflows raises ValueError.
     """
     if math.isinf(spec.snr_db):
-        return replace(inst, y_delta=inst.y_true.copy(), delta=0.0, seed=spec.seed)
+        return replace(inst, y_delta=inst.y_true.copy(), delta=0.0)
     if not np.any(inst.y_true):
         raise ValueError("cannot add finite-SNR noise to an all-zero signal")
     try:
         sigma = 10.0 ** (-spec.snr_db / 20.0)
     except OverflowError:
         raise ValueError(f"snr_db = {spec.snr_db:g}: the noise level overflows") from None
-    if measured:
-        sigma *= float(np.sqrt(np.mean(inst.y_true**2)))
     noise = sigma * np.random.default_rng(
         [spec.seed, _STREAM_NOISE]
     ).standard_normal(inst.y_true.size)
     y_delta = inst.y_true + noise
     delta = float(np.linalg.norm(inst.y_true - y_delta))
-    return replace(inst, y_delta=y_delta, delta=delta, seed=spec.seed)
+    return replace(inst, y_delta=y_delta, delta=delta)
 
 
 def snr_metric(x_star, x_true):
@@ -180,103 +176,3 @@ def blur_desk_instance(seed=0, snr_db=40.0, n=None):
     inst = gen_blur_instance(**params)
     return add_awgn(inst, NoiseSpec(snr_db, seed))
 
-
-def save_instance(inst, path):
-    """Write an instance to a structured text file (header plus CSV payload)."""
-    A = inst.A
-    lines = ["sparsq-instance v1"]
-    if isinstance(A, KroneckerBlur):
-        lines += [
-            "kind blur",
-            f"n {A.n}",
-            f"band {A.band}",
-            f"sigma {A.sigma:.17g}",
-        ]
-    elif isinstance(A, DenseMatrix):
-        lines += [
-            "kind dense",
-            f"m {A.range_dim}",
-            f"n {A.domain_dim}",
-            f"scale {A.scale:.17g}",
-        ]
-    else:
-        raise TypeError(f"cannot serialize operator of type {type(A).__name__}")
-    lines.append(f"delta {inst.delta:.17g}")
-    lines.append(f"seed {inst.seed}")
-    lines.append(f"has_x_true {int(inst.x_true is not None)}")
-
-    def vec_line(v):
-        return ",".join(f"{z:.17g}" for z in v)
-
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        if isinstance(A, DenseMatrix):
-            fh.write("[matrix]\n")
-            for row in A.entries:
-                fh.write(vec_line(row) + "\n")
-        if inst.x_true is not None:
-            fh.write("[x_true]\n" + vec_line(inst.x_true) + "\n")
-        fh.write("[y_true]\n" + vec_line(inst.y_true) + "\n")
-        fh.write("[y_delta]\n" + vec_line(inst.y_delta) + "\n")
-
-
-def load_instance(path):
-    """Read back a file produced by save_instance.
-
-    A malformed file raises ValueError that names the missing header key or
-    section, or the vector whose length does not fit the operator.
-    """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != "sparsq-instance v1":
-        raise ValueError("not a sparsq instance file")
-    header = {}
-    i = 1
-    while i < len(raw) and not raw[i].startswith("["):
-        parts = raw[i].split(maxsplit=1)
-        if len(parts) != 2:
-            raise ValueError(f"instance file line {i + 1} needs a header key and a value")
-        header[parts[0]] = parts[1]
-        i += 1
-    sections = {}
-    current = None
-    for line in raw[i:]:
-        if line.startswith("["):
-            current = line.strip("[]")
-            sections[current] = []
-        elif current is not None and line:
-            sections[current].append(np.array([float(t) for t in line.split(",")]))
-
-    def key(name):
-        if name not in header:
-            raise ValueError(f"instance header has no {name!r} line")
-        return header[name]
-
-    def rows(name):
-        if name not in sections:
-            raise ValueError(f"instance file has no [{name}] section")
-        return sections[name]
-
-    def vector(name, size):
-        lines = rows(name)
-        if len(lines) != 1 or lines[0].size != size:
-            found = sum(v.size for v in lines)
-            raise ValueError(f"[{name}] needs one line of {size} entries, found {found}")
-        return lines[0]
-
-    kind = key("kind")
-    if kind == "blur":
-        A = KroneckerBlur(int(key("n")), int(key("band")), float(key("sigma")))
-    elif kind == "dense":
-        A = DenseMatrix(np.vstack(rows("matrix")), float(key("scale")))
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    x_true = vector("x_true", A.domain_dim) if int(key("has_x_true")) else None
-    return ProblemInstance(
-        A,
-        vector("y_true", A.range_dim),
-        vector("y_delta", A.range_dim),
-        x_true,
-        float(key("delta")),
-        int(key("seed")),
-    )

@@ -25,10 +25,6 @@ class RegParams:
         if not 0 <= self.beta <= self.alpha:
             raise ValueError("beta must satisfy 0 <= beta <= alpha")
 
-    @property
-    def eta(self):
-        return self.beta / self.alpha
-
 
 def eval_R(x, p):
     """Penalty alpha * ||x||_1^2 - beta * ||x||_2^2; nonnegative when alpha >= beta."""

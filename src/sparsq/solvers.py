@@ -533,14 +533,6 @@ def _pg_denominator(beta, gamma):
     return gamma - 2.0 * beta
 
 
-def pg_fixed_point_defect(A, ydelta, beta, gamma, r, x):
-    """||x - x_1|| for x_1 one solve_pg_sf step from x (stationarity check):
-    the step norm solve_pg_sf reports at x."""
-    x = np.asarray(x, dtype=float)
-    step = solve_pg_sf(A, ydelta, beta, gamma, r, SolverOptions(max_iter=1, record_trace=False), x)
-    return float(np.linalg.norm(x - step.x_final))
-
-
 def _bisect(trial, small, large, band, steps, midpoint):
     """(p, solve, bracketed) of at most steps trials (residual, solve) =
     trial(p) at p = midpoint(small, large).

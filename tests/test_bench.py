@@ -193,6 +193,29 @@ def test_pg_without_radius_is_config_error():
     cfg = tiny_cfg(algorithms=(AlgorithmSpec("pg", {"beta": 1e-3}),), seeds=(0,))
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+    # with gamma = 2 beta too, the first fault in check order is the one reported
+    bracket = {"r_min": 1.0, "r_max": 400.0}
+    for radius, mdp, message in (
+        ({}, bracket, "needs a radius_sq"),
+        ({"radius_sq": -1.0}, bracket, "gamma must"),
+        ({"radius_sq": "auto"}, {}, "needs r_min and r_max"),
+        ({"radius_sq": "auto"}, {"r_min": 1.0, "r_max": 0.5}, r"\[mdp\]"),
+        ({"radius_sq": "auto"}, bracket, "gamma must"),
+    ):
+        spec = AlgorithmSpec("pg", {"beta": 0.5, "gamma": 1.0, **radius})
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(tiny_cfg(algorithms=(spec,), mdp=mdp, seeds=(0,)))
+
+
+def test_pg_auto_radius_checks_its_step_once(monkeypatch):
+    calls = []
+    real = bench._check_step
+    monkeypatch.setattr(bench, "_check_step", lambda *args: calls.append(args) or real(*args))
+    spec = AlgorithmSpec("pg", {"beta": 1e-3, "gamma": 1.0, "radius_sq": "auto"})
+    cfg = tiny_cfg(algorithms=(spec,), mdp={"r_min": 1.0, "r_max": 400.0}, seeds=(0,))
+    inst, _ = bench.make_instance(cfg, 0)
+    bench._plan(cfg, inst, spec)
+    assert len(calls) == 1
 
 
 def test_hv_auto_alpha_through_runner():

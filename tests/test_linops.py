@@ -10,7 +10,6 @@ from sparsq.linops import (
     NormalOperator,
     ScaledOperator,
     densify,
-    dump_operator_csv,
     estimate_opnorm_sq,
 )
 
@@ -330,10 +329,3 @@ def test_dense_normal_falls_back_above_the_guard(monkeypatch):
     assert type(op.normal) is NormalOperator
     assert op.exact_opnorm_sq() == 8.0  # the 2x2 Gram side stays under the guard
 
-
-def test_dump_operator_csv_roundtrip(tmp_path):
-    op = DenseMatrix(np.random.default_rng(11).standard_normal((4, 3)), scale=1.5)
-    path = tmp_path / "op.csv"
-    dump_operator_csv(op, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, 1.5 * op.entries)
