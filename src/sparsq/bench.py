@@ -30,7 +30,6 @@ from .problems import (
     BLUR_DESK,
     CS_DESK,
     CS_DESK_AMP_SCALE,
-    NoiseSpec,
     add_awgn,
     gen_blur_instance,
     gen_cs_instance,
@@ -291,7 +290,7 @@ def _generate(cfg, seed):
                 except OSError as err:
                     raise ValueError(f"cannot read image: {err}") from None
             inst = gen_blur_instance(cfg.n, cfg.band, cfg.sigma, image=image)
-        inst = add_awgn(inst, NoiseSpec(cfg.snr_db, seed))
+        inst = add_awgn(inst, cfg.snr_db, seed)
         truth_sq = float(inst.x_true @ inst.x_true)
         data_sq = float(inst.y_delta @ inst.y_delta)
     if not truth_sq < math.inf:

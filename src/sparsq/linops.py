@@ -12,8 +12,8 @@ Every operator carries its normal operator A*A (`normal`), built once and of
 the same class where the structure allows, so a gradient A*(Ax - y) costs one
 operator call.  It carries the spectral norm ||A*A|| (`opnorm_sq`) too, also
 computed once: exact for those classes and a power-iteration estimate
-otherwise.  Those classes also give the smallest eigenvalue of A*A
-(`exact_lambda_min`), from the same one eigendecomposition.
+otherwise.  Those classes give the smallest and largest eigenvalues of A*A
+(`normal_spectrum`) from one eigendecomposition.
 """
 
 import math
@@ -58,24 +58,13 @@ class LinearOperator:
 
     @cached_property
     def opnorm_sq(self):
-        """||A*A||, computed on first use: exact_opnorm_sq() where the structure
-        gives it, else the estimate_opnorm_sq value."""
-        exact = self.exact_opnorm_sq()
-        return estimate_opnorm_sq(self).value if exact is None else exact
-
-    def exact_opnorm_sq(self):
-        """||A*A|| where the structure gives it directly, else None."""
-        spectrum = self._normal_spectrum
-        return None if spectrum is None else spectrum[1]
-
-    def exact_lambda_min(self):
-        """The smallest eigenvalue of A*A where the structure gives it
-        directly, else None."""
-        spectrum = self._normal_spectrum
-        return None if spectrum is None else spectrum[0]
+        """||A*A||, computed on first use: normal_spectrum's where the
+        structure gives it, else the estimate_opnorm_sq value."""
+        spectrum = self.normal_spectrum
+        return estimate_opnorm_sq(self).value if spectrum is None else spectrum[1]
 
     @cached_property
-    def _normal_spectrum(self):
+    def normal_spectrum(self):
         """(smallest, largest) eigenvalue of A*A where the structure gives
         them, else None: one eigendecomposition, on first use."""
         return None
@@ -137,7 +126,7 @@ class DenseMatrix(LinearOperator):
         return DenseMatrix(self.entries.T @ self.entries, self.scale**2)
 
     @cached_property
-    def _normal_spectrum(self):
+    def normal_spectrum(self):
         """scale^2 times the extreme eigenvalues of the smaller of E E^T and
         E^T E; the smallest is 0 when E has more columns than rows."""
         e = self.entries
@@ -238,7 +227,7 @@ class KroneckerBlur(LinearOperator):
         return KroneckerBlur._kronecker_square(self._factor @ self._factor, self.scale**2)
 
     @cached_property
-    def _normal_spectrum(self):
+    def normal_spectrum(self):
         """(scale * min|lambda(T)|^2)^2 and (scale * max|lambda(T)|^2)^2: the
         eigenvalues of T kron T are the products of T's, and those of A*A are
         their squares times scale^2."""
@@ -269,8 +258,9 @@ class ScaledOperator(LinearOperator):
         return ScaledOperator(self.inner.normal, self.factor**2)
 
     @cached_property
-    def _normal_spectrum(self):
-        inner = self.inner._normal_spectrum
+    def normal_spectrum(self):
+        """factor^2 times the inner operator's, or None with it."""
+        inner = self.inner.normal_spectrum
         return None if inner is None else tuple(self.factor**2 * v for v in inner)
 
 

@@ -45,16 +45,6 @@ class ProblemInstance:
     delta: float
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    snr_db: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
-
-
 def gen_cs_instance(n, m, s, scale, seed, amp_scale=1.0):
     """Noise-free compressive sensing instance.
 
@@ -111,26 +101,26 @@ def gen_blur_instance(n, band, sigma, image=None):
     return ProblemInstance(A, y_true, y_true.copy(), x_true, 0.0)
 
 
-def add_awgn(inst, spec):
+def add_awgn(inst, snr_db, seed):
     """Return a copy of the instance with white Gaussian noise on the data.
 
     Under the reference-power convention the per-sample noise standard
-    deviation is 10^(-snr_db/20), drawn from spec.seed's noise stream.  delta
+    deviation is 10^(-snr_db/20), drawn from seed's noise stream.  delta
     records the realized noise norm exactly.
-    An infinite snr_db is the noise-free sentinel; one whose noise level
-    overflows raises ValueError.
+    An infinite snr_db is the noise-free sentinel; a NaN one, or one whose
+    noise level overflows, raises ValueError.
     """
-    if math.isinf(spec.snr_db):
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
+    if math.isinf(snr_db):
         return replace(inst, y_delta=inst.y_true.copy(), delta=0.0)
     if not np.any(inst.y_true):
         raise ValueError("cannot add finite-SNR noise to an all-zero signal")
     try:
-        sigma = 10.0 ** (-spec.snr_db / 20.0)
+        sigma = 10.0 ** (-snr_db / 20.0)
     except OverflowError:
-        raise ValueError(f"snr_db = {spec.snr_db:g}: the noise level overflows") from None
-    noise = sigma * np.random.default_rng(
-        [spec.seed, _STREAM_NOISE]
-    ).standard_normal(inst.y_true.size)
+        raise ValueError(f"snr_db = {snr_db:g}: the noise level overflows") from None
+    noise = sigma * np.random.default_rng([seed, _STREAM_NOISE]).standard_normal(inst.y_true.size)
     y_delta = inst.y_true + noise
     delta = float(np.linalg.norm(inst.y_true - y_delta))
     return replace(inst, y_delta=y_delta, delta=delta)
@@ -165,7 +155,7 @@ def rerror_metric(x_star, x_true):
 def cs_desk_instance(seed, snr_db=40.0):
     """The benchmark compressive sensing instance at the desk settings."""
     inst = gen_cs_instance(seed=seed, amp_scale=CS_DESK_AMP_SCALE, **CS_DESK)
-    return add_awgn(inst, NoiseSpec(snr_db, seed))
+    return add_awgn(inst, snr_db, seed)
 
 
 def blur_desk_instance(seed=0, snr_db=40.0, n=None):
@@ -174,5 +164,5 @@ def blur_desk_instance(seed=0, snr_db=40.0, n=None):
     if n is not None:
         params["n"] = n
     inst = gen_blur_instance(**params)
-    return add_awgn(inst, NoiseSpec(snr_db, seed))
+    return add_awgn(inst, snr_db, seed)
 

@@ -51,6 +51,7 @@ solve, never into a result.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -90,6 +91,14 @@ class Termination(str, Enum):
     BELOW_BAND = "below_band"  # solve_pg_sf's band: the residual is certain to end below it
 
 
+def _check_count(name, value):
+    """ValueError unless value is an integer (np.int64 too) of at least 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Shared iteration controls.  Defaults follow the benchmark settings."""
@@ -100,8 +109,7 @@ class SolverOptions:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter)
         if not 0 < self.step_tol < math.inf:
             raise ValueError("step_tol must be positive and finite")
         if not 0 < self.L < math.inf:
@@ -159,8 +167,7 @@ class MdpOptions:
             raise ValueError("need 1 < tau1 <= tau2 < inf")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        _check_count("max_outer", self.max_outer)
 
 
 @dataclass(frozen=True)
@@ -297,8 +304,11 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     residual_floor, and the bound that ended the solve its stop_bound; above
     the band, the contraction bound is tried before the floor.  The floor
     holds for every beta and gamma, the contraction bound wherever it is on,
-    and neither changes an iterate.
+    and neither changes an iterate.  A band needs 0 <= low <= high; high may
+    be inf.
     """
+    if band is not None and not 0.0 <= band[0] <= band[1]:
+        raise ValueError(f"band must satisfy 0 <= low <= high, got {band!r}")
     denom = _pg_denominator(beta, gamma)
     grad = _gradient(A, ydelta)
     _check_descent(A, "gamma", gamma, beta)
@@ -482,9 +492,9 @@ def _contraction_reach(A, ydelta, aty, beta, gamma, max_iter):
       exact one (one apply and one norm), and the factors 1 -+ rel cover the
       rest: the flops here, the norm's relative rounding and that of ||x_k||.
     """
-    lam_min, lam_max = A.exact_lambda_min(), A.exact_opnorm_sq()
-    if lam_min is None or lam_max is None:
+    if A.normal_spectrum is None:
         return None
+    lam_min, lam_max = A.normal_spectrum
     m, n = A.range_dim, A.domain_dim
     u = 0.5 * float(np.finfo(float).eps)
     rel = 8.0 * (m + n) * u
@@ -614,65 +624,50 @@ def search_radius_mdp(
     return MdpResult(radius, result, bracketed, trace)
 
 
-# select_alpha_discrepancy's default bracket of alpha
+# select_alpha_discrepancy's policy: the bracket of alpha, the most midpoints
+# it bisects at, and the band [delta, ALPHA_BAND * delta] it aims for
 ALPHA_BRACKET = (1e-8, 1e-1)
+ALPHA_MIDPOINTS = 61
+ALPHA_BAND = 1.05
 
 
-def select_alpha_discrepancy(
-    A,
-    ydelta,
-    delta,
-    eta,
-    solver="hv",
-    opts: SolverOptions = SolverOptions(),
-    alpha_bracket=ALPHA_BRACKET,
-    max_steps=60,
-    band=1.05,
-    x0=None,
-):
-    """Pick alpha so the solve residual lands in [delta, band * delta].
+def select_alpha_discrepancy(A, ydelta, delta, eta, solver, opts: SolverOptions, x0):
+    """Pick alpha in ALPHA_BRACKET so the solve residual lands in
+    [delta, ALPHA_BAND * delta].
 
     The residual grows with alpha, so a log-scale bisection of up to
-    max_steps + 1 midpoints applies.  If even the bracket endpoints cannot
+    ALPHA_MIDPOINTS midpoints applies.  If even the bracket endpoints cannot
     reach the band (residual above it at the low end, or below it at the high
     end) the nearer endpoint is returned with bracketed=False.  The result
-    holds the untraced solve at the returned alpha.  solver is a key of PENALIZED; any other raises
-    ValueError, as do a delta, bracket or band that is not finite, a band
-    below 1, which no residual can land in, and a negative max_steps.
+    holds the untraced solve at the returned alpha.  solver is a key of
+    PENALIZED; any other raises ValueError, as does a delta that is not
+    positive and finite.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    lo, hi = alpha_bracket
-    if not 0 < lo < hi < math.inf:
-        raise ValueError("alpha_bracket must be positive, increasing and finite")
-    if not 1 <= band < math.inf:
-        raise ValueError("band must be finite and at least 1")
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    if x0 is None:
-        x0 = np.full(A.domain_dim, 0.01)
-    opts = replace(opts, record_trace=False)
-
     if solver not in PENALIZED:
         raise ValueError(f"unknown solver {solver!r}")
+    opts = replace(opts, record_trace=False)
+    lo, hi = ALPHA_BRACKET
+    top = ALPHA_BAND * delta
 
     def trial(alpha):
         result = PENALIZED[solver](A, ydelta, alpha, eta, opts, x0)
         return result.residual_norm, result
 
     res_lo, low = trial(lo)
-    if res_lo > band * delta:
+    if res_lo > top:
         return AlphaSelection(lo, low, False)
     if res_lo >= delta:
         return AlphaSelection(lo, low, True)
     res_hi, high = trial(hi)
     if res_hi < delta:
         return AlphaSelection(hi, high, False)
-    if res_hi <= band * delta:
+    if res_hi <= top:
         return AlphaSelection(hi, high, True)
 
     return AlphaSelection(*_bisect(
-        trial, lo, hi, (delta, band * delta), max_steps + 1, lambda a, b: float(np.sqrt(a * b))
+        trial, lo, hi, (delta, top), ALPHA_MIDPOINTS, lambda a, b: float(np.sqrt(a * b))
     ))
 
 

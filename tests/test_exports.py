@@ -1,7 +1,9 @@
 """Each public name has one home, the module that defines it, and nothing
 there is dead: every public module-level name of a sparsq module is used by
 the library, the scripts or perfbench, or is kept as library API in
-LIBRARY_API with its reason, and every module path README.md cites resolves."""
+LIBRARY_API with its reason; every optional parameter of a public function
+or method is passed by some call there; and every module path README.md
+cites resolves."""
 
 import ast
 import importlib
@@ -26,6 +28,14 @@ LIBRARY_API = {
     "problems.blur_desk_instance": "the benchmark's deblurring instance in one call",
     "regfun.grad_f": "the data-fit gradient that acceptance criterion 4 checks",
 }
+# The public functions whose optional parameters no run passes that are kept
+# anyway, each with its reason.  A default no caller overrides is a setting no
+# run uses.  The LIBRARY_API functions are exempt too: no run calls them, so no
+# call can pass their options.
+OPTIONS_KEPT = {
+    "linops.estimate_opnorm_sq": "max_iters, tol and seed are set by tests only; the "
+    "function moves to tests/ with ROADMAP item 6, once perfbench stops reading it by name",
+}
 
 
 def _defined(path):
@@ -38,6 +48,50 @@ def _defined(path):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
     return {name for name in names if not name.startswith("_")}
+
+
+def _optional_parameters(path):
+    """{name a call uses: [(qualified name, [(position, param)])]} of a
+    module's public functions and methods (a class's __init__ under the class
+    name), listing each parameter with a default: its index among the
+    positional arguments a call gives, or None if keyword-only."""
+    found = {}
+
+    def add(node, name, qualified, offset):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        listed = [(i - offset, a.arg) for i, a in enumerate(positional)
+                  if i >= len(positional) - len(args.defaults)]
+        listed += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None]
+        if listed:
+            found.setdefault(name, []).append((qualified, listed))
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name, f"{path.stem}.{node.name}", 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    add(item, node.name, f"{path.stem}.{node.name}", 1)
+                elif not item.name.startswith("_"):  # self or cls fills position 0
+                    add(item, item.name, f"{path.stem}.{node.name}.{item.name}", 1)
+    return found
+
+
+def _calls(path):
+    """(callee name, number of positional arguments, keyword names, passes
+    everything) of every call in a module; a call with *args or **kwargs
+    passes everything."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield name, len(node.args), keywords, starred or None in keywords
 
 
 def _names_loaded(path):
@@ -53,10 +107,14 @@ def _names_loaded(path):
     return used
 
 
+def _sources():
+    """The modules whose calls count as uses: the library, scripts/ and perfbench/."""
+    return (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py")))
+
+
 def test_every_export_is_used():
-    sources = sorted(PACKAGE.glob("*.py"))
-    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*map(_names_loaded, sources))
+    used = set().union(*map(_names_loaded, _sources()))
     unused = {
         f"{module}.{name}"
         for module in MODULES
@@ -67,6 +125,34 @@ def test_every_export_is_used():
     assert not dead, f"public but used nowhere and not kept as library API: {dead}"
     stale = sorted(LIBRARY_API.keys() - unused)
     assert not stale, f"LIBRARY_API keeps names that are used or not defined: {stale}"
+
+
+def test_every_optional_parameter_is_passed():
+    # an optional parameter no call in src/, scripts/ or perfbench/ passes is
+    # a setting no run uses: make it fixed policy, or keep it in OPTIONS_KEPT
+    defined = {}
+    for module in MODULES:
+        for name, defs in _optional_parameters(PACKAGE / f"{module}.py").items():
+            defined.setdefault(name, []).extend(defs)
+    passed = set()  # (qualified name, param) that some call passes
+    for path in _sources():
+        for name, n_args, keywords, everything in _calls(path):
+            for qualified, listed in defined.get(name, ()):
+                for position, param in listed:
+                    if everything or param in keywords or (
+                            position is not None and position < n_args):
+                        passed.add((qualified, param))
+    unused = sorted(
+        f"{qualified}({param})"
+        for defs in defined.values()
+        for qualified, listed in defs
+        if qualified not in OPTIONS_KEPT and qualified not in LIBRARY_API
+        for _, param in listed
+        if (qualified, param) not in passed
+    )
+    assert not unused, f"optional parameters that no call passes: {unused}"
+    stale = sorted(set(OPTIONS_KEPT) - {q for defs in defined.values() for q, _ in defs})
+    assert not stale, f"OPTIONS_KEPT names functions without optional parameters: {stale}"
 
 
 def test_readme_module_paths_resolve():

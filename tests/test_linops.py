@@ -237,24 +237,24 @@ def _dense_opnorm_sq(op):
 
 def test_exact_opnorm_blur_matches_densified():
     op = KroneckerBlur(16, 3, 0.7)
-    assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+    assert op.normal_spectrum[1] == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
     # ||A*A|| = (scale * lambda_max(T)^2)^2; (scale * lambda_max(T))^2 would give 0.3247
-    assert KroneckerBlur(125, 3, 0.7).exact_opnorm_sq() == pytest.approx(0.9994299, abs=1e-7)
+    assert KroneckerBlur(125, 3, 0.7).normal_spectrum[1] == pytest.approx(0.9994299, abs=1e-7)
 
 
 def test_exact_opnorm_dense_matches_eigvalsh():
     rng = np.random.default_rng(21)
     for m, n in ((8, 12), (12, 8), (5, 5), (1, 7), (80, 200)):
         op = DenseMatrix(rng.standard_normal((m, n)), scale=float(rng.uniform(0.1, 3.0)))
-        assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+        assert op.normal_spectrum[1] == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
 
 
 def test_exact_opnorm_scaled_and_generic():
     inner = KroneckerBlur(8, 3, 0.7)
     op = ScaledOperator(inner, 0.3)
-    assert op.exact_opnorm_sq() == pytest.approx(0.09 * inner.exact_opnorm_sq(), rel=1e-15)
-    assert op.exact_opnorm_sq() == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
-    assert ScaledOperator(NormalOperator(inner), 2.0).exact_opnorm_sq() is None
+    assert op.normal_spectrum[1] == pytest.approx(0.09 * inner.normal_spectrum[1], rel=1e-15)
+    assert op.normal_spectrum[1] == pytest.approx(_dense_opnorm_sq(op), rel=1e-12)
+    assert ScaledOperator(NormalOperator(inner), 2.0).normal_spectrum is None
 
 
 def test_exact_lambda_min_matches_the_densified_normal():
@@ -269,11 +269,11 @@ def test_exact_lambda_min_matches_the_densified_normal():
             for m, n in ((12, 8), (8, 8), (8, 12), (1, 7))]
     ops += [ScaledOperator(op, 0.3) for op in (ops[3], ops[4], ops[6])]
     for op in ops:
-        low, high = op.exact_lambda_min(), op.exact_opnorm_sq()
+        low, high = op.normal_spectrum
         assert low == pytest.approx(dense_min(op), rel=1e-9, abs=1e-12 * high)
         assert 0.0 <= low <= high
-    assert DenseMatrix(np.ones((2, 3))).exact_lambda_min() == 0.0
-    assert ScaledOperator(NormalOperator(ops[1]), 2.0).exact_lambda_min() is None
+    assert DenseMatrix(np.ones((2, 3))).normal_spectrum[0] == 0.0
+    assert ScaledOperator(NormalOperator(ops[1]), 2.0).normal_spectrum is None
 
 
 def test_both_ends_share_one_eigendecomposition(monkeypatch):
@@ -283,7 +283,7 @@ def test_both_ends_share_one_eigendecomposition(monkeypatch):
     blur = KroneckerBlur(16, 3, 0.7)
     scaled = ScaledOperator(DenseMatrix(np.arange(12.0).reshape(4, 3)), 0.5)
     for op in (blur, scaled):
-        op.opnorm_sq, op.exact_lambda_min(), op.exact_opnorm_sq()
+        op.opnorm_sq, op.normal_spectrum
     assert calls == [(16, 16), (3, 3)]
 
 
@@ -293,7 +293,7 @@ def test_opnorm_sq_is_exact_where_known(monkeypatch):
 
     monkeypatch.setattr(sparsq.linops, "estimate_opnorm_sq", no_estimate)
     op = KroneckerBlur(16, 3, 0.7)
-    assert op.opnorm_sq == op.exact_opnorm_sq()
+    assert op.opnorm_sq == op.normal_spectrum[1]
     with pytest.raises(AssertionError, match="power iteration"):
         NormalOperator(op).opnorm_sq
 
@@ -302,12 +302,13 @@ def test_opnorm_sq_is_computed_once(monkeypatch):
     dense = DenseMatrix(np.arange(6.0).reshape(2, 3), scale=0.5)
     normal = NormalOperator(dense)  # no exact norm: the power iteration's value
     values = (dense.opnorm_sq, normal.opnorm_sq)
-    assert values == (dense.exact_opnorm_sq(), estimate_opnorm_sq(normal).value)
+    assert values == (dense.normal_spectrum[1], estimate_opnorm_sq(normal).value)
 
     def again(*args):
         raise AssertionError("computed again")
 
-    monkeypatch.setattr(DenseMatrix, "exact_opnorm_sq", again)
+    # a data descriptor, so reading it raises even where a value is cached
+    monkeypatch.setattr(DenseMatrix, "normal_spectrum", property(again))
     monkeypatch.setattr(sparsq.linops, "estimate_opnorm_sq", again)
     assert (dense.opnorm_sq, normal.opnorm_sq) == values
 
@@ -327,5 +328,5 @@ def test_dense_normal_falls_back_above_the_guard(monkeypatch):
     monkeypatch.setattr(sparsq.linops, "DENSIFY_GUARD", 10)
     op = DenseMatrix(np.ones((2, 4)))
     assert type(op.normal) is NormalOperator
-    assert op.exact_opnorm_sq() == 8.0  # the 2x2 Gram side stays under the guard
+    assert op.normal_spectrum[1] == 8.0  # the 2x2 Gram side stays under the guard
 

@@ -1,9 +1,11 @@
-"""perfbench's spans still find the names they patch in sparsq.
+"""perfbench still agrees with the sparsq it measures.
 
 perfbench/spans.py patches the names sparsq.solvers imported (prox_sq_l1,
 soft_threshold, eval_J, ...) and the solver entry points.  A rename in
 sparsq.solvers makes entering traced() raise, and a solver that stops
 looking a patched name up at call time makes its counter read 0.
+perfbench/workloads.py checks an alpha search's residual against its own
+copy of the search's band.
 """
 
 import importlib.util
@@ -18,18 +20,18 @@ from sparsq.proxops import RadiusSpec
 from sparsq.regfun import RegParams
 from sparsq.solvers import SolverOptions
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_block_counts_the_solvers_prox_calls():
-    spans = _load_spans()
+    spans = _load("spans")
     rng = np.random.default_rng(0)
     A = DenseMatrix(rng.standard_normal((6, 8)), scale=0.2)
     y = A.apply(np.array([1.0, 0, 0, -0.5, 0, 0, 0, 0])) + 0.01 * rng.standard_normal(6)
@@ -45,3 +47,8 @@ def test_traced_block_counts_the_solvers_prox_calls():
     assert tracer.calls.get("regfun.eval_J", 0) > 0
     # the block restores every name it patched
     assert sparsq.solvers.prox_sq_l1 is sparsq.proxops.prox_sq_l1
+
+
+def test_workloads_check_the_alpha_search_band():
+    # the benchmark's residual check reads [delta, ALPHA_BAND * delta]
+    assert _load("workloads").ALPHA_BAND == sparsq.solvers.ALPHA_BAND

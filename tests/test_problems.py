@@ -5,7 +5,6 @@ import pytest
 
 from sparsq.linops import densify
 from sparsq.problems import (
-    NoiseSpec,
     add_awgn,
     blur_desk_instance,
     cs_desk_instance,
@@ -121,23 +120,23 @@ def test_blur_custom_image():
 
 def test_awgn_infinite_snr_is_noise_free():
     inst = gen_cs_instance(20, 10, 2, 0.1, seed=0)
-    noisy = add_awgn(inst, NoiseSpec(math.inf, seed=5))
+    noisy = add_awgn(inst, math.inf, seed=5)
     assert noisy.delta == 0.0
     assert np.array_equal(noisy.y_delta, noisy.y_true)
 
 
 def test_awgn_delta_is_exact_noise_norm():
     inst = gen_cs_instance(40, 20, 4, 0.1, seed=1)
-    noisy = add_awgn(inst, NoiseSpec(30.0, seed=1))
+    noisy = add_awgn(inst, 30.0, seed=1)
     assert noisy.delta == float(np.linalg.norm(noisy.y_true - noisy.y_delta))
     assert noisy.delta > 0
 
 
 def test_awgn_deterministic_given_seed():
     inst = gen_cs_instance(40, 20, 4, 0.1, seed=1)
-    a = add_awgn(inst, NoiseSpec(30.0, seed=9))
-    b = add_awgn(inst, NoiseSpec(30.0, seed=9))
-    c = add_awgn(inst, NoiseSpec(30.0, seed=10))
+    a = add_awgn(inst, 30.0, seed=9)
+    b = add_awgn(inst, 30.0, seed=9)
+    c = add_awgn(inst, 30.0, seed=10)
     assert np.array_equal(a.y_delta, b.y_delta)
     assert not np.array_equal(a.y_delta, c.y_delta)
 
@@ -145,13 +144,19 @@ def test_awgn_deterministic_given_seed():
 def test_awgn_rejects_zero_signal():
     inst = gen_cs_instance(10, 10, 10, 0.0, seed=0)
     with pytest.raises(ValueError):
-        add_awgn(inst, NoiseSpec(40.0, seed=0))
+        add_awgn(inst, 40.0, seed=0)
+
+
+def test_awgn_rejects_a_nan_snr():
+    inst = gen_cs_instance(10, 8, 3, 1.0, seed=0)
+    with pytest.raises(ValueError, match="snr_db must not be NaN"):
+        add_awgn(inst, math.nan, seed=0)
 
 
 def test_awgn_rejects_a_noise_level_that_overflows():
     inst = gen_cs_instance(10, 8, 3, 1.0, seed=0)
     with pytest.raises(ValueError, match="noise level overflows"):
-        add_awgn(inst, NoiseSpec(-7000.0, seed=0))
+        add_awgn(inst, -7000.0, seed=0)
 
 
 def test_awgn_noise_power_calibration():
@@ -165,7 +170,7 @@ def test_awgn_noise_power_calibration():
     )
     realized = []
     for seed in range(200):
-        noisy = add_awgn(inst, NoiseSpec(40.0, seed=seed))
+        noisy = add_awgn(inst, 40.0, seed=seed)
         noise_power = float(np.mean((noisy.y_delta - y) ** 2))
         realized.append(10 * np.log10(1.0 / noise_power))
     assert abs(np.mean(realized) - 40.0) <= 0.5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sparsq.solvers
 from sparsq.linops import (
     DenseMatrix,
     KroneckerBlur,
@@ -167,6 +168,19 @@ def test_pg_rejects_gamma_not_above_two_beta():
     A = DenseMatrix(np.eye(2))
     with pytest.raises(ValueError):
         solve_pg_sf(A, np.zeros(2), 0.5, 1.0, RadiusSpec(1.0), SolverOptions(), np.zeros(2))
+
+
+def test_pg_rejects_a_band_out_of_order():
+    # a band needs 0 <= low <= high, neither end NaN.  Unchecked, each band
+    # below ended ABOVE_BAND at step 1 here (the ball floor is 2 / sqrt(3)).
+    A, y, r, x0 = DenseMatrix(np.eye(3)), np.ones(3), RadiusSpec(1.0), np.zeros(3)
+    for band in ((1.0, 0.5), (np.nan, 1.0), (-1.0, 0.1), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="band must satisfy 0 <= low <= high"):
+            solve_pg_sf(A, y, 0.0, 10.0, r, SolverOptions(), x0, band=band)
+    unbounded = solve_pg_sf(A, y, 0.0, 10.0, r, SolverOptions(), x0, band=(0.0, np.inf))
+    assert unbounded.stop_bound is None
+    above = solve_pg_sf(A, y, 0.0, 10.0, r, SolverOptions(), x0, band=(0.5, 0.5))
+    assert above.termination == Termination.ABOVE_BAND and above.iterations == 1
 
 
 def test_pg_descent_feasibility_and_stationarity():
@@ -355,8 +369,6 @@ def test_hv_matches_its_own_body(lk, monkeypatch):
                                          ("solve_ista", "solve_fista")])
 def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
     # perfbench counts each public solver call as one solve
-    import sparsq.solvers
-
     def refuse(*args, **kwargs):
         raise AssertionError(f"{other} was called")
 
@@ -373,8 +385,6 @@ def test_ista_and_fista_do_not_call_each_other(name, other, monkeypatch):
                                            ("solve_hv", (RegParams(1e-3, 5e-4),))])
 def test_threshold_baselines_call_no_other_public_solver(name, weights, monkeypatch):
     # the five share one private body; perfbench counts each public call once
-    import sparsq.solvers
-
     solve = getattr(sparsq.solvers, name)
     for other in ("solve_ista", "solve_fista", "solve_st_l1_l2", "solve_ht_half", "solve_hv",
                   "solve_pg_sf"):
@@ -465,6 +475,18 @@ def test_solver_options_validation():
     for name in ("step_tol", "L"):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SolverOptions(**{name: np.inf})
+
+
+def test_iteration_counts_must_be_integers():
+    # a non-integral count used to build, then fail in range() with a TypeError
+    mdp = dict(r_min=1.0, r_max=1e5, tau1=1.01, tau2=1.1, delta=0.1)
+    for value in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverOptions(max_iter=value)
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            MdpOptions(**mdp, max_outer=value)
+    assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+    assert MdpOptions(**mdp, max_outer=np.int64(3)).max_outer == 3
 
 
 def test_pg_gamma_must_be_finite():
@@ -664,7 +686,7 @@ def test_searches_reject_nonfinite_ydelta(bad):
     with pytest.raises(ValueError, match="ydelta must be finite"):
         search_radius_mdp(A, y, 0.0, 1.0, mdp, opts, np.zeros(A.domain_dim))
     with pytest.raises(ValueError, match="ydelta must be finite"):
-        select_alpha_discrepancy(A, y, 0.1, 0.0, "fista", opts)
+        select_alpha_discrepancy(A, y, 0.1, 0.0, "fista", opts, np.full(A.domain_dim, 0.01))
 
 
 def test_rerror_recorded_when_truth_given():
@@ -676,9 +698,9 @@ def test_rerror_recorded_when_truth_given():
 
 def _inputs_instance():
     # 576 entries, so the projection's prefilter and warm cut both run
-    from sparsq.problems import NoiseSpec, add_awgn, gen_blur_instance
+    from sparsq.problems import add_awgn, gen_blur_instance
 
-    inst = add_awgn(gen_blur_instance(24, 3, 0.7), NoiseSpec(60.0, 0))
+    inst = add_awgn(gen_blur_instance(24, 3, 0.7), 60.0, 0)
     return inst.A, inst.y_delta, inst.x_true
 
 
@@ -690,7 +712,7 @@ def _run_with_truth(name, A, y, x0, x_true):
         mdp = MdpOptions(r_min=1.0, r_max=20.0 * r2, tau1=1.01, tau2=1.1, delta=1.0, max_outer=6)
         return search_radius_mdp(A, y, 1e-5, 1.0, mdp, opts, x0, x_true).result
     if kind == "select_alpha":
-        return select_alpha_discrepancy(A, y, 1.0, 0.5, "st", opts, max_steps=4, x0=x0).result
+        return select_alpha_discrepancy(A, y, 1.0, 0.5, "st", opts, x0=x0).result
     if kind == "pg":
         return solve_pg_sf(A, y, 1e-5, 1.0, RadiusSpec(0.5 * np.sum(np.abs(x_true))), opts, x0, x_true)
     weights = {"hv": (RegParams(1e-3, 5e-4),), "ista": (1e-3,), "fista": (1e-3,),
@@ -704,9 +726,10 @@ def _run_with_truth(name, A, y, x0, x_true):
     "name",
     [*SOLVER_NAMES, "pg traced", "search_radius", "search_radius traced", "select_alpha"],
 )
-def test_solvers_leave_inputs_alone(name):
+def test_solvers_leave_inputs_alone(name, monkeypatch):
     # No solve writes into x0, ydelta or x_true, and no scratch array of one
     # solve is (or is written into) another solve's result.
+    monkeypatch.setattr(sparsq.solvers, "ALPHA_MIDPOINTS", 5)
     A, y, x_true = _inputs_instance()
     x0 = np.full(A.domain_dim, 0.01)
     before = [a.tobytes() for a in (x0, y, x_true)]
@@ -789,9 +812,9 @@ def test_mdp_trace_option_changes_no_outcome():
 
 
 def _blur_search_instance(snr_db):
-    from sparsq.problems import NoiseSpec, add_awgn, gen_blur_instance
+    from sparsq.problems import add_awgn, gen_blur_instance
 
-    inst = add_awgn(gen_blur_instance(24, 3, 0.7), NoiseSpec(snr_db, 0))  # 576 entries
+    inst = add_awgn(gen_blur_instance(24, 3, 0.7), snr_db, 0)  # 576 entries
     r_max = 20.0 * float(np.sum(np.abs(inst.x_true))) ** 2
     return inst, MdpOptions(r_min=1.0, r_max=r_max, tau1=1.01, tau2=1.1, delta=inst.delta)
 
@@ -816,7 +839,6 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     solves of its stopped trials' records, how many of those records reuse a
     trial solved at a smaller radius, and the inner iterations of every solve
     the search ran."""
-    import sparsq.solvers
     from solver_reference import search_radius_reference
 
     trials = {}  # radius_l1 -> the trial's solve
@@ -975,8 +997,6 @@ def test_search_radius_reruns_a_stopped_last_trial(monkeypatch):
 def test_search_radius_reuses_unprojected_trials(monkeypatch):
     # A trial at or above the peak l1 norm of the first unprojected solve
     # calls no solve_pg_sf: the search's trial count exceeds its solve count
-    import sparsq.solvers
-
     calls = []
     real = sparsq.solvers.solve_pg_sf
 
@@ -1064,7 +1084,7 @@ def test_pg_contraction_bound_certifies_the_full_solve(seed, gamma_frac, beta_fr
     # solve, bit for bit
     rng = np.random.default_rng(seed)
     A, y = _random_instance(rng, m=12, n=6, scale=0.3)
-    lam_min, lam_max = A.exact_lambda_min(), A.opnorm_sq
+    lam_min, lam_max = A.normal_spectrum
     beta = beta_frac * lam_min / 2.0
     gamma = gamma_frac * lam_max + beta
     r = RadiusSpec(10.0**log_radius)
@@ -1098,7 +1118,7 @@ def test_pg_objective_descends_within_the_derived_slack(seed, gamma_frac, beta_f
     # rounding stays far below that rise (under 2% of it in 300 draws)
     rng = np.random.default_rng(seed)
     A, y = _random_instance(rng, m=12, n=6, scale=0.3)
-    lam_min, lam_max = A.exact_lambda_min(), A.opnorm_sq
+    lam_min, lam_max = A.normal_spectrum
     beta = beta_frac * lam_min / 2.0
     gamma = gamma_frac * lam_max + beta
     r, x0 = RadiusSpec(10.0**log_radius), np.full(6, 0.01)
@@ -1130,7 +1150,7 @@ def test_pg_contraction_exit_is_off_when_m_below_n(seed, low_frac):
     # the full solve's residual never stops a solve below it
     rng = np.random.default_rng(seed)
     A, y = _random_instance(rng)
-    assert A.exact_lambda_min() == 0.0
+    assert A.normal_spectrum[0] == 0.0
     opts, x0 = SolverOptions(max_iter=200, record_trace=False), np.full(8, 0.01)
     full = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0)
     low = low_frac * full.residual_norm
@@ -1199,20 +1219,15 @@ def test_bisect_returns_the_trial_it_landed_on(knots, decreasing, low, width, st
     "kwargs",
     [
         {"delta": np.inf},
-        {"alpha_bracket": (1e-8, np.inf)},
-        {"band": np.nan},
-        {"band": 0.5},
-        {"band": np.inf},
-        {"max_steps": -3},
     ],
-    ids=["delta-inf", "bracket-inf", "band-nan", "band-half", "band-inf", "steps-negative"],
+    ids=["delta-inf"],
 )
 def test_select_alpha_rejects_bad_settings(kwargs):
     args = {"delta": 0.1, **kwargs}
     with pytest.raises(ValueError):
         select_alpha_discrepancy(
             DenseMatrix(np.eye(2)), np.ones(2), eta=0.0, solver="fista",
-            opts=SolverOptions(max_iter=5), **args,
+            opts=SolverOptions(max_iter=5), x0=np.full(2, 0.01), **args,
         )
 
 
@@ -1238,7 +1253,7 @@ def test_select_alpha_lands_in_band():
     y = A.apply(x_true) + noise
     delta = float(np.linalg.norm(noise))
     sel = select_alpha_discrepancy(
-        A, y, delta, 0.5, "hv", SolverOptions(max_iter=2000, record_trace=False)
+        A, y, delta, 0.5, "hv", SolverOptions(max_iter=2000, record_trace=False), np.full(12, 0.01)
     )
     assert sel.bracketed
     assert delta <= sel.result.residual_norm <= 1.05 * delta
@@ -1250,19 +1265,19 @@ def test_select_alpha_desk_instance_order_of_magnitude():
     inst = cs_desk_instance(seed=0, snr_db=40.0)
     sel = select_alpha_discrepancy(
         inst.A, inst.y_delta, inst.delta, 1.0, "hv",
-        SolverOptions(max_iter=800, record_trace=False),
+        SolverOptions(max_iter=800, record_trace=False), np.full(inst.A.domain_dim, 0.01),
     )
     assert sel.bracketed
     assert 6e-6 <= sel.alpha <= 6e-4
 
 
-def test_select_alpha_unreachable_band_flags():
+def test_select_alpha_unreachable_band_flags(monkeypatch):
     A = DenseMatrix(np.eye(2))
     y = np.array([1.0, 1.0])
     # delta larger than any achievable residual at the top of the bracket
+    monkeypatch.setattr(sparsq.solvers, "ALPHA_BRACKET", (1e-8, 1e-6))
     sel = select_alpha_discrepancy(
-        A, y, 10.0, 0.0, "hv", SolverOptions(max_iter=50, record_trace=False),
-        alpha_bracket=(1e-8, 1e-6),
+        A, y, 10.0, 0.0, "hv", SolverOptions(max_iter=50, record_trace=False), np.full(2, 0.01)
     )
     assert not sel.bracketed
 
@@ -1291,13 +1306,16 @@ def test_select_alpha_matches_reference(solver, monkeypatch):
 
         monkeypatch.setitem(PENALIZED, solver, memoized)
         args = (inst.A, inst.y_delta, inst.delta, 0.5, solver)
+        x0 = np.full(inst.A.domain_dim, 0.01)
         for bracket in brackets:
             for max_steps in (3, 0):
                 kwargs = {"alpha_bracket": bracket, "max_steps": max_steps}
                 ref_alpha, ref_residual, ref_bracketed = select_alpha_reference(*args, **kwargs)
                 ref_calls = calls.copy()
                 calls.clear()
-                out = select_alpha_discrepancy(*args, **kwargs)
+                monkeypatch.setattr(sparsq.solvers, "ALPHA_BRACKET", bracket)
+                monkeypatch.setattr(sparsq.solvers, "ALPHA_MIDPOINTS", max_steps + 1)
+                out = select_alpha_discrepancy(*args, SolverOptions(), x0)
                 assert calls == ref_calls
                 assert (out.alpha, out.result.residual_norm) == (ref_alpha, ref_residual)
                 assert out.result is memo[out.alpha]
@@ -1306,19 +1324,18 @@ def test_select_alpha_matches_reference(solver, monkeypatch):
                 calls.clear()
 
 
-def test_select_alpha_flags_an_in_band_last_midpoint():
-    # With max_steps=0 the one midpoint tried, 6e-5, lands in the band, and
-    # is the last trial: it must still count as bracketed
+def test_select_alpha_flags_an_in_band_last_midpoint(monkeypatch):
+    # With one midpoint, the one tried, 6e-5, lands in the band, and is the
+    # last trial: it must still count as bracketed
     from sparsq.problems import cs_desk_instance
 
     inst = cs_desk_instance(0)
     opts = SolverOptions(record_trace=False)
     x0 = np.full(inst.A.domain_dim, 0.01)
     delta = solve_fista(inst.A, inst.y_delta, 6e-5, opts, x0).residual_norm / 1.02
-    sel = select_alpha_discrepancy(
-        inst.A, inst.y_delta, delta, 0.0, "fista", opts,
-        alpha_bracket=(6e-6, 6e-4), max_steps=0,
-    )
+    monkeypatch.setattr(sparsq.solvers, "ALPHA_BRACKET", (6e-6, 6e-4))
+    monkeypatch.setattr(sparsq.solvers, "ALPHA_MIDPOINTS", 1)
+    sel = select_alpha_discrepancy(inst.A, inst.y_delta, delta, 0.0, "fista", opts, x0)
     assert sel.alpha == 6e-5 and sel.bracketed
     assert delta <= sel.result.residual_norm <= 1.05 * delta
 
@@ -1326,13 +1343,12 @@ def test_select_alpha_flags_an_in_band_last_midpoint():
 @pytest.mark.parametrize("solver", ["pg", "ht", "lasso"])
 def test_select_alpha_rejects_kinds_outside_the_table(solver):
     with pytest.raises(ValueError, match="unknown solver"):
-        select_alpha_discrepancy(DenseMatrix(np.eye(2)), np.ones(2), 0.1, 0.0, solver)
+        select_alpha_discrepancy(DenseMatrix(np.eye(2)), np.ones(2), 0.1, 0.0, solver,
+                                 SolverOptions(), np.full(2, 0.01))
 
 
 def test_penalized_table_looks_solvers_up_when_called(monkeypatch):
     # A patched module attribute must see the alpha search's inner solves.
-    import sparsq.solvers
-
     calls = []
     real = sparsq.solvers.solve_ista
 
@@ -1341,8 +1357,9 @@ def test_penalized_table_looks_solvers_up_when_called(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sparsq.solvers, "solve_ista", counting)
+    monkeypatch.setattr(sparsq.solvers, "ALPHA_BRACKET", (1e-8, 1e-6))
     sel = select_alpha_discrepancy(
         DenseMatrix(np.eye(2)), np.array([1.0, 1.0]), 10.0, 0.0, "ista",
-        SolverOptions(max_iter=50), alpha_bracket=(1e-8, 1e-6),
+        SolverOptions(max_iter=50), np.full(2, 0.01),
     )
     assert calls[0] == 1e-8 and calls[-1] == sel.alpha
