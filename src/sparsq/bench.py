@@ -598,10 +598,8 @@ def _fmt(value):
 
 
 def _nan_key(v):
-    try:
-        f = float(v)
-    except (TypeError, ValueError):
-        return (2, 0.0)
+    """A sort key of a report column or sweep value: numbers, then NaN."""
+    f = float(v)
     return (1, 0.0) if math.isnan(f) else (0, f)
 
 

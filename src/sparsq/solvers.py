@@ -219,9 +219,9 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     second step on (t_1 = 1, t_{k+1} = fista_momentum_next(t_k)).  The step
     norm is ||x_next - x||.  The residual r = Ax - y is formed for each traced
     record, which gets objective_fn(x, r) and ||r||, and once at the end for
-    the result's residual_norm.  stop, if given, is called with the step norm
-    after every finite step, before the step norm's exits; a Termination it
-    returns ends the solve."""
+    the result's residual_norm.  stop, if given, is called as
+    stop(k, step_norm) after every finite step k, before the step norm's
+    exits; a Termination it returns ends the solve."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -259,7 +259,7 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
             if not math.isfinite(step_norm):
                 termination = Termination.NONFINITE
                 break
-            if stop is not None and (reason := stop(step_norm)) is not None:
+            if stop is not None and (reason := stop(k, step_norm)) is not None:
                 termination = reason
                 break
             if step_norm == 0.0:
@@ -295,17 +295,17 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     largest ||u||_1 of the solve.
 
     With band = (low, high), every _BOUND_EVERY-th step also bounds the
-    residual, from the gradient it forms and its step norm: from below over
-    the whole ball (_residual_floor), and, where the step map contracts, from
-    both sides over every iterate the solve can still reach
-    (_contraction_reach).  Once the residual of the solve's result is certain
-    to lie above high, the solve ends ABOVE_BAND; below low, BELOW_BAND; even
-    at a step whose step norm would end it.  The last floor is the result's
-    residual_floor, and the bound that ended the solve its stop_bound; above
-    the band, the contraction bound is tried before the floor.  The floor
-    holds for every beta and gamma, the contraction bound wherever it is on,
-    and neither changes an iterate.  A band needs 0 <= low <= high; high may
-    be inf.
+    residual, from the point it started from, the gradient it formed there
+    and its step norm (_band_bounds): from below over the whole ball (the
+    floor), and, where the step map contracts, from both sides over every
+    iterate the solve can still reach (the range).  Once the residual of the
+    solve's result is certain to lie above high, the solve ends ABOVE_BAND;
+    below low, BELOW_BAND; even at a step whose step norm would end it.  The
+    last floor is the result's residual_floor, and the bound that ended the
+    solve its stop_bound; above the band, the range is tried before the
+    floor.  The floor holds for every beta and gamma, the range wherever it
+    is on, and neither changes an iterate.  A band needs 0 <= low <= high;
+    high may be inf.
     """
     if band is not None and not 0.0 <= band[0] <= band[1]:
         raise ValueError(f"band must satisfy 0 <= low <= high, got {band!r}")
@@ -314,24 +314,19 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     _check_descent(A, "gamma", gamma, beta)
     cut = 0.0  # a guess at the next projection's threshold, from below
     peak_l1 = 0.0
-    floor_at = reach = None
     if band is not None:
         low, high = band
-        floor_at = _residual_floor(A, ydelta, grad.aty, r.radius_l1, x0)
-        reach = _contraction_reach(A, ydelta, grad.aty, beta, gamma, opts.max_iter)
+        bounds = _band_bounds(A, ydelta, grad.aty, beta, gamma, r.radius_l1, x0, opts.max_iter)
+    last = None  # the last step's point x and its gradient, in grad's array
     floor = 0.0  # the last ball floor
     ended = None, False  # the bound that ended the solve; whether it was the floor
-    steps = 0
-    pending = None  # a bound step's (floor, rr, err) and ||x||, for the stop after it
 
     def step(x):
         # u and the projection are computed in place, with the operations of
         # project_l1_ball_sort((gamma * x - grad(x)) / denom, r)
-        nonlocal cut, peak_l1, steps, pending
+        nonlocal cut, peak_l1, last
         g = grad(x)
-        if floor_at is not None and steps % _BOUND_EVERY == 0:
-            pending = floor_at(x, g), 0.0 if reach is None else _norm(x)
-        steps += 1
+        last = x, g
         u = gamma * x
         u -= g
         u /= denom
@@ -340,15 +335,11 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         peak_l1 = max(peak_l1, l1)
         return value
 
-    def stop(step_norm):
-        nonlocal floor, ended, pending
-        if pending is None:
+    def stop(k, step_norm):
+        nonlocal floor, ended
+        if (k - 1) % _BOUND_EVERY:
             return None
-        (floor, rr, err), x_norm = pending
-        pending = None
-        near, far = 0.0, math.inf
-        if reach is not None:
-            near, far = reach(steps - 1, step_norm, rr, err, x_norm)
+        near, far, floor = bounds(k, *last, step_norm)
         if near > high:
             ended = near, False
             return Termination.ABOVE_BAND
@@ -370,93 +361,72 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
                    stop_bound=ended[0], stop_on_floor=ended[1])
 
 
-def _residual_floor(A, ydelta, aty, radius, x0):
-    """(x, g) -> (floor, rr, err): floor a lower bound on ||As - y|| over every
-    s with ||s||_1 <= radius, from any x and g = A*(Ax - y), 0.0 where the
-    bound says nothing; and rr - 2 err <= ||Ax - y||^2 <= rr.
+def _band_bounds(A, ydelta, aty, beta, gamma, radius, x0, max_iter):
+    """bounds(k, x, g, s) -> (near, far, floor) for a solve_pg_sf run from x0
+    on the ball ||v||_1 <= radius, at its step k: x = x_i, i = k - 1, the
+    point the step started from, g = A*(Ax - y) and s the step norm
+    ||x_k - x_i||.  floor is a lower bound on ||Av - y|| over every v in the
+    ball, 0.0 where the bound says nothing.  (near, far) bound the computed
+    residual norm ||Ax_J - y|| of every iterate x_J, i < J <= K = max_iter,
+    where the range is on, and are (0.0, inf), with no work for them, where
+    it is off: where A gives no exact smallest or largest eigenvalue of A*A,
+    where the step map does not contract, or at a step k too early for the
+    rounding margin.  The rise attribute is X -> G E + lambda_max E^2 / 2
+    below, the most one computed step between points of norm at most X can
+    raise D above its exact value, or None where the range is off.
 
-    Weak duality of least squares over the ball (the Lasso dual of Fercoq,
-    Gramfort & Salmon 2015; SPGL1's Pareto-curve dual, van den Berg &
-    Friedlander 2008): for every w and every s in the ball,
-        0.5||As - y||^2 >= w.(As - y) - 0.5||w||^2
+    The floor, by weak duality of least squares over the ball (the Lasso
+    dual of Fercoq, Gramfort & Salmon 2015; SPGL1's Pareto-curve dual, van
+    den Berg & Friedlander 2008): for every w and every v in the ball,
+        0.5||Av - y||^2 >= w.(Av - y) - 0.5||w||^2
                         >= -w.y - radius ||A*w||_inf - 0.5||w||^2.
-    At w = t (Ax - y), t > 0, the right side is t b - 0.5 t^2 ||r||^2 with
-    ||r||^2 = x.g - x.A*y + ||y||^2 and b = (||y||^2 - x.A*y) - radius ||g||_inf.
-    At its best t = b / ||r||^2 it gives ||As - y|| >= b / ||r|| when b > 0.
-
-    The rounding margin.  X = max(radius, ||x0||_1) bounds ||x||_1, since
-    every iterate after x0 is a projection onto the ball.  With u = eps / 2
-    and E = X (||g||_inf + ||A*y||_inf) + ||y||^2, each rounding the bound
-    meets moves b or ||r||^2 by at most (m + n) u E:
-    * each of the dot products x.g, x.A*y and ||y||^2, a sum of at most
-      m + n products whose magnitudes add up to at most X ||g||_inf,
-      X ||A*y||_inf and ||y||^2;
-    * the product radius ||g||_inf, and the sums of the identity;
-    * the rounding of g and of A*y (one apply each) seen through x or the
-      radius, taking each to be within (m + n) u (||g||_inf + ||A*y||_inf)
-      per entry, which holds when an apply's products do not cancel heavily;
-    * a projection's l1 norm, which may exceed the radius by rounding.
-    b and ||r||^2 each meet at most eight of these, so err = rel E with
-    rel = 8 (m + n) u covers them.  The floor is (b - err) / sqrt(||r||^2 + err),
-    and the factor 1 - rel covers the rounding of the norm ||As - y|| that
-    it is compared with.  rr is ||r||^2 + err, rounded up as the floor needs.
-    """
-    ydelta = np.asarray(ydelta, dtype=float)
-    yy = float(ydelta.dot(ydelta))
-    rel = 4.0 * (A.range_dim + A.domain_dim) * float(np.finfo(float).eps)  # 8 (m + n) u
-    x_scale = max(radius, float(np.sum(np.abs(x0))))  # X
-    data_scale = x_scale * float(np.max(np.abs(aty), initial=0.0)) + yy  # E less X ||g||_inf
-
-    def floor_at(x, g):  # in Python floats: cheaper than numpy scalars
-        g_inf = max(float(g.max()), -float(g.min()))
-        xa = float(x.dot(aty))
-        err = rel * (x_scale * g_inf + data_scale)
-        b = (yy - xa) - radius * g_inf - err
-        rr = float(x.dot(g)) - xa + yy + err
-        if b > 0.0 and rr > 0.0:
-            return (1.0 - rel) * b / math.sqrt(rr), rr, err
-        return 0.0, rr, err
-
-    return floor_at
-
-
-def _contraction_reach(A, ydelta, aty, beta, gamma, max_iter):
-    """(k, s, rr, err, x_norm) -> (low, high), bounds on the computed residual
-    norm ||Ax_J - y|| of every iterate x_J, k < J <= max_iter, of a
-    solve_pg_sf run whose iterate x_k has ||x_k|| = x_norm and
-    rr - 2 err <= ||Ax_k - y||^2 <= rr (_residual_floor's identity), and
-    whose step from x_k has the step norm s.  None where the bound is off,
-    with no work per step: where A gives no exact smallest or largest
-    eigenvalue of A*A, or where the step map does not contract.  Its rise
-    attribute is X -> G E + lambda_max E^2 / 2 below: the most one computed
-    step between points of norm at most X can raise D above its exact value.
+    At w = t (Ax - y), t > 0, the right side is t h - 0.5 t^2 ||r||^2 with
+    ||r||^2 = x.g - x.A*y + ||y||^2 and h = (||y||^2 - x.A*y) - radius ||g||_inf.
+    At its best t = h / ||r||^2 it gives ||Av - y|| >= h / ||r|| when h > 0.
 
     The drift.  A step maps x to P(M x + A*y / d), with P the projection onto
     the ball, d = gamma - 2 beta and M = (gamma I - A*A) / d.  P is
     nonexpansive and ||M|| = q = max(gamma - lambda_min, lambda_max - gamma) / d,
     so where q < 1 (lambda_min > gamma - d = 2 beta and lambda_max < gamma + d)
-    every step contracts distances by q.  Then ||x_{j+1} - x_j|| <= q^(j-k) s
-    and ||x_J - x_k|| <= s (1 - q^(K-k)) / (1 - q) for every J <= K = max_iter,
+    every step contracts distances by q.  Then ||x_{j+1} - x_j|| <= q^(j-i) s
+    and ||x_J - x_i|| <= s (1 - q^(K-i)) / (1 - q) for every J <= K,
     whichever exit ends the solve.  On an A with m < n, lambda_min = 0 and
-    q >= 1.  The low end: ||Ax_J - y|| is within ||A|| times that drift of
-    ||Ax_k - y||.
+    q >= 1.  near, the low end: ||Ax_J - y|| is within ||A|| times that drift of
+    ||Ax_i - y||.
 
-    The high end, from the descent of D(x) = 0.5 ||Ax - y||^2 - beta ||x||^2.
-    The step x+ minimizes over the ball the d-strongly convex model
+    far, the high end, from the descent of D(x) = 0.5 ||Ax - y||^2 - beta ||x||^2.  The
+    step x+ minimizes over the ball the d-strongly convex model
     D(x) + grad D(x).(z - x) + (d / 2) ||z - x||^2, so grad D(x).(x+ - x)
     <= -d ||x+ - x||^2, and D's curvature is at most lambda_max - 2 beta:
     D(x+) <= D(x) - (d - (lambda_max - 2 beta) / 2) ||x+ - x||^2.  q < 1
     gives lambda_max - gamma < d, hence d > (lambda_max - 2 beta) / 2, which
-    is _check_descent's condition: wherever the range is on, D(x_J) <= D(x_k).
-    With ||Ax - y||^2 = 2 D(x) + 2 beta ||x||^2 and ||x_J|| <= ||x_k|| + Delta,
+    is _check_descent's condition: wherever the range is on, D(x_J) <= D(x_i).
+    With ||Ax - y||^2 = 2 D(x) + 2 beta ||x||^2 and ||x_J|| <= ||x_i|| + Delta,
     Delta the drift,
-        ||Ax_J - y||^2 <= rr + 2 beta Delta (2 ||x_k|| + Delta),
-    which at beta = 0 says the residual cannot rise.  Both ends read only step
-    k's quantities and the radius-free drift, so they hold at every radius
-    whose solve takes the same steps up to k: search_radius_mdp's reuse of an
-    unprojected trial that a range bound stopped stays valid.
+        ||Ax_J - y||^2 <= ||Ax_i - y||^2 + 2 beta Delta (2 ||x_i|| + Delta),
+    which at beta = 0 says the residual cannot rise.  The range reads only
+    step k's quantities and the radius-free drift, so it holds at every
+    radius whose solve takes the same steps up to k: search_radius_mdp's
+    reuse of an unprojected trial that the range stopped stays valid.
 
-    The rounding margin.  With u = eps / 2 and rel = 8 (m + n) u, _residual_floor's:
+    The rounding margins, with u = eps / 2 and rel = 8 (m + n) u.
+    * The floor.  X_1 = max(radius, ||x0||_1) bounds ||x||_1, since every
+      iterate after x0 is a projection onto the ball.  With
+      F = X_1 (||g||_inf + ||A*y||_inf) + ||y||^2, each rounding the floor
+      meets moves h or ||r||^2 by at most (m + n) u F:
+      - each of the dot products x.g, x.A*y and ||y||^2, a sum of at most
+        m + n products whose magnitudes add up to at most X_1 ||g||_inf,
+        X_1 ||A*y||_inf and ||y||^2;
+      - the product radius ||g||_inf, and the sums of the identity;
+      - the rounding of g and of A*y (one apply each) seen through x or the
+        radius, taking each to be within (m + n) u (||g||_inf + ||A*y||_inf)
+        per entry, which holds when an apply's products do not cancel
+        heavily;
+      - a projection's l1 norm, which may exceed the radius by rounding.
+      h and ||r||^2 each meet at most eight of these, so err = rel F covers
+      them, and rr = ||r||^2 + err, rounded up, gives rr - 2 err <=
+      ||Ax - y||^2 <= rr.  The floor is (h - err) / sqrt(rr), and the factor
+      1 - rel covers the rounding of the norm ||Av - y|| it is compared with.
     * The spectrum.  Both ends are widened by e = (m + n)^2 u lambda_max, and
       q and ||A|| = sqrt(lambda_max) are taken at the widened ends, q rounded
       up by the factor 1 + rel.  e covers eigvalsh, whose eigenvalues are
@@ -468,69 +438,79 @@ def _contraction_reach(A, ydelta, aty, beta, gamma, max_iter):
       E = a X + b of the map's exact value, with a = rel (gamma + lambda_max) / d,
       b = rel ||A*y|| / d and X >= ||x_j||: the normal apply within
       (m + n) u lambda_max X (its products taken not to cancel heavily, as
-      _residual_floor takes them; a blur's are all nonnegative), A*y within
+      the floor takes them; a blur's are all nonnegative), A*y within
       (m + n) u ||A*y|| on the same terms, the four flops of u within 4 u of
       the scale of u, and the projection within (2n + 1) u ||u||: its
       threshold, a cumsum of rho entries of |u| over rho, is within
       2 u ||u||_1 <= 2 sqrt(n) u ||u||, and it moves at most n entries by
       that.  These sum to less than rel (gamma X + lambda_max X + ||A*y||) / d.
     * The accumulation.  The computed steps then obey d_{j+1} <= q d_j + 2E,
-      so with S = s (1 + rel) (1 - q^(K-k)) / (1 - q), covering the rounding
-      of s, and C = 2 (K - k) / (1 - q), ||x_J - x_k|| <= Delta = S + C E.
-      Every x_j, j >= k, has ||x_j|| <= X = ||x_k|| + Delta, so E = a X + b
-      gives Delta = (S + C (a ||x_k|| + b)) / (1 - C a), where C a < 1; at a
-      step where it is not, the bounds are (0.0, inf).
+      so with S = s (1 + rel) (1 - q^(K-i)) / (1 - q), covering the rounding
+      of s, and C = 2 (K - i) / (1 - q), ||x_J - x_i|| <= Delta = S + C E.
+      Every x_j, j >= i, has ||x_j|| <= X = ||x_i|| + Delta, so E = a X + b
+      gives Delta = (S + C (a ||x_i|| + b)) / (1 - C a), where C a < 1; at a
+      step where it is not, the range is off.
     * The descent.  A computed step lands within E of the exact one, so it
       raises D above the exact step's value by at most G E + lambda_max E^2 / 2,
       with G = (lambda_max + 2 beta) X + ||A*y|| (1 + rel) >= ||grad D|| at
       the computed point (||A*y|| read from the rounded one) and lambda_max
-      >= ||A*A - 2 beta I||.  Over at most K - k steps D(x_J) <= D(x_k) +
-      (K - k) (G E + lambda_max E^2 / 2), which adds twice that to the
-      squared high end.
-    * The residual.  ||Ax_k - y|| lies in [sqrt(rr - 2 err), sqrt(rr)]; the
+      >= ||A*A - 2 beta I||.  Over at most K - i steps D(x_J) <= D(x_i) +
+      (K - i) (G E + lambda_max E^2 / 2), which adds twice that to the
+      squared far end.
+    * The residual.  ||Ax_i - y|| lies in [sqrt(rr - 2 err), sqrt(rr)]; the
       computed norm of x_J's residual is within rel (||A|| X + ||y||) of the
       exact one (one apply and one norm), and the factors 1 -+ rel cover the
-      rest: the flops here, the norm's relative rounding and that of ||x_k||.
+      rest: the flops here, the norm's relative rounding and that of ||x_i||.
     """
-    if A.normal_spectrum is None:
-        return None
-    lam_min, lam_max = A.normal_spectrum
+    ydelta = np.asarray(ydelta, dtype=float)
+    yy = float(ydelta.dot(ydelta))
     m, n = A.range_dim, A.domain_dim
     u = 0.5 * float(np.finfo(float).eps)
     rel = 8.0 * (m + n) * u
-    widen = (m + n) ** 2 * u * lam_max
-    lam_min, lam_max = lam_min - widen, lam_max + widen
-    denom = gamma - 2.0 * beta
-    q = max(gamma - lam_min, lam_max - gamma) / denom * (1.0 + rel)
-    if not q < 1.0:
-        return None
-    norm_a = math.sqrt(lam_max)
-    aty_norm = _norm(aty)
-    a = rel * (gamma + lam_max) / denom
-    b = rel * aty_norm / denom
-    y_norm = _norm(np.asarray(ydelta, dtype=float))
-    grad_a, grad_b = lam_max + 2.0 * beta, aty_norm * (1.0 + rel)  # G = grad_a X + grad_b
+    x_scale = max(radius, float(np.sum(np.abs(x0))))  # X_1
+    data_scale = x_scale * float(np.max(np.abs(aty), initial=0.0)) + yy  # F less X_1 ||g||_inf
+    rise = None
+    if A.normal_spectrum is not None:
+        lam_min, lam_max = A.normal_spectrum
+        widen = (m + n) ** 2 * u * lam_max
+        lam_min, lam_max = lam_min - widen, lam_max + widen
+        denom = gamma - 2.0 * beta
+        q = max(gamma - lam_min, lam_max - gamma) / denom * (1.0 + rel)
+        if q < 1.0:
+            norm_a, y_norm = math.sqrt(lam_max), math.sqrt(yy)
+            aty_norm = _norm(aty)
+            a = rel * (gamma + lam_max) / denom
+            b = rel * aty_norm / denom
+            grad_a, grad_b = lam_max + 2.0 * beta, aty_norm * (1.0 + rel)  # G = grad_a X + grad_b
 
-    def rise(x_far):  # G E + lambda_max E^2 / 2 at X = x_far
-        e = a * x_far + b
-        return e * (grad_a * x_far + grad_b + 0.5 * lam_max * e)
+            def rise(x_far):  # G E + lambda_max E^2 / 2 at X = x_far
+                e = a * x_far + b
+                return e * (grad_a * x_far + grad_b + 0.5 * lam_max * e)
 
-    def reach(k, s, rr, err, x_norm):
-        left = max_iter - k
+    def bounds(k, x, g, s):  # in Python floats: cheaper than numpy scalars
+        g_inf = max(float(g.max()), -float(g.min()))
+        xa = float(x.dot(aty))
+        err = rel * (x_scale * g_inf + data_scale)
+        h = (yy - xa) - radius * g_inf - err
+        rr = float(x.dot(g)) - xa + yy + err
+        floor = (1.0 - rel) * h / math.sqrt(rr) if h > 0.0 and rr > 0.0 else 0.0
+        if rise is None:
+            return 0.0, math.inf, floor
+        left = max_iter - k + 1  # K - i
         c = 2.0 * left / (1.0 - q)
         if not c * a < 1.0:
-            return 0.0, math.inf
-        x_norm *= 1.0 + rel
+            return 0.0, math.inf, floor
+        x_norm = _norm(x) * (1.0 + rel)
         span = s * (1.0 + rel) * (1.0 - q**left) / (1.0 - q)
         drift = (span + c * (a * x_norm + b)) / (1.0 - c * a)  # Delta
         x_far = x_norm + drift  # X
-        high_sq = rr + 2.0 * beta * drift * (x_norm + x_far) + 2.0 * left * rise(x_far)
+        far_sq = rr + 2.0 * beta * drift * (x_norm + x_far) + 2.0 * left * rise(x_far)
         rounding = rel * (norm_a * x_far + y_norm)
-        low = (math.sqrt(max(rr - 2.0 * err, 0.0)) - (norm_a * drift + rounding)) * (1.0 - rel)
-        return max(low, 0.0), (math.sqrt(high_sq) + rounding) * (1.0 + rel)
+        near = (math.sqrt(max(rr - 2.0 * err, 0.0)) - (norm_a * drift + rounding)) * (1.0 - rel)
+        return max(near, 0.0), (math.sqrt(far_sq) + rounding) * (1.0 + rel), floor
 
-    reach.rise = rise
-    return reach
+    bounds.rise = rise
+    return bounds
 
 
 def _pg_denominator(beta, gamma):

@@ -324,6 +324,24 @@ def test_normal_operator_classes():
     assert type(NormalOperator(dense).normal) is NormalOperator
 
 
+def test_dense_above_the_spectrum_guard_estimates_its_norm(monkeypatch):
+    # 12 x 16: both Gram matrices (144 and 256 entries) exceed a guard of
+    # 100, so the operator gives no spectrum and a normal operator of one
+    # apply and one adjoint, and its norm comes from the estimate
+    monkeypatch.setattr(sparsq.linops, "DENSIFY_GUARD", 100)
+    entries = np.random.default_rng(3).standard_normal((12, 16))
+    op = DenseMatrix(entries)
+    assert op.normal_spectrum is None
+    assert type(op.normal) is NormalOperator
+    exact = float(np.linalg.eigvalsh(entries @ entries.T)[-1])
+    est = estimate_opnorm_sq(op)
+    assert est.converged and op.opnorm_sq == est.value
+    # The estimate stops once its Rayleigh quotient moves by under 1e-10
+    # (relative); what is left is that move times rho / (1 - rho), rho the
+    # squared ratio of the top two singular values (0.70 here): 1.3e-10
+    assert op.opnorm_sq == pytest.approx(exact, rel=1e-9)
+
+
 def test_dense_normal_falls_back_above_the_guard(monkeypatch):
     monkeypatch.setattr(sparsq.linops, "DENSIFY_GUARD", 10)
     op = DenseMatrix(np.ones((2, 4)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sparsq.linops
 import sparsq.solvers
 from sparsq.linops import (
     DenseMatrix,
@@ -32,7 +33,7 @@ from sparsq.solvers import (
     solve_ista,
     solve_pg_sf,
     solve_st_l1_l2,
-    _contraction_reach,
+    _band_bounds,
     _gradient,
 )
 from paper_reference import eval_surrogate
@@ -689,6 +690,25 @@ def test_searches_reject_nonfinite_ydelta(bad):
         select_alpha_discrepancy(A, y, 0.1, 0.0, "fista", opts, np.full(A.domain_dim, 0.01))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", ["hv", "pg band"])
+def test_solvers_reject_a_non_finite_x0(solver, bad):
+    # The pg solve with a band sets its bounds up from x0 before the engine
+    # checks it: that setup must pass a non-finite x0 on without a warning
+    rng = np.random.default_rng(0)
+    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
+    x0 = np.full(6, 0.01)
+    x0[2] = bad
+    opts = SolverOptions(max_iter=20, L=A.opnorm_sq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            if solver == "hv":
+                solve_hv(A, y, RegParams(1e-3, 0.0), opts, x0)
+            else:
+                solve_pg_sf(A, y, 0.0, A.opnorm_sq, RadiusSpec(1.0), opts, x0, band=(0.1, 0.2))
+
+
 def test_rerror_recorded_when_truth_given():
     A = DenseMatrix(np.eye(2))
     truth = np.array([1.0, 0.0])
@@ -1122,25 +1142,28 @@ def test_pg_objective_descends_within_the_derived_slack(seed, gamma_frac, beta_f
     beta = beta_frac * lam_min / 2.0
     gamma = gamma_frac * lam_max + beta
     r, x0 = RadiusSpec(10.0**log_radius), np.full(6, 0.01)
-    reach = _contraction_reach(A, y, A.apply_adjoint(y), beta, gamma, 300)
-    assume(reach is not None)  # q < 1 after the spectrum's widening
+    bounds = _band_bounds(A, y, A.apply_adjoint(y), beta, gamma, r.radius_l1, x0, 300)
+    assume(bounds.rise is not None)  # q < 1 after the spectrum's widening
     full = solve_pg_sf(A, y, beta, gamma, r, SolverOptions(max_iter=300, step_tol=1e-300), x0)
     # every iterate after x0 is a projection onto the ball
-    slack = reach.rise(max(r.radius_l1, float(np.linalg.norm(x0))) * (1.0 + 1e-12))
+    slack = bounds.rise(max(r.radius_l1, float(np.linalg.norm(x0))) * (1.0 + 1e-12))
     objective = [eval_D(A, y, x0, beta)] + [rec.objective for rec in full.trace]
     assert max(b - a for a, b in zip(objective, objective[1:])) <= slack
 
 
 def test_pg_contraction_high_end_covers_the_rise_of_every_step_left():
-    # A bound step at a zero residual and a zero step norm: the high end is
-    # all margin, and still covers twice the K - k rises of D that rounding
-    # may add, each up to reach.rise at the iterates' norm bound
+    # A bound step from a unit x at y = 0, g = 0 and a zero step norm: a zero
+    # residual with no floor margin (rr = err = 0), so the high end is all
+    # margin, and still covers twice the K - k + 1 rises of D that rounding
+    # may add from x_{k-1}, each up to bounds.rise at the iterates' norm bound
     rng = np.random.default_rng(0)
-    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
-    reach = _contraction_reach(A, y, A.apply_adjoint(y), 0.0, A.opnorm_sq, 200)
-    for k in (0, 96, 192):
-        low, high = reach(k, 0.0, 0.0, 0.0, 1.0)
-        assert low == 0.0 and high >= np.sqrt(2.0 * (200 - k) * reach.rise(1.0)) > 0.0
+    A, _ = _random_instance(rng, m=12, n=6, scale=0.3)
+    y, x = np.zeros(12), np.eye(6)[0]
+    bounds = _band_bounds(A, y, A.apply_adjoint(y), 0.0, A.opnorm_sq, 1.0, x, 200)
+    for k in (1, 97, 193):
+        near, far, floor = bounds(k, x, np.zeros(6), 0.0)
+        assert near == floor == 0.0
+        assert far >= np.sqrt(2.0 * (201 - k) * bounds.rise(1.0)) > 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), low_frac=st.floats(1.0, 100.0, exclude_min=True))
@@ -1155,9 +1178,33 @@ def test_pg_contraction_exit_is_off_when_m_below_n(seed, low_frac):
     full = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0)
     low = low_frac * full.residual_norm
     part = solve_pg_sf(A, y, 1e-4, 1.0, RadiusSpec(1.0), opts, x0, band=(low, 2.0 * low))
-    assert _contraction_reach(A, y, A.apply_adjoint(y), 1e-4, 1.0, 200) is None
+    bounds = _band_bounds(A, y, A.apply_adjoint(y), 1e-4, 1.0, 1.0, x0, 200)
+    g = A.apply_adjoint(A.apply(x0) - y)
+    assert bounds.rise is None and bounds(1, x0, g, 0.1)[:2] == (0.0, np.inf)
     assert part.stop_bound is None and part.termination is full.termination
     assert part.x_final.tobytes() == full.x_final.tobytes()
+
+
+def test_pg_range_is_off_without_a_spectrum_or_a_margin(monkeypatch):
+    # Above the spectrum guard an operator gives no eigenvalues, so no range;
+    # on a contracting instance, a cap of 10**16 steps leaves C a >= 1 at
+    # step 1 (the accumulated rounding outgrows the contraction), so no
+    # range there either, while a cap of 200 gives one
+    monkeypatch.setattr(sparsq.linops, "DENSIFY_GUARD", 100)
+    rng = np.random.default_rng(0)
+    A = DenseMatrix(rng.standard_normal((12, 16)))
+    y, x = rng.standard_normal(12), np.full(16, 0.01)
+    assert A.normal_spectrum is None
+    bounds = _band_bounds(A, y, A.apply_adjoint(y), 0.0, A.opnorm_sq, 1.0, x, 200)
+    g = A.apply_adjoint(A.apply(x) - y)
+    assert bounds.rise is None and bounds(1, x, g, 0.1)[:2] == (0.0, np.inf)
+    A, y = _random_instance(rng, m=12, n=6, scale=0.3)
+    x = np.full(6, 0.01)
+    g = A.apply_adjoint(A.apply(x) - y)
+    for max_iter, on in ((200, True), (10**16, False)):
+        bounds = _band_bounds(A, y, A.apply_adjoint(y), 0.0, A.opnorm_sq, 1.0, x, max_iter)
+        assert bounds.rise is not None
+        assert (bounds(1, x, g, 0.1)[:2] != (0.0, np.inf)) == on
 
 
 def test_pg_stop_above_checks_every_eighth_step():
@@ -1337,6 +1384,32 @@ def test_select_alpha_flags_an_in_band_last_midpoint(monkeypatch):
     monkeypatch.setattr(sparsq.solvers, "ALPHA_MIDPOINTS", 1)
     sel = select_alpha_discrepancy(inst.A, inst.y_delta, delta, 0.0, "fista", opts, x0)
     assert sel.alpha == 6e-5 and sel.bracketed
+    assert delta <= sel.result.residual_norm <= 1.05 * delta
+
+
+@pytest.mark.parametrize("solver", ["fista", "hv"])
+@pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+def test_select_alpha_returns_a_bracket_end_in_the_band(solver, end, monkeypatch):
+    # delta at an end's residual / 1.02 puts that residual in [delta, 1.05 delta]:
+    # the lo end is returned, bracketed, after its one solve, and the hi end
+    # after the lo end's solve (below delta) and its own
+    from sparsq.problems import cs_desk_instance
+
+    inst = cs_desk_instance(0)
+    opts = SolverOptions(record_trace=False)
+    x0 = np.full(inst.A.domain_dim, 0.01)
+    solve, calls = PENALIZED[solver], []
+
+    def counted(A, y, alpha, *rest):
+        calls.append(alpha)
+        return solve(A, y, alpha, *rest)
+
+    alpha = sparsq.solvers.ALPHA_BRACKET[end]
+    delta = solve(inst.A, inst.y_delta, alpha, 1.0, opts, x0).residual_norm / 1.02
+    monkeypatch.setitem(PENALIZED, solver, counted)
+    sel = select_alpha_discrepancy(inst.A, inst.y_delta, delta, 1.0, solver, opts, x0)
+    assert (sel.alpha, sel.bracketed) == ((1e-8, 0.1)[end], True)
+    assert calls == [1e-8, 0.1][: end + 1]
     assert delta <= sel.result.residual_norm <= 1.05 * delta
 
 
