@@ -380,7 +380,7 @@ def _search_inputs(cfg, inst, spec):
     if not inst.delta > 0:
         raise ConfigError("radius search needs noisy data (delta > 0)")
     try:
-        mdp = MdpOptions(**{"tau1": 1.01, "tau2": 1.1, **cfg.mdp, "delta": inst.delta})
+        mdp = MdpOptions(**cfg.mdp, delta=inst.delta)
     except ValueError as err:
         raise ConfigError(f"[mdp] {err}") from None
     return mdp, *_pg_weights(spec, inst.A)

@@ -25,11 +25,12 @@ over every iterate it can still reach: from below by the contraction's
 drift, from above by the descent of pg's objective 0.5||Ax - y||^2 -
 beta ||x||^2, which can raise the residual only through the small beta term.
 A trial ends once its full solve's residual is certain to lie above the band
-(ABOVE_BAND) or below it (BELOW_BAND), and turns the bisection as its full
-solve would.  The alpha
-search solves both bracket ends before it bisects.  The remaining solvers
-(ISTA, FISTA, a soft-threshold l1-minus-l2 iteration, and iterative half
-thresholding) are comparison baselines.  They and solve_hv run one
+(ABOVE_BAND by the range, FLOOR_ABOVE_BAND by the floor) or below it
+(BELOW_BAND), and turns the bisection as its full solve would; the engine
+records the bound that ended it.  The alpha search solves both bracket ends
+before it bisects.  The remaining solvers (ISTA, FISTA, a soft-threshold
+l1-minus-l2 iteration, and iterative half thresholding) are comparison
+baselines.  They and solve_hv run one
 proximal-gradient body, _prox_gradient, with step 1 / opts.L: a gradient
 step on the penalty's concave part where it has one, a gradient step on the
 data term, then the prox of the rest of the penalty.  FISTA is ISTA's step
@@ -87,8 +88,12 @@ class Termination(str, Enum):
     MAX_ITER = "max_iter"
     STAGNATION = "stagnation"
     NONFINITE = "nonfinite"
-    ABOVE_BAND = "above_band"  # solve_pg_sf's band: the residual is certain to end above it
-    BELOW_BAND = "below_band"  # solve_pg_sf's band: the residual is certain to end below it
+    # solve_pg_sf's band: the residual is certain to end above it, by the
+    # contraction range's low end or by the ball floor (at this radius only),
+    # or below it, by the range's high end
+    ABOVE_BAND = "above_band"
+    FLOOR_ABOVE_BAND = "floor_above_band"
+    BELOW_BAND = "below_band"
 
 
 def _check_count(name, value):
@@ -138,15 +143,9 @@ class SolveResult:
     # solve_pg_sf only: the largest ||u||_1 over the points u its steps
     # project.  At or below the radius, no projection moved its point.
     peak_l1: Optional[float] = None
-    # solve_pg_sf with a band only: the last lower bound on ||As - y|| over
-    # the ball that a step certified (0.0 before one does).
-    residual_floor: Optional[float] = None
-    # solve_pg_sf with a band, when it ended ABOVE_BAND or BELOW_BAND: the
-    # bound that ended it, on the residual_norm of the solve run in full, and
-    # whether that bound was the ball floor, which holds at this radius only.
-    # A contraction bound reads nothing but the steps the solve took.
+    # when a band ended the solve: the bound, named by the termination, on the
+    # residual_norm of the solve run in full
     stop_bound: Optional[float] = None
-    stop_on_floor: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,9 +154,9 @@ class MdpOptions:
 
     r_min: float
     r_max: float
-    tau1: float
-    tau2: float
     delta: float
+    tau1: float = 1.01
+    tau2: float = 1.1
     max_outer: int = 40
 
     def __post_init__(self):
@@ -221,7 +220,8 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     record, which gets objective_fn(x, r) and ||r||, and once at the end for
     the result's residual_norm.  stop, if given, is called as
     stop(k, step_norm) after every finite step k, before the step norm's
-    exits; a Termination it returns ends the solve."""
+    exits; a pair (Termination, bound) it returns ends the solve, and the
+    bound is the result's stop_bound."""
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -230,8 +230,7 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
     diff = np.empty_like(x)  # x_next - x, which is x - x_prev at the next step
     t_k = 1.0
     start = time.perf_counter()
-    termination = Termination.MAX_ITER
-    k = 0
+    termination, stop_bound = Termination.MAX_ITER, None
     # A diverging solve overflows on its way to a non-finite step norm, which
     # ends it NONFINITE: numpy's warnings about that are off.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,8 +258,8 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
             if not math.isfinite(step_norm):
                 termination = Termination.NONFINITE
                 break
-            if stop is not None and (reason := stop(k, step_norm)) is not None:
-                termination = reason
+            if stop is not None and (ended := stop(k, step_norm)) is not None:
+                termination, stop_bound = ended
                 break
             if step_norm == 0.0:
                 termination = Termination.STAGNATION
@@ -269,7 +268,7 @@ def _iterate(A, ydelta, x0, step_fn, objective_fn, opts, x_true=None, momentum=F
                 termination = Termination.STEP_TOL
                 break
         residual_norm = float(np.linalg.norm(A.apply(x) - ydelta))
-    return SolveResult(x, k, termination, trace, residual_norm)
+    return SolveResult(x, k, termination, trace, residual_norm, stop_bound=stop_bound)
 
 
 def solve_hv(A, ydelta, p: RegParams, opts: SolverOptions, x0, x_true=None):
@@ -299,13 +298,13 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
     and its step norm (_band_bounds): from below over the whole ball (the
     floor), and, where the step map contracts, from both sides over every
     iterate the solve can still reach (the range).  Once the residual of the
-    solve's result is certain to lie above high, the solve ends ABOVE_BAND;
-    below low, BELOW_BAND; even at a step whose step norm would end it.  The
-    last floor is the result's residual_floor, and the bound that ended the
-    solve its stop_bound; above the band, the range is tried before the
-    floor.  The floor holds for every beta and gamma, the range wherever it
-    is on, and neither changes an iterate.  A band needs 0 <= low <= high;
-    high may be inf.
+    solve's result is certain to lie above high, the solve ends ABOVE_BAND
+    on the range's low end, or else FLOOR_ABOVE_BAND on the floor; below
+    low, BELOW_BAND on the range's high end; even at a step whose step norm
+    would end it.  The bound that ended the solve is its stop_bound.  The
+    floor holds for every beta and gamma, the range wherever it is on, and
+    neither changes an iterate.  A band needs 0 <= low <= high; high may be
+    inf.
     """
     if band is not None and not 0.0 <= band[0] <= band[1]:
         raise ValueError(f"band must satisfy 0 <= low <= high, got {band!r}")
@@ -318,8 +317,6 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         low, high = band
         bounds = _band_bounds(A, ydelta, grad.aty, beta, gamma, r.radius_l1, x0, opts.max_iter)
     last = None  # the last step's point x and its gradient, in grad's array
-    floor = 0.0  # the last ball floor
-    ended = None, False  # the bound that ended the solve; whether it was the floor
 
     def step(x):
         # u and the projection are computed in place, with the operations of
@@ -336,29 +333,22 @@ def solve_pg_sf(A, ydelta, beta, gamma, r: RadiusSpec, opts: SolverOptions, x0, 
         return value
 
     def stop(k, step_norm):
-        nonlocal floor, ended
         if (k - 1) % _BOUND_EVERY:
             return None
         near, far, floor = bounds(k, *last, step_norm)
         if near > high:
-            ended = near, False
-            return Termination.ABOVE_BAND
+            return Termination.ABOVE_BAND, near
         if floor > high:
-            ended = floor, True
-            return Termination.ABOVE_BAND
+            return Termination.FLOOR_ABOVE_BAND, floor
         if far < low:
-            ended = far, False
-            return Termination.BELOW_BAND
+            return Termination.BELOW_BAND, far
         return None
 
     result = _iterate(
         A, ydelta, x0, step, lambda x, resid: eval_D(A, ydelta, x, beta, resid), opts, x_true,
         stop=None if band is None else stop,
     )
-    if band is None:
-        return replace(result, peak_l1=peak_l1)
-    return replace(result, peak_l1=peak_l1, residual_floor=floor,
-                   stop_bound=ended[0], stop_on_floor=ended[1])
+    return replace(result, peak_l1=peak_l1)
 
 
 def _band_bounds(A, ydelta, aty, beta, gamma, radius, x0, max_iter):
@@ -556,12 +546,12 @@ def search_radius_mdp(
     the trial the search landed on, or of the last trial, with
     bracketed=False, if max_outer trials never land in the band.
 
-    A trial runs with the band.  One that stops, ABOVE_BAND or BELOW_BAND,
-    has certified which side of the band its full solve's residual lies on,
-    which is all the bisection reads from it: its record holds the bound that
-    stopped it, its stop_bound, as residual_norm and None as rerror.  Every
-    other record,
-    and every decision, is the full solve's.  If the search ends on a
+    A trial runs with the band.  One that stops (ABOVE_BAND,
+    FLOOR_ABOVE_BAND or BELOW_BAND) has certified which side of the band its
+    full solve's residual lies on, which is all the bisection reads from it:
+    its record holds the bound that stopped it, its stop_bound, as
+    residual_norm and None as rerror.  Every other record, and every
+    decision, is the full solve's.  If the search ends on a
     stopped trial, it runs that trial in full for the result.
 
     A solve that never projected (its peak_l1 is at most its radius) follows
@@ -570,7 +560,7 @@ def search_radius_mdp(
     reuse the first unprojected solve's result instead of solving again.  A
     solve that a contraction bound stopped is reused too, with its record's
     bound: its steps so far are those of every such radius, and the bound
-    reads nothing else.  One that its ball floor stopped is not: its peak_l1
+    reads nothing else.  One that ended FLOOR_ABOVE_BAND is not: its peak_l1
     covers only the steps it ran, and a larger ball has a lower floor.
     """
     opts = replace(opts, record_trace=False)
@@ -587,7 +577,7 @@ def search_radius_mdp(
         else:
             result = solve_pg_sf(A, ydelta, beta, gamma, radius, opts, x0, x_true, band=band)
         if (unprojected is None and result.peak_l1 <= radius.radius_l1
-                and not result.stop_on_floor):
+                and result.termination is not Termination.FLOOR_ABOVE_BAND):
             unprojected = result
         if result.stop_bound is not None:
             trace.append(MdpRecord(len(trace) + 1, r_sq, result.stop_bound, None))

@@ -2,8 +2,8 @@
 there is dead: every public module-level name of a sparsq module is used by
 the library, the scripts or perfbench, or is kept as library API in
 LIBRARY_API with its reason; every optional parameter of a public function
-or method is passed by some call there; and every module path README.md
-cites resolves."""
+or method is passed by some call there; every field of a result or options
+class is read there; and every module path README.md cites resolves."""
 
 import ast
 import importlib
@@ -35,6 +35,13 @@ LIBRARY_API = {
 OPTIONS_KEPT = {
     "linops.estimate_opnorm_sq": "max_iters, tol and seed are set by tests only; the "
     "function moves to tests/ with ROADMAP item 6, once perfbench stops reading it by name",
+}
+
+# The dataclass and NamedTuple fields no run reads as an attribute that are
+# kept anyway, by class, each with its reason.
+FIELDS_KEPT = {
+    "bench.ReportRow": "the report's columns: the CSV writer reads every field by name "
+    "through REPORT_COLUMNS, with getattr, so time_ms has no attribute read",
 }
 
 
@@ -92,6 +99,28 @@ def _calls(path):
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {k.arg for k in node.keywords}
             yield name, len(node.args), keywords, starred or None in keywords
+
+
+def _fields(path):
+    """{qualified class name: [field]} of a module's dataclasses and NamedTuples."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+                getattr(b, "id", None) == "NamedTuple" for b in node.bases):
+            found[f"{path.stem}.{node.name}"] = [
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return found
+
+
+def _attributes_read(path):
+    """The attribute names a module reads, as in x.name."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _names_loaded(path):
@@ -153,6 +182,21 @@ def test_every_optional_parameter_is_passed():
     assert not unused, f"optional parameters that no call passes: {unused}"
     stale = sorted(set(OPTIONS_KEPT) - {q for defs in defined.values() for q, _ in defs})
     assert not stale, f"OPTIONS_KEPT names functions without optional parameters: {stale}"
+
+
+def test_every_field_is_read():
+    # a field that no code in src/, scripts/ or perfbench/ reads is a result
+    # no run looks at, or a setting no run acts on: drop it, or keep its
+    # class in FIELDS_KEPT
+    read = set().union(*map(_attributes_read, _sources()))
+    classes = {}
+    for module in MODULES:
+        classes.update(_fields(PACKAGE / f"{module}.py"))
+    unread = sorted(f"{qualified}.{field}" for qualified, names in classes.items()
+                    if qualified not in FIELDS_KEPT for field in names if field not in read)
+    assert not unread, f"fields that nothing reads: {unread}"
+    stale = sorted(FIELDS_KEPT.keys() - classes.keys())
+    assert not stale, f"FIELDS_KEPT names no dataclass or NamedTuple: {stale}"
 
 
 def test_readme_module_paths_resolve():

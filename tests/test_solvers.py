@@ -173,7 +173,8 @@ def test_pg_rejects_gamma_not_above_two_beta():
 
 def test_pg_rejects_a_band_out_of_order():
     # a band needs 0 <= low <= high, neither end NaN.  Unchecked, each band
-    # below ended ABOVE_BAND at step 1 here (the ball floor is 2 / sqrt(3)).
+    # below ended FLOOR_ABOVE_BAND at step 1 here (the ball floor is
+    # 2 / sqrt(3)).
     A, y, r, x0 = DenseMatrix(np.eye(3)), np.ones(3), RadiusSpec(1.0), np.zeros(3)
     for band in ((1.0, 0.5), (np.nan, 1.0), (-1.0, 0.1), (0.5, np.nan)):
         with pytest.raises(ValueError, match="band must satisfy 0 <= low <= high"):
@@ -181,7 +182,7 @@ def test_pg_rejects_a_band_out_of_order():
     unbounded = solve_pg_sf(A, y, 0.0, 10.0, r, SolverOptions(), x0, band=(0.0, np.inf))
     assert unbounded.stop_bound is None
     above = solve_pg_sf(A, y, 0.0, 10.0, r, SolverOptions(), x0, band=(0.5, 0.5))
-    assert above.termination == Termination.ABOVE_BAND and above.iterations == 1
+    assert above.termination == Termination.FLOOR_ABOVE_BAND and above.iterations == 1
 
 
 def test_pg_descent_feasibility_and_stationarity():
@@ -854,8 +855,8 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     above tau2 * delta and at or below the full solve's residual; below it,
     below tau1 * delta and at or above the full solve's residual.  A trial
     the search did not solve reused the first one that stayed inside its ball
-    and was not stopped by its ball floor, and its record must hold at its
-    own radius, a larger one included.  Returns the search's result, the
+    and did not end FLOOR_ABOVE_BAND, and its record must hold at its own
+    radius, a larger one included.  Returns the search's result, the
     solves of its stopped trials' records, how many of those records reuse a
     trial solved at a smaller radius, and the inner iterations of every solve
     the search ran."""
@@ -883,17 +884,18 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     for rec, (_, r_sq, full_residual, full_rerror) in zip(out.trace, path):
         radius_l1 = RadiusSpec.from_sq(r_sq).radius_l1
         source = radius_l1 if radius_l1 in trials else next(
-            r_l1 for r_l1, t in trials.items() if t.peak_l1 <= r_l1 and not t.stop_on_floor
+            r_l1 for r_l1, t in trials.items()
+            if t.peak_l1 <= r_l1 and t.termination is not Termination.FLOOR_ABOVE_BAND
         )
         trial = trials[source]
         if trial.stop_bound is None:
             assert (rec.residual_norm, rec.rerror) == (full_residual, full_rerror)
             continue
         assert rec.residual_norm == trial.stop_bound and rec.rerror is None
-        if trial.termination is Termination.ABOVE_BAND:
+        if trial.termination in (Termination.ABOVE_BAND, Termination.FLOOR_ABOVE_BAND):
             assert mdp.tau2 * mdp.delta < rec.residual_norm <= full_residual
         else:
-            assert trial.termination is Termination.BELOW_BAND and not trial.stop_on_floor
+            assert trial.termination is Termination.BELOW_BAND
             assert full_residual <= rec.residual_norm < mdp.tau1 * mdp.delta
         stopped.append(trial)
         raised += source < radius_l1
@@ -907,9 +909,10 @@ def _check_search_against_reference(A, y, beta, gamma, mdp, opts, x0, x_true, mo
     "make, beta, max_iter, stops, raised, iterations",
     [
         # bracketed; the first three trials never project.  Each stop is
-        # named by the bound that made it: "floor" (above the band, on the
-        # ball floor), "range" (above it, on the contraction range) or
-        # "below" (below it, on the contraction range).  iterations is the
+        # named by its termination, which names the bound that made it:
+        # "floor" (FLOOR_ABOVE_BAND, above the band on the ball floor),
+        # "range" (ABOVE_BAND, above it on the contraction range) or "below"
+        # (BELOW_BAND, below it on the contraction range).  iterations is the
         # search's inner iterations over every solve it ran: the objective's
         # descent ends below-band trials earlier than the contraction range
         # alone did (2256 and 4378 before it on the two blur cases that stop
@@ -949,8 +952,9 @@ def test_search_radius_matches_reference(make, beta, max_iter, stops, raised, it
     out, stopped, reused, inner = _check_search_against_reference(A, y, beta, 1.0, mdp, opts, x0,
                                                                   inst.x_true, monkeypatch)
     assert (reused, inner) == (raised, iterations)
-    assert {"below" if t.termination is Termination.BELOW_BAND
-            else "floor" if t.stop_on_floor else "range" for t in stopped} == stops
+    names = {Termination.BELOW_BAND: "below", Termination.FLOOR_ABOVE_BAND: "floor",
+             Termination.ABOVE_BAND: "range"}
+    assert {names[t.termination] for t in stopped} == stops
     cuts = [cut for cut in cuts if cut is not None]  # the reference's projections pass none
     if n >= 512 and cuts:  # the blur search projects with a warm cut
         assert sum(cut > 0 for cut in cuts) > 0.9 * len(cuts)
@@ -996,8 +1000,12 @@ def test_search_radius_reuses_a_range_stop_with_its_range_bound(monkeypatch):
                                                               opts, np.zeros(3), np.full(3, 0.4),
                                                               monkeypatch)
     first = stopped[0]
-    assert first.iterations == 1 and not first.stop_on_floor
-    assert first.stop_bound < 0.22 < 1.15 < first.residual_floor
+    assert first.iterations == 1 and first.termination is Termination.ABOVE_BAND
+    radius = RadiusSpec.from_sq(out.trace[0].radius_sq).radius_l1
+    bounds = _band_bounds(A, np.ones(3), np.ones(3), 0.0, 10.0, radius, np.zeros(3), 20)
+    step = np.full(3, 0.1)  # x1 - x0 = y / gamma, inside the ball; g = -y at x0 = 0
+    near, _, floor = bounds(1, np.zeros(3), -np.ones(3), float(np.sqrt(step.dot(step))))
+    assert near == first.stop_bound < 0.22 < 1.15 < floor
     assert raised == len(stopped) - 1 == len(out.trace) - 1 > 0 and not out.bracketed
 
 
@@ -1064,9 +1072,10 @@ def test_pg_reports_peak_l1():
 @pytest.mark.filterwarnings("ignore:gamma=.* is not above half the smoothness bound:RuntimeWarning")
 def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_radius, stop_frac):
     # The floor is a bound over the ball, so it holds at every beta < gamma / 2:
-    # it never exceeds the full solve's residual, a solve stops only where
-    # the full one ends above stop_above, and one that does not stop is the
-    # full solve, bit for bit
+    # read at x0 and at the full solve's result (where it is tightest) it
+    # never exceeds the full solve's residual; m < n turns the range off, so
+    # a solve stops only on the floor, where the full one ends above
+    # stop_above; and one that does not stop is the full solve, bit for bit
     rng = np.random.default_rng(seed)
     A, y = _random_instance(rng)
     beta, r = beta_frac * gamma / 2.0, RadiusSpec(10.0**log_radius)
@@ -1074,13 +1083,15 @@ def test_pg_residual_floor_bounds_the_full_solve(seed, gamma, beta_frac, log_rad
     full = solve_pg_sf(A, y, beta, gamma, r, opts, x0)
     stop_above = stop_frac * full.residual_norm
     part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, band=(0.0, stop_above))
-    assert full.residual_floor is None
-    assert 0.0 <= part.residual_floor <= full.residual_norm
-    if part.termination is Termination.ABOVE_BAND:
-        assert part.residual_floor > stop_above and full.residual_norm > stop_above
+    assert full.stop_bound is None
+    bounds = _band_bounds(A, y, A.apply_adjoint(y), beta, gamma, r.radius_l1, x0, 200)
+    for x in (x0, full.x_final):
+        assert 0.0 <= bounds(1, x, A.apply_adjoint(A.apply(x) - y), 0.0)[2] <= full.residual_norm
+    if part.termination is Termination.FLOOR_ABOVE_BAND:
+        assert stop_above < part.stop_bound <= full.residual_norm
         assert np.sum(np.abs(part.x_final)) <= r.radius_l1 * (1 + 1e-12)
     else:
-        assert part.residual_floor <= stop_above
+        assert part.stop_bound is None
         assert part.x_final.tobytes() == full.x_final.tobytes()
         assert (part.iterations, part.termination) == (full.iterations, full.termination)
 
@@ -1113,8 +1124,8 @@ def test_pg_contraction_bound_certifies_the_full_solve(seed, gamma_frac, beta_fr
     low = low_frac * full.residual_norm
     part = solve_pg_sf(A, y, beta, gamma, r, opts, x0, band=(low, low * (1.0 + width)))
     if part.termination is Termination.BELOW_BAND:
-        assert full.residual_norm <= part.stop_bound < low and not part.stop_on_floor
-    elif part.termination is Termination.ABOVE_BAND:
+        assert full.residual_norm <= part.stop_bound < low
+    elif part.termination in (Termination.ABOVE_BAND, Termination.FLOOR_ABOVE_BAND):
         assert low * (1.0 + width) < part.stop_bound <= full.residual_norm
     else:
         assert part.stop_bound is None
@@ -1214,17 +1225,56 @@ def test_pg_stop_above_checks_every_eighth_step():
     A, y, r = DenseMatrix(np.eye(3)), np.ones(3), RadiusSpec(1.0)
     opts = SolverOptions(max_iter=30, record_trace=False)
     res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), band=(0.0, 1.1))
-    assert (res.iterations, res.termination) == (1, Termination.ABOVE_BAND)
-    assert res.residual_floor == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
-    assert res.residual_floor < 2.0 / np.sqrt(3.0)  # the rounding margin, taken
+    assert (res.iterations, res.termination) == (1, Termination.FLOOR_ABOVE_BAND)
+    assert res.stop_bound == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-12)
+    assert res.stop_bound < 2.0 / np.sqrt(3.0)  # the rounding margin, taken
     # a Python float, not a numpy scalar (which isinstance(..., float) also accepts)
-    assert type(res.residual_floor) is float
+    assert type(res.stop_bound) is float
     # From x0 = (1, 1, 0.5) the floor of the iterate passes 1 after 7 steps
-    # (1.0024), but step 8 forms no bound; step 9 does
+    # (1.0024), but step 8 forms no bound; step 9 does.  A = [I | 0] takes
+    # the same steps with a zero fourth entry, and its m < n turns the
+    # contraction range off, so the floor ends the solve
+    wide = DenseMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    assert _band_bounds(wide, y, y, 0.0, 10.0, 1.0, np.zeros(4), 30).rise is None
+    res = solve_pg_sf(wide, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5, 0.0]),
+                      band=(0.0, 1.0))
+    assert (res.iterations, res.termination) == (9, Termination.FLOOR_ABOVE_BAND)
+    assert res.stop_bound == pytest.approx(1.01870, abs=1e-5)
+    # with A = I the range is on, and its low end ends the solve at step 9 first
     res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.array([1.0, 1.0, 0.5]), band=(0.0, 1.0))
     assert (res.iterations, res.termination) == (9, Termination.ABOVE_BAND)
+    assert res.stop_bound == pytest.approx(1.00957, abs=1e-5)
     res = solve_pg_sf(A, y, 0.0, 10.0, r, opts, np.zeros(3), band=(0.0, 1.16))
-    assert res.termination is Termination.STAGNATION and res.residual_floor < 1.16
+    assert res.termination is Termination.STAGNATION and res.stop_bound is None
+    bounds = _band_bounds(A, y, y, 0.0, 10.0, 1.0, np.zeros(3), 30)
+    iterates = [np.zeros(3)] + [
+        solve_pg_sf(A, y, 0.0, 10.0, r, replace(opts, max_iter=k), np.zeros(3)).x_final
+        for k in range(1, res.iterations + 1)
+    ]
+    assert all(bounds(1, x, x - y, 0.0)[2] < 1.16 for x in iterates)  # g = x - y with A = I
+
+
+def test_pg_ball_floor_takes_its_rounding_margin():
+    # y = A v and x = v on the ball of radius ||v||_1: the least residual
+    # over the ball is 0, at v, and g = A*(Av - y) = 0, so the floor's h and
+    # ||r||^2 are both ||y||^2 - v.A*y, pure rounding.  Only the margin err
+    # keeps the floor at exactly 0.0 there (without it, 44 of these 200
+    # floors were positive), and keeps a band just above 0 from stopping a
+    # solve whose full residual lies inside it (8 of 200 stopped without it)
+    rng = np.random.default_rng(0)
+    opts = SolverOptions(max_iter=200, record_trace=False)
+    for _ in range(200):
+        A = DenseMatrix(rng.standard_normal((6, 10)))
+        v = rng.standard_normal(10) * (rng.random(10) < 0.5)  # about half nonzero
+        if not v.any():
+            v[0] = 1.0
+        y = A.apply(v)
+        radius, gamma = float(np.sum(np.abs(v))), 1.0 + A.opnorm_sq
+        bounds = _band_bounds(A, y, A.apply_adjoint(y), 0.0, gamma, radius, v, 200)
+        assert bounds(1, v, A.apply_adjoint(A.apply(v) - y), 0.0)[2] == 0.0
+        high = 1e-10 * float(np.linalg.norm(y))
+        res = solve_pg_sf(A, y, 0.0, gamma, RadiusSpec(radius), opts, v, band=(0.0, high))
+        assert res.termination is not Termination.FLOOR_ABOVE_BAND and res.residual_norm <= high
 
 
 @given(
